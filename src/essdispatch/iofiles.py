@@ -112,7 +112,7 @@ _ESS_DEFAULTS = {"soc_min": 0.2, "soc_max": 0.9, "charge_cost_fraction": 0.5}
 _MARKET_KEYS = {"slot_hours", "reg_min_power", "reserve_min_power",
                 "reserve_min_duration", "export_power_max", "sale_price_ratio"}
 _SOLVER_KEYS = {"int_tol", "gap_tol", "cut_tol", "node_limit",
-                "cut_round_limit", "seed"}
+                "cut_round_limit"}
 _FORECAST_KEYS = {"kappa_step", "kappa_cap", "clamp_low", "clamp_high", "seed"}
 _RUN_KEYS = {"series_path", "experiment", "horizon", "alpha_grid",
              "horizon_grid", "seeds", "initial_soc", "out_dir"}
@@ -180,8 +180,7 @@ def load_config(path: str | Path, strict: bool = False):
         gap_tol=float(ssec.get("gap_tol", 1e-6)),
         cut_tol=float(ssec.get("cut_tol", 1e-7)),
         node_limit=int(ssec.get("node_limit", 100000)),
-        cut_round_limit=int(ssec.get("cut_round_limit", 300)),
-        seed=int(ssec.get("seed", 0)))
+        cut_round_limit=int(ssec.get("cut_round_limit", 300)))
 
     fsec = _section(parser, "forecast", _FORECAST_KEYS, strict, path)
     step = float(fsec.get("kappa_step", 0.1))

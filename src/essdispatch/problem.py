@@ -85,6 +85,9 @@ class SolveResult:
     node_count: int
     instance: ProblemInstance
     decisions: list[DispatchDecision] = field(default_factory=list)
+    lp_calls: int = 0                # simplex runs of the window's LP
+    lp_iters: int = 0                # simplex iterations over those runs
+    lp_restarts: int = 0             # undecided warm runs retried cold
 
     @property
     def tnp(self) -> float:

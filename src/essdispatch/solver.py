@@ -6,6 +6,10 @@ at violating points until none remain.  Tangent cuts under-approximate a convex
 function, so every node objective is a valid lower bound.  Branching is on the
 most fractional binary with best-bound node selection; everything is
 deterministic for a fixed instance and configuration.
+
+All LPs of one window are re-solves of a single persistent HiGHS model (the
+dual simplex of Huangfu & Hall, 2018): node fixings change column bounds, new
+cuts append rows, and each run starts from the previous optimal basis.
 """
 
 from __future__ import annotations
@@ -16,6 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
+
+try:
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+except ImportError as exc:
+    raise ImportError(
+        "essdispatch requires scipy>=1.17: its LP subsolver is the HiGHS class "
+        "scipy.optimize._highspy._core._Highs bundled with scipy") from exc
 
 from . import aging
 from .problem import LinRow, ProblemInstance, SolveResult, recover_service_split
@@ -28,7 +40,6 @@ class SolverConfig:
     cut_tol: float = 1e-7
     node_limit: int = 100000
     cut_round_limit: int = 300
-    seed: int = 0  # reserved; default algorithms are deterministic without it
 
     def __post_init__(self):
         for name in ("int_tol", "gap_tol", "cut_tol"):
@@ -41,50 +52,54 @@ class LpSolution:
     status: str                  # optimal | infeasible | unbounded
     x: np.ndarray | None
     objective: float
-    duals: np.ndarray | None
 
 
 class SolverError(RuntimeError):
     """Numerical failure or limit breach inside the solver."""
 
 
-def _scaled_matrix(rows: list[LinRow], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (A, b) with every row normalized to max-abs coefficient 1."""
-    a = np.zeros((len(rows), n))
-    b = np.zeros(len(rows))
+def _scaled_csr(rows: list[LinRow]):
+    """CSR arrays (starts, index, value) and rhs of the rows, every row
+    normalized to max-abs coefficient 1."""
+    starts = np.zeros(len(rows), dtype=np.int32)
+    index: list[int] = []
+    value: list[float] = []
+    rhs = np.zeros(len(rows))
     for r, row in enumerate(rows):
+        starts[r] = len(index)
+        scale = max(max(map(abs, row.coeffs.values()), default=0.0), 1e-12)
         for j, c in row.coeffs.items():
-            a[r, j] = c
-        b[r] = row.rhs
-    if len(rows):
-        scale = np.maximum(np.abs(a).max(axis=1), 1e-12)
-        a /= scale[:, None]
-        b /= scale
-    return a, b
-
-
-def _run_lp(a, b, lb: np.ndarray, ub: np.ndarray,
-            objective: np.ndarray) -> LpSolution:
-    res = linprog(objective, A_ub=a, b_ub=b,
-                  bounds=np.column_stack([lb, ub]), method="highs")
-    if res.status == 0:
-        duals = (np.asarray(res.ineqlin.marginals)
-                 if a is not None else np.zeros(0))
-        return LpSolution("optimal", np.asarray(res.x), float(res.fun), duals)
-    if res.status == 2:
-        return LpSolution("infeasible", None, np.inf, None)
-    if res.status == 3:
-        return LpSolution("unbounded", None, -np.inf, None)
-    raise SolverError(f"LP subsolver failed: {res.message}")
+            if c != 0.0:
+                index.append(j)
+                value.append(c / scale)
+        rhs[r] = row.rhs / scale
+    return starts, np.array(index, dtype=np.int32), np.array(value), rhs
 
 
 def solve_lp(rows: list[LinRow], lb: np.ndarray, ub: np.ndarray,
              objective: np.ndarray) -> LpSolution:
-    """Solve min c.x over scaled rows plus bounds; proven-optimal or certified
-    infeasible/unbounded, deterministic for fixed input ordering."""
-    a, b = _scaled_matrix(rows, len(objective)) if rows else (None, None)
-    return _run_lp(a, b, np.asarray(lb, dtype=float),
-                   np.asarray(ub, dtype=float), np.asarray(objective, dtype=float))
+    """Solve min c.x over scaled rows plus bounds with one cold linprog call.
+
+    Proven-optimal or certified infeasible/unbounded; the independent reference
+    for the persistent model behind CutPool.solve.
+    """
+    objective = np.asarray(objective, dtype=float)
+    a = b = None
+    if rows:
+        starts, index, value, b = _scaled_csr(rows)
+        a = csr_array((value, index, np.append(starts, len(index))),
+                      shape=(len(rows), len(objective)))
+    res = linprog(objective, A_ub=a, b_ub=b,
+                  bounds=np.column_stack([np.asarray(lb, dtype=float),
+                                          np.asarray(ub, dtype=float)]),
+                  method="highs")
+    if res.status == 0:
+        return LpSolution("optimal", np.asarray(res.x), float(res.fun))
+    if res.status == 2:
+        return LpSolution("infeasible", None, np.inf)
+    if res.status == 3:
+        return LpSolution("unbounded", None, -np.inf)
+    raise SolverError(f"LP subsolver failed: {res.message}")
 
 
 def _cut_scale(q, x: np.ndarray) -> float:
@@ -111,14 +126,28 @@ def _tangent_cut(q, x_c: float, x_d: float) -> LinRow:
 
 
 class CutPool:
-    """Growing set of tangent cuts, kept alongside the scaled base matrix."""
+    """One window's LP: the scaled base rows plus a growing set of tangent
+    cuts, held in one persistent HiGHS model.
+
+    Each solve changes only column bounds and re-runs the dual simplex from
+    the previous optimal basis.  rows lists the cuts (seed tangents first);
+    lp_calls, lp_iters and lp_restarts count simplex runs, simplex
+    iterations and cold restarts.
+    """
+
+    _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
+                HighsModelStatus.kUnbounded)
 
     def __init__(self, instance: ProblemInstance):
-        self.instance = instance
         self.rows: list[LinRow] = []
+        self.lp_calls = self.lp_iters = self.lp_restarts = 0
         n = instance.n_cols
-        self._a = np.zeros((64, n))
-        self._b = np.zeros(64)
+        self._cols = np.arange(n, dtype=np.int32)
+        self._highs = _Highs()
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.addVars(n, instance.lb, instance.ub)
+        self._highs.changeColsCost(n, self._cols, instance.objective)
+        self._append(instance.rows)
         seeds = []
         for q in instance.quad_rows:
             spec = next((s for s in instance.specs if s.id == q.row.ess), None)
@@ -128,33 +157,51 @@ class CutPool:
             pd_max = spec.discharge_rate_max if spec else 1.0
             for t in np.linspace(0.0, 1.0, 9):
                 seeds.append(_tangent_cut(q, t * pc_max, t * pd_max))
-        for row in seeds:
-            self.add(row)
+        self.add(seeds)
 
-    def add(self, row: LinRow) -> None:
-        k = len(self.rows)
-        if k == len(self._b):
-            self._a = np.vstack([self._a, np.zeros_like(self._a)])
-            self._b = np.concatenate([self._b, np.zeros_like(self._b)])
-        coeffs = np.zeros(self.instance.n_cols)
-        for j, c in row.coeffs.items():
-            coeffs[j] = c
-        scale = max(np.abs(coeffs).max(), 1e-12)
-        self._a[k] = coeffs / scale
-        self._b[k] = row.rhs / scale
-        self.rows.append(row)
+    def _append(self, rows: list[LinRow]) -> None:
+        if rows:
+            starts, index, value, rhs = _scaled_csr(rows)
+            self._highs.addRows(len(rows), np.full(len(rows), -np.inf), rhs,
+                                len(index), starts, index, value)
 
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        k = len(self.rows)
-        return self._a[:k], self._b[:k]
+    def add(self, cuts: list[LinRow]) -> None:
+        self._append(cuts)
+        self.rows.extend(cuts)
+
+    def _run(self):
+        self._highs.run()
+        self.lp_calls += 1
+        self.lp_iters += self._highs.getInfo().simplex_iteration_count
+        return self._highs.getModelStatus()
+
+    def solve(self, lb: np.ndarray, ub: np.ndarray) -> LpSolution:
+        """min c.x over the base rows and cuts with the given column bounds."""
+        self._highs.changeColsBounds(len(self._cols), self._cols, lb, ub)
+        status = self._run()
+        if status not in self._SETTLED:
+            # An undecided warm run gets one cold retry before giving up.
+            self.lp_restarts += 1
+            self._highs.clearSolver()
+            status = self._run()
+        if status == HighsModelStatus.kOptimal:
+            return LpSolution("optimal", np.array(self._highs.getSolution().col_value),
+                              self._highs.getInfo().objective_function_value)
+        if status == HighsModelStatus.kInfeasible:
+            return LpSolution("infeasible", None, np.inf)
+        if status == HighsModelStatus.kUnbounded:
+            return LpSolution("unbounded", None, -np.inf)
+        raise SolverError("LP subsolver failed: "
+                          f"{self._highs.modelStatusToString(status)}")
 
 
-def _base_matrix(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    cache = instance.__dict__.get("_base_matrix")
-    if cache is None:
-        cache = _scaled_matrix(instance.rows, instance.n_cols)
-        instance.__dict__["_base_matrix"] = cache
-    return cache
+def _fixed_bounds(instance: ProblemInstance,
+                  fixed: dict[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    lb = instance.lb.copy()
+    ub = instance.ub.copy()
+    for col, val in (fixed or {}).items():
+        lb[col] = ub[col] = float(val)
+    return lb, ub
 
 
 def solve_relaxation(instance: ProblemInstance,
@@ -167,26 +214,18 @@ def solve_relaxation(instance: ProblemInstance,
     objective is a valid lower bound for the node.  A shared cut_pool may be
     passed in; newly generated cuts are appended to it.
     """
-    lb = instance.lb.copy()
-    ub = instance.ub.copy()
-    for col, val in (fixed_binaries or {}).items():
-        lb[col] = ub[col] = float(val)
+    lb, ub = _fixed_bounds(instance, fixed_binaries)
     if cut_pool is None:
         cut_pool = CutPool(instance)
-    a_base, b_base = _base_matrix(instance)
     for _ in range(config.cut_round_limit):
-        a_cut, b_cut = cut_pool.matrix()
-        a = np.concatenate([a_base, a_cut])
-        b = np.concatenate([b_base, b_cut])
-        sol = _run_lp(a, b, lb, ub, instance.objective)
+        sol = cut_pool.solve(lb, ub)
         if sol.status != "optimal":
             return sol
         violated = [q for q in instance.quad_rows
                     if q.violation(sol.x) > config.cut_tol * _cut_scale(q, sol.x)]
         if not violated:
             return sol
-        for q in violated:
-            cut_pool.add(_tangent_cut(q, sol.x[q.pc], sol.x[q.pd]))
+        cut_pool.add([_tangent_cut(q, sol.x[q.pc], sol.x[q.pd]) for q in violated])
     raise SolverError(f"cut rounds exceeded {config.cut_round_limit} "
                       "(check cut_tol vs. LP tolerance)")
 
@@ -228,22 +267,17 @@ def solve(instance: ProblemInstance,
     incumbent and the final gap.
     """
     cut_pool = CutPool(instance)
-    a_base, b_base = _base_matrix(instance)
     incumbent_x = None
     incumbent_obj = np.inf
     counter = itertools.count()
     nodes = 0
     status = "optimal"
 
-    def node_lp(fixed: dict[int, int]) -> LpSolution:
-        lb = instance.lb.copy()
-        ub = instance.ub.copy()
-        for col, val in fixed.items():
-            lb[col] = ub[col] = float(val)
-        a_cut, b_cut = cut_pool.matrix()
-        return _run_lp(np.concatenate([a_base, a_cut]),
-                       np.concatenate([b_base, b_cut]), lb, ub,
-                       instance.objective)
+    def finish(status: str, objective: float, bound: float,
+               x: np.ndarray | None) -> SolveResult:
+        return SolveResult(status, objective, bound, x, nodes, instance,
+                           lp_calls=cut_pool.lp_calls, lp_iters=cut_pool.lp_iters,
+                           lp_restarts=cut_pool.lp_restarts)
 
     def gap_ok(bound: float) -> bool:
         return incumbent_obj - bound <= config.gap_tol * max(1.0, abs(incumbent_obj))
@@ -255,9 +289,9 @@ def solve(instance: ProblemInstance,
             incumbent_x, incumbent_obj = polished, obj
 
     root = solve_relaxation(instance, None, config, cut_pool)
-    if root.status != "optimal":
-        return SolveResult("infeasible", np.inf, np.inf, None, 1, instance)
     nodes = 1
+    if root.status != "optimal":
+        return finish("infeasible", np.inf, np.inf, None)
     relaxation_floor = np.inf  # tightest bound among fathomed integral nodes
     heap: list[tuple[float, int, dict[int, int]]] = []
     if _fractional(root.x, instance.binary_cols, config.int_tol) is None:
@@ -282,7 +316,7 @@ def solve(instance: ProblemInstance,
             relaxation_floor = min(relaxation_floor, bound)
             break
         nodes += 1
-        sol = node_lp(fixed)
+        sol = cut_pool.solve(*_fixed_bounds(instance, fixed))
         if sol.status != "optimal":
             continue  # infeasible node
         if incumbent_x is not None and gap_ok(sol.objective):
@@ -305,12 +339,12 @@ def solve(instance: ProblemInstance,
 
     if incumbent_x is None:
         if status == "node-limit":
-            return SolveResult("node-limit", np.inf, -np.inf, None, nodes, instance)
-        return SolveResult("infeasible", np.inf, np.inf, None, nodes, instance)
+            return finish("node-limit", np.inf, -np.inf, None)
+        return finish("infeasible", np.inf, np.inf, None)
     proven = min([b for b, _, _ in heap] + [relaxation_floor, incumbent_obj])
     if status == "optimal" and not gap_ok(proven):
         status = "gap-limit"
-    result = SolveResult(status, incumbent_obj, proven, incumbent_x, nodes, instance)
+    result = finish(status, incumbent_obj, proven, incumbent_x)
     if status == "optimal":
         result.decisions = recover_service_split(result)
     return result

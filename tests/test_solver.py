@@ -1,12 +1,18 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from essdispatch.aging import aging_cost_eval, segment_max
 from essdispatch.domain import SlotExogenous, SocState
 from essdispatch.problem import LinRow, build_problem, check_solution
+from essdispatch import solver as solver_module
 from essdispatch.solver import (CutPool, SolverConfig, SolverError,
                                 brute_force_oracle, solve, solve_lp,
                                 solve_relaxation)
@@ -248,6 +254,94 @@ class TestCuts:
         with pytest.raises(SolverError, match="cut rounds"):
             solve_relaxation(inst, {c: 0 for c in inst.binary_cols},
                              SolverConfig(cut_round_limit=1))
+
+
+class _Undecided:
+    """HiGHS model proxy whose first `runs` statuses read as undecided."""
+
+    def __init__(self, highs, runs):
+        self._highs = highs
+        self.runs = runs
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getModelStatus(self):
+        if self.runs:
+            self.runs -= 1
+            return HighsModelStatus.kUnknown
+        return self._highs.getModelStatus()
+
+
+class TestPersistentLp:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_cold_linprog_through_fixings_and_cuts(self, market, seed):
+        # one pool walks a random sequence of node fixings and new tangent
+        # cuts; every warm re-solve must agree with a cold solve of the same LP
+        rng = np.random.default_rng(100 + seed)
+        inst = rand_instance(rng, n_ess=1 + seed % 2, market=market)
+        pool = CutPool(inst)
+        statuses = set()
+        for _ in range(15):
+            lb, ub = inst.lb.copy(), inst.ub.copy()
+            for col in inst.binary_cols:
+                if rng.uniform() < 0.5:
+                    lb[col] = ub[col] = float(rng.integers(2))
+            warm = pool.solve(lb, ub)
+            cold = solve_lp(inst.rows + pool.rows, lb, ub, inst.objective)
+            assert warm.status == cold.status
+            statuses.add(warm.status)
+            if warm.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       rel=1e-9, abs=1e-9)
+            q = inst.quad_rows[rng.integers(len(inst.quad_rows))]
+            spec = next(s for s in inst.specs if s.id == q.row.ess)
+            pool.add([solver_module._tangent_cut(
+                q, rng.uniform(0, spec.charge_rate_max),
+                rng.uniform(0, spec.discharge_rate_max))])
+        assert "optimal" in statuses
+        assert pool.lp_calls == 15 and pool.lp_restarts == 0
+
+    def test_undecided_run_restarts_cold(self, market, monkeypatch):
+        rng = np.random.default_rng(5)
+        inst = rand_instance(rng, n_ess=2, market=market)
+        reference = solve(inst)
+        monkeypatch.setattr(solver_module, "_Highs",
+                            lambda: _Undecided(_Highs(), 1))
+        res = solve(inst)
+        assert res.lp_restarts == 1
+        assert res.status == reference.status == "optimal"
+        assert res.objective == pytest.approx(reference.objective, rel=1e-9)
+        assert res.lp_calls == reference.lp_calls + 1
+
+    def test_undecided_after_restart_raises(self, market):
+        inst = rand_instance(np.random.default_rng(6), market=market)
+        pool = CutPool(inst)
+        pool._highs = _Undecided(pool._highs, 2)
+        with pytest.raises(SolverError, match="LP subsolver failed"):
+            pool.solve(inst.lb, inst.ub)
+        assert pool.lp_restarts == 1
+
+    def test_missing_highs_class_names_scipy_requirement(self):
+        # a scipy without the bundled HiGHS class must fail at import with the
+        # requirement, not later inside a solve
+        code = ("import sys, types, scipy.optimize\n"
+                "sys.modules['scipy.optimize._highspy._core'] = "
+                "types.ModuleType('empty')\n"
+                "import essdispatch\n")
+        src = pathlib.Path(solver_module.__file__).parent.parent
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
+        assert proc.returncode != 0
+        assert "ImportError: essdispatch requires scipy>=1.17" in proc.stderr
+
+    def test_lp_work_reported(self, market):
+        res = solve(rand_instance(np.random.default_rng(17), n_ess=2,
+                                  market=market))
+        assert res.lp_calls >= res.node_count
+        assert res.lp_iters > 0
+        assert res.lp_restarts == 0
 
 
 class TestBruteForce:
