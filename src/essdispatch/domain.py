@@ -6,7 +6,8 @@ workers can evaluate them concurrently without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 from .aging import DEFAULT_SEGMENTS, SegmentSet
@@ -145,8 +146,20 @@ class ValidationReport:
         return not self.violations
 
 
+def _check_finite(tag: str, record, out: list[str]) -> None:
+    """Flag every NaN or infinite number field of a spec, market or slot."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            out.append(f"{tag}: {f.name} {value} is not finite")
+
+
 def _check_spec(spec: EssSpec, out: list[str]) -> None:
     tag = f"ess {spec.id}"
+    _check_finite(tag, spec, out)
+    for k, (a, b) in enumerate(spec.aging_segments.segments):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            out.append(f"{tag}: aging segment {k} ({a}, {b}) is not finite")
     if not (0.0 < spec.soc_min < spec.soc_max < 1.0):
         out.append(f"{tag}: requires 0 < soc_min < soc_max < 1, "
                    f"got {spec.soc_min}, {spec.soc_max}")
@@ -154,8 +167,9 @@ def _check_spec(spec: EssSpec, out: list[str]) -> None:
         out.append(f"{tag}: eff_charge {spec.eff_charge} outside (0,1)")
     if not (0.0 < spec.eff_discharge < 1.0):
         out.append(f"{tag}: eff_discharge {spec.eff_discharge} outside (0,1)")
-    for name in ("energy_capacity", "charge_rate_max", "discharge_rate_max",
-                 "unit_capital_cost"):
+    if not spec.energy_capacity > 0:
+        out.append(f"{tag}: energy_capacity must be > 0")
+    for name in ("charge_rate_max", "discharge_rate_max", "unit_capital_cost"):
         if getattr(spec, name) < 0:
             out.append(f"{tag}: {name} must be >= 0")
     if not (0.0 <= spec.charge_cost_fraction <= 1.0):
@@ -174,6 +188,7 @@ def validate_inputs(specs: Sequence[EssSpec], market: MarketSpec,
     out: list[str] = []
     for spec in specs:
         _check_spec(spec, out)
+    _check_finite("market", market, out)
     if market.slot_hours <= 0:
         out.append(f"market: slot_hours {market.slot_hours} must be > 0")
     for name in ("reg_min_power", "reserve_min_power", "reserve_min_duration",
@@ -181,6 +196,7 @@ def validate_inputs(specs: Sequence[EssSpec], market: MarketSpec,
         if getattr(market, name) < 0:
             out.append(f"market: {name} must be >= 0")
     for t, slot in enumerate(series):
+        _check_finite(f"slot {t}", slot, out)
         if slot.demand < 0:
             out.append(f"slot {t}: demand {slot.demand} < 0")
         if slot.renewable < 0:

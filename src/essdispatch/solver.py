@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ except ImportError as exc:
         "scipy.optimize._highspy._core._Highs bundled with scipy") from exc
 
 from . import aging
-from .problem import LinRow, ProblemInstance, SolveResult, recover_service_split
+from .problem import (LinRow, ProblemInstance, QuadRow, SolveResult,
+                      recover_service_split)
 
 
 @dataclass(frozen=True)
@@ -60,20 +62,23 @@ class SolverError(RuntimeError):
 
 def _scaled_csr(rows: list[LinRow]):
     """CSR arrays (starts, index, value) and rhs of the rows, every row
-    normalized to max-abs coefficient 1."""
-    starts = np.zeros(len(rows), dtype=np.int32)
-    index: list[int] = []
-    value: list[float] = []
-    rhs = np.zeros(len(rows))
-    for r, row in enumerate(rows):
-        starts[r] = len(index)
-        scale = max(max(map(abs, row.coeffs.values()), default=0.0), 1e-12)
-        for j, c in row.coeffs.items():
-            if c != 0.0:
-                index.append(j)
-                value.append(c / scale)
-        rhs[r] = row.rhs / scale
-    return starts, np.array(index, dtype=np.int32), np.array(value), rhs
+    normalized to max-abs coefficient 1 and its zero coefficients dropped."""
+    counts = np.fromiter(map(len, (row.coeffs for row in rows)), np.intp, len(rows))
+    nnz = int(counts.sum())
+    index = np.fromiter(itertools.chain.from_iterable(row.coeffs for row in rows),
+                        np.int32, nnz)
+    value = np.fromiter(itertools.chain.from_iterable(row.coeffs.values()
+                                                      for row in rows), float, nnz)
+    rhs = np.fromiter((row.rhs for row in rows), float, len(rows))
+    # An empty row keeps scale 1e-12; reduceat needs nonempty segments.
+    scale = np.full(len(rows), 1e-12)
+    filled = counts > 0
+    first = (np.cumsum(counts) - counts)[filled]
+    scale[filled] = np.maximum(np.maximum.reduceat(np.abs(value), first), 1e-12)
+    keep = value != 0.0
+    row_of = np.repeat(np.arange(len(rows)), counts)[keep]
+    starts = np.searchsorted(row_of, np.arange(len(rows))).astype(np.int32)
+    return starts, index[keep], value[keep] / scale[row_of], rhs / scale
 
 
 def solve_lp(rows: list[LinRow], lb: np.ndarray, ub: np.ndarray,
@@ -102,27 +107,41 @@ def solve_lp(rows: list[LinRow], lb: np.ndarray, ub: np.ndarray,
     raise SolverError(f"LP subsolver failed: {res.message}")
 
 
-def _cut_scale(q, x: np.ndarray) -> float:
-    """Coefficient scale of the tangent cut at x.
+class CutRows(Sequence):
+    """A pool's tangent cuts, seed tangents first, as LinRow objects.
 
-    The LP enforces normalized rows to its own feasibility tolerance, so the
-    epigraph violation is only resolvable down to cut_tol times this scale;
-    comparing against an absolute threshold below it would never converge.
+    The pool logs each batch as arrays; rows are built only when read, so
+    taking the length costs nothing.
     """
-    r = q.row
-    return max(1.0, abs(2.0 * r.quad_c * x[q.pc] + r.lin_c),
-               abs(2.0 * r.quad_d * x[q.pd] + r.lin_d))
 
+    def __init__(self, quad_rows: list[QuadRow]):
+        self._quad_rows = quad_rows
+        self._batches: list[tuple[np.ndarray, ...]] = []
+        self._len = 0
 
-def _tangent_cut(q, x_c: float, x_d: float) -> LinRow:
-    """Tangent of f(pc, pd) - zeta <= 0 at (x_c, x_d); valid for every feasible
-    point because tangents under-approximate a convex function."""
-    r = q.row
-    gc = 2.0 * r.quad_c * x_c + r.lin_c
-    gd = 2.0 * r.quad_d * x_d + r.lin_d
-    rhs = r.quad_c * x_c * x_c + r.quad_d * x_d * x_d
-    return LinRow({q.pc: gc, q.pd: gd, q.zeta: -1.0}, rhs,
-                  f"cut[{r.ess},{r.slot},{r.segment}]")
+    def log(self, q: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray) -> None:
+        """Record cuts of quad rows q: unscaled (pc, pd, zeta) coefficients
+        and right-hand sides."""
+        self._batches.append((q, coeffs, rhs))
+        self._len += len(q)
+
+    def _build(self) -> list[LinRow]:
+        rows = []
+        for batch in self._batches:
+            for k, (c, d, z), r in zip(*batch):
+                qr = self._quad_rows[k]
+                rows.append(LinRow({qr.pc: c, qr.pd: d, qr.zeta: z}, r,
+                                   f"cut[{qr.row.ess},{qr.row.slot},{qr.row.segment}]"))
+        return rows
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._build()[i]
+
+    def __iter__(self):
+        return iter(self._build())
 
 
 class CutPool:
@@ -139,7 +158,6 @@ class CutPool:
                 HighsModelStatus.kUnbounded)
 
     def __init__(self, instance: ProblemInstance):
-        self.rows: list[LinRow] = []
         self.lp_calls = self.lp_iters = self.lp_restarts = 0
         n = instance.n_cols
         self._cols = np.arange(n, dtype=np.int32)
@@ -147,32 +165,93 @@ class CutPool:
         self._highs.setOptionValue("output_flag", False)
         self._highs.addVars(n, instance.lb, instance.ub)
         self._highs.changeColsCost(n, self._cols, instance.objective)
-        self._append(instance.rows)
-        seeds = []
-        for q in instance.quad_rows:
-            spec = next((s for s in instance.specs if s.id == q.row.ess), None)
-            # Seed tangents along the rate-box diagonal; the adaptive loop
-            # refines wherever these are loose.
-            pc_max = spec.charge_rate_max if spec else 1.0
-            pd_max = spec.discharge_rate_max if spec else 1.0
-            for t in np.linspace(0.0, 1.0, 9):
-                seeds.append(_tangent_cut(q, t * pc_max, t * pd_max))
-        self.add(seeds)
+        if instance.rows:
+            self._add_rows(*_scaled_csr(instance.rows))
+        quads = instance.quad_rows
+        self.rows = CutRows(quads)
+        # One column per quad row: its (pc, pd, zeta) columns, and the
+        # quadratic and linear coefficients of f, charge side first; twice
+        # the quadratic ones are the gradient's.
+        self._qcols = np.array([(q.pc, q.pd, q.zeta) for q in quads],
+                               dtype=np.int32).reshape(-1, 3).T.copy()
+        self._quad = np.array([(q.row.quad_c, q.row.quad_d) for q in quads],
+                              dtype=float).reshape(-1, 2).T.copy()
+        self._lin = np.array([(q.row.lin_c, q.row.lin_d) for q in quads],
+                             dtype=float).reshape(-1, 2).T.copy()
+        self._quad2 = 2.0 * self._quad
+        # Seed tangents along the rate-box diagonal; the adaptive loop refines
+        # wherever these are loose.  A quad row's ess is the first spec with
+        # that id.
+        spec_of = {s.id: s for s in reversed(instance.specs)}
+        rate_max = np.array([(spec_of[q.row.ess].charge_rate_max,
+                              spec_of[q.row.ess].discharge_rate_max) for q in quads],
+                            dtype=float).reshape(-1, 2).T
+        t = np.linspace(0.0, 1.0, 9)
+        self.add_tangents(np.repeat(np.arange(len(quads)), len(t)),
+                          (rate_max[:, :, None] * t).reshape(2, -1))
 
-    def _append(self, rows: list[LinRow]) -> None:
-        if rows:
-            starts, index, value, rhs = _scaled_csr(rows)
-            self._highs.addRows(len(rows), np.full(len(rows), -np.inf), rhs,
-                                len(index), starts, index, value)
+    def _add_rows(self, starts, index, value, rhs) -> None:
+        self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
+                            len(index), starts, index, value)
 
-    def add(self, cuts: list[LinRow]) -> None:
-        self._append(cuts)
-        self.rows.extend(cuts)
+    def add_tangents(self, q: np.ndarray, x: np.ndarray) -> None:
+        """Append, as one batch, the tangent of quad row q[k]'s
+        f(pc, pd) - zeta <= 0 at (pc, pd) = x[:, k]; valid for every feasible
+        point because tangents under-approximate a convex function.
+
+        Each row is scaled to max-abs coefficient 1 and its zero
+        coefficients are dropped, as _scaled_csr does.
+        """
+        if not len(q):
+            return
+        grad = self._quad2[:, q] * x + self._lin[:, q]
+        f2 = self._quad[:, q] * x * x
+        rhs = f2[0] + f2[1]
+        value = np.empty((len(q), 3))
+        value[:, :2] = grad.T
+        value[:, 2] = -1.0
+        # The max-abs coefficient, since zeta's is -1.
+        scale = np.maximum(np.maximum(np.abs(grad[0]), np.abs(grad[1])), 1.0)
+        keep = value != 0.0
+        counts = keep.sum(axis=1, dtype=np.int32)
+        self._add_rows(np.cumsum(counts, dtype=np.int32) - counts,
+                       self._qcols[:, q].T[keep], (value / scale[:, None])[keep],
+                       rhs / scale)
+        self.rows.log(q, value, rhs)
+
+    def violated(self, x: np.ndarray, cut_tol: float) -> np.ndarray:
+        """Indices of the quad rows that x violates by more than cut_tol times
+        the coefficient scale of their tangent cut at x.
+
+        The LP enforces normalized rows to its own feasibility tolerance, so
+        the epigraph violation is only resolvable down to that scale; an
+        absolute threshold below it would never converge.
+        """
+        # Same operation order as EpigraphRow.value and the tangent's
+        # gradient, so the test matches the per-row rule bit for bit.
+        at = x[self._qcols]
+        p = at[:2]
+        grad = np.abs(self._quad2 * p + self._lin)
+        scale = np.maximum(np.maximum(grad[0], grad[1]), 1.0)
+        f2 = self._quad * p * p
+        f1 = self._lin * p
+        f = f2[0] + f1[0]
+        f += f2[1]
+        f += f1[1]
+        f -= at[2]
+        return np.flatnonzero(f > cut_tol * scale)
+
+    def cut(self, x: np.ndarray, cut_tol: float) -> bool:
+        """Add the tangent at x of every violated quad row; False if none is."""
+        hit = self.violated(x, cut_tol)
+        if hit.size:
+            self.add_tangents(hit, x[self._qcols[:2, hit]])
+        return bool(hit.size)
 
     def _run(self):
         self._highs.run()
         self.lp_calls += 1
-        self.lp_iters += self._highs.getInfo().simplex_iteration_count
+        self.lp_iters += self._highs.getInfoValue("simplex_iteration_count")[1]
         return self._highs.getModelStatus()
 
     def solve(self, lb: np.ndarray, ub: np.ndarray) -> LpSolution:
@@ -186,7 +265,7 @@ class CutPool:
             status = self._run()
         if status == HighsModelStatus.kOptimal:
             return LpSolution("optimal", np.array(self._highs.getSolution().col_value),
-                              self._highs.getInfo().objective_function_value)
+                              self._highs.getObjectiveValue())
         if status == HighsModelStatus.kInfeasible:
             return LpSolution("infeasible", None, np.inf)
         if status == HighsModelStatus.kUnbounded:
@@ -221,11 +300,8 @@ def solve_relaxation(instance: ProblemInstance,
         sol = cut_pool.solve(lb, ub)
         if sol.status != "optimal":
             return sol
-        violated = [q for q in instance.quad_rows
-                    if q.violation(sol.x) > config.cut_tol * _cut_scale(q, sol.x)]
-        if not violated:
+        if not cut_pool.cut(sol.x, config.cut_tol):
             return sol
-        cut_pool.add([_tangent_cut(q, sol.x[q.pc], sol.x[q.pd]) for q in violated])
     raise SolverError(f"cut rounds exceeded {config.cut_round_limit} "
                       "(check cut_tol vs. LP tolerance)")
 

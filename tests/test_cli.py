@@ -82,5 +82,6 @@ class TestMain:
     def test_strict_flag(self, workdir):
         config = workdir / "config.ini"
         config.write_text(config.read_text() + "\n[bogus]\nx = 1\n")
-        assert run_cli(workdir) == 0
-        assert run_cli(workdir, "--strict") == 2
+        out = str(workdir / "out")
+        assert run_cli(workdir, "--out", out) == 0
+        assert run_cli(workdir, "--strict", "--out", out) == 2

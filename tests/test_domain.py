@@ -3,8 +3,9 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from essdispatch.domain import (MarketSpec, SocState, idle_decision,
-                                soc_update, validate_inputs)
+from essdispatch.aging import SegmentSet
+from essdispatch.domain import (MarketSpec, SlotExogenous, SocState,
+                                idle_decision, soc_update, validate_inputs)
 
 from conftest import make_spec
 
@@ -96,6 +97,37 @@ class TestValidateInputs:
         report = validate_inputs(specs, market, series)
         assert any("reg_up_flag" in v and "slot 3" in v
                    for v in report.violations)
+
+    def test_zero_energy_capacity_rejected(self, market):
+        report = validate_inputs([make_spec(1, energy_capacity=0.0)], market, [])
+        assert "ess 1: energy_capacity must be > 0" in report.violations
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", [
+        "energy_capacity", "soc_min", "soc_max", "charge_rate_max",
+        "discharge_rate_max", "eff_charge", "eff_discharge",
+        "unit_capital_cost", "charge_cost_fraction", "module_count"])
+    def test_non_finite_spec_field(self, market, field, value):
+        report = validate_inputs([make_spec(1, **{field: value})], market, [])
+        assert f"ess 1: {field} {value} is not finite" in report.violations
+
+    def test_non_finite_aging_segment(self, market):
+        bad = make_spec(1, aging_segments=SegmentSet(((1e-5, float("nan")),)))
+        report = validate_inputs([bad], market, [])
+        assert any("aging segment 0" in v for v in report.violations)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MarketSpec)])
+    def test_non_finite_market_field(self, field):
+        market = dataclasses.replace(MarketSpec(), **{field: float("nan")})
+        report = validate_inputs([], market, [])
+        assert f"market: {field} nan is not finite" in report.violations
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SlotExogenous)])
+    def test_non_finite_slot_field(self, short_series, field):
+        series = list(short_series)
+        series[2] = dataclasses.replace(series[2], **{field: float("inf")})
+        report = validate_inputs([], MarketSpec(), series)
+        assert f"slot 2: {field} inf is not finite" in report.violations
 
     def test_module_count_derived(self, spec1):
         assert spec1.module_count == pytest.approx(480.0 / 0.0081, rel=1e-12)

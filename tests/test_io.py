@@ -69,6 +69,18 @@ class TestTimeseriesCsv:
             load_timeseries_csv(p)
 
 
+    def test_nan_cell_rejected(self, tmp_path, week_series):
+        p = tmp_path / "series.csv"
+        write_timeseries_csv(p, week_series[:3])
+        lines = p.read_text().splitlines()
+        parts = lines[2].split(",")  # data row 1
+        parts[CSV_COLUMNS.index("rmccp")] = "nan"
+        lines[2] = ",".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="slot 1: price_rmccp nan is not finite"):
+            load_timeseries_csv(p)
+
+
 class TestParseSegments:
     def test_two_segments(self):
         got = parse_segments("1e-6:0.01, 0:0.02")

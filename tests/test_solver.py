@@ -3,13 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-from essdispatch.aging import aging_cost_eval, segment_max
+from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
 from essdispatch.domain import SlotExogenous, SocState
 from essdispatch.problem import LinRow, build_problem, check_solution
 from essdispatch import solver as solver_module
@@ -288,17 +289,17 @@ class TestPersistentLp:
                 if rng.uniform() < 0.5:
                     lb[col] = ub[col] = float(rng.integers(2))
             warm = pool.solve(lb, ub)
-            cold = solve_lp(inst.rows + pool.rows, lb, ub, inst.objective)
+            cold = solve_lp([*inst.rows, *pool.rows], lb, ub, inst.objective)
             assert warm.status == cold.status
             statuses.add(warm.status)
             if warm.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective,
                                                        rel=1e-9, abs=1e-9)
-            q = inst.quad_rows[rng.integers(len(inst.quad_rows))]
-            spec = next(s for s in inst.specs if s.id == q.row.ess)
-            pool.add([solver_module._tangent_cut(
-                q, rng.uniform(0, spec.charge_rate_max),
-                rng.uniform(0, spec.discharge_rate_max))])
+            k = rng.integers(len(inst.quad_rows))
+            spec = next(s for s in inst.specs if s.id == inst.quad_rows[k].row.ess)
+            pool.add_tangents(np.array([k]),
+                              np.array([[rng.uniform(0, spec.charge_rate_max)],
+                                        [rng.uniform(0, spec.discharge_rate_max)]]))
         assert "optimal" in statuses
         assert pool.lp_calls == 15 and pool.lp_restarts == 0
 
@@ -351,3 +352,188 @@ class TestBruteForce:
                              SocState((0.5, 0.5)), specs, market)
         with pytest.raises(ValueError, match="enumeration cap"):
             brute_force_oracle(inst, max_binaries=8)
+
+
+# The scalar, row-by-row pool assembly that CutPool's array code replaces;
+# the pool must hand HiGHS bit-identical rows.
+
+def scalar_scaled_csr(rows):
+    starts = np.zeros(len(rows), dtype=np.int32)
+    index, value = [], []
+    rhs = np.zeros(len(rows))
+    for r, row in enumerate(rows):
+        starts[r] = len(index)
+        scale = max(max(map(abs, row.coeffs.values()), default=0.0), 1e-12)
+        for j, c in row.coeffs.items():
+            if c != 0.0:
+                index.append(j)
+                value.append(c / scale)
+        rhs[r] = row.rhs / scale
+    return starts, np.array(index, dtype=np.int32), np.array(value), rhs
+
+
+def scalar_tangent_cut(q, x_c, x_d):
+    r = q.row
+    gc = 2.0 * r.quad_c * x_c + r.lin_c
+    gd = 2.0 * r.quad_d * x_d + r.lin_d
+    rhs = r.quad_c * x_c * x_c + r.quad_d * x_d * x_d
+    return LinRow({q.pc: gc, q.pd: gd, q.zeta: -1.0}, rhs,
+                  f"cut[{r.ess},{r.slot},{r.segment}]")
+
+
+def scalar_cut_scale(q, x):
+    r = q.row
+    return max(1.0, abs(2.0 * r.quad_c * x[q.pc] + r.lin_c),
+               abs(2.0 * r.quad_d * x[q.pd] + r.lin_d))
+
+
+class RecordingHighs:
+    """A HiGHS model that keeps the raw bytes of every addRows call."""
+
+    def __init__(self):
+        self._highs = _Highs()
+        self.added = []
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def addRows(self, *args):
+        self.added.append([a.dtype.str + ":" + a.tobytes().hex()
+                           if isinstance(a, np.ndarray) else a for a in args])
+        return self._highs.addRows(*args)
+
+
+class ScalarPool:
+    """One window's HiGHS model fed LinRow by LinRow, replaying the calls
+    CutPool and solve_relaxation make."""
+
+    def __init__(self, inst):
+        n = inst.n_cols
+        self.cols = np.arange(n, dtype=np.int32)
+        self.highs = RecordingHighs()
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.addVars(n, inst.lb, inst.ub)
+        self.highs.changeColsCost(n, self.cols, inst.objective)
+        self.rows = []
+        self._append(inst.rows)
+        seeds = []
+        for q in inst.quad_rows:
+            spec = next(s for s in inst.specs if s.id == q.row.ess)
+            for t in np.linspace(0.0, 1.0, 9):
+                seeds.append(scalar_tangent_cut(q, t * spec.charge_rate_max,
+                                                t * spec.discharge_rate_max))
+        self.add(seeds)
+
+    def _append(self, rows):
+        if rows:
+            starts, index, value, rhs = scalar_scaled_csr(rows)
+            self.highs.addRows(len(rows), np.full(len(rows), -np.inf), rhs,
+                               len(index), starts, index, value)
+
+    def add(self, cuts):
+        self._append(cuts)
+        self.rows.extend(cuts)
+
+    def relax(self, inst, lb, ub, cut_tol):
+        while True:
+            self.highs.changeColsBounds(len(self.cols), self.cols, lb, ub)
+            self.highs.run()
+            if self.highs.getModelStatus() != HighsModelStatus.kOptimal:
+                return None
+            x = np.array(self.highs.getSolution().col_value)
+            violated = [q for q in inst.quad_rows
+                        if q.violation(x) > cut_tol * scalar_cut_scale(q, x)]
+            if not violated:
+                return x
+            self.add([scalar_tangent_cut(q, x[q.pc], x[q.pd]) for q in violated])
+
+
+def lp_bytes(highs):
+    """Every array of the model's LP, as raw bytes."""
+    lp = highs.getLp()
+    a = lp.a_matrix_
+    return [np.asarray(v).tobytes() for v in
+            (a.start_, a.index_, a.value_, lp.row_lower_, lp.row_upper_,
+             lp.col_cost_, lp.col_lower_, lp.col_upper_)]
+
+
+def zero_coeff_instance(rng, n_ess, horizon, market):
+    """A random instance with zero row coefficients: regulation up in the
+    first slot zeroes fr_c's flag term, and a segment with b = 0 gives the
+    seed tangent at the origin a zero gradient."""
+    segments = SegmentSet(((1e-4, 0.0), (4e-6, 8e-6), (0.0, 1.2e-5)))
+    specs = [make_spec(1 + i % 2, id=i + 1, aging_segments=segments)
+             for i in range(n_ess)]
+    slots = [rand_slot(rng) for _ in range(horizon)]
+    slots[0] = replace(slots[0], reg_up_flag=1)
+    soc = SocState(tuple(float(rng.uniform(0.25, 0.85)) for _ in specs))
+    return build_problem(0, slots, soc, specs, market)
+
+
+class TestArrayPool:
+    def test_scaled_csr_matches_scalar(self):
+        rows = [LinRow({3: 2.0, 0: -0.0, 1: -8.0}, 4.0), LinRow({}, 1.0),
+                LinRow({2: 0.0}, -3.0), LinRow({1: 1e-14}, 0.0),
+                LinRow({0: 5, 2: 0.25}, 7)]
+        got = solver_module._scaled_csr(rows)
+        want = scalar_scaled_csr(rows)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lp_matches_scalar_assembly(self, market, seed, monkeypatch):
+        # HiGHS gets the same addRows batches, byte for byte, and holds the
+        # same LP, right after construction and after each set of cut rounds
+        monkeypatch.setattr(solver_module, "_Highs", RecordingHighs)
+        rng = np.random.default_rng(310 + seed)
+        inst = zero_coeff_instance(rng, 1 + seed % 2, 1 + seed % 3, market)
+        pool, ref = CutPool(inst), ScalarPool(inst)
+        assert any(0.0 in row.coeffs.values() for row in inst.rows)
+        assert any(0.0 in row.coeffs.values() for row in ref.rows)
+        assert len(pool.rows) == 9 * len(inst.quad_rows)
+        assert list(pool.rows) == ref.rows
+        assert pool._highs.added == ref.highs.added
+        assert lp_bytes(pool._highs) == lp_bytes(ref.highs)
+        config = SolverConfig()
+        for _ in range(4):
+            fixed = {col: int(rng.integers(2)) for col in inst.binary_cols
+                     if rng.uniform() < 0.5}
+            sol = solve_relaxation(inst, fixed, config, pool)
+            x = ref.relax(inst, *solver_module._fixed_bounds(inst, fixed),
+                          config.cut_tol)
+            assert (sol.status == "optimal") == (x is not None)
+            if x is not None:
+                assert sol.x.tobytes() == x.tobytes()
+            assert list(pool.rows) == ref.rows
+            assert pool._highs.added == ref.highs.added
+            assert lp_bytes(pool._highs) == lp_bytes(ref.highs)
+        assert len(pool.rows) > 9 * len(inst.quad_rows)  # cut rounds ran
+
+    def test_violation_rule_matches_scalar(self, market):
+        rng = np.random.default_rng(400)
+        inst = zero_coeff_instance(rng, 2, 3, market)
+        pool = CutPool(inst)
+        tol = SolverConfig().cut_tol
+        # at the origin the violation is -zeta and every cut scale is 1, so
+        # zeta = -tol sits exactly on the strict threshold
+        everyone = list(range(len(inst.quad_rows)))
+        for zeta, want in ((-tol, []), (np.nextafter(-tol, -1.0), everyone)):
+            x = np.zeros(inst.n_cols)
+            x[[q.zeta for q in inst.quad_rows]] = zeta
+            assert all(scalar_cut_scale(q, x) == 1.0 for q in inst.quad_rows)
+            assert [k for k, q in enumerate(inst.quad_rows)
+                    if q.violation(x) > tol * scalar_cut_scale(q, x)] == want
+            assert pool.violated(x, tol).tolist() == want
+        sizes = set()
+        for _ in range(200):
+            x = rng.uniform(inst.lb, inst.ub)
+            # put zeta within a few thresholds of one row's value, so rows
+            # fall on both sides of it
+            for q in inst.quad_rows:
+                if rng.uniform() < 0.5:
+                    x[q.zeta] = (q.row.value(x[q.pc], x[q.pd])
+                                 + rng.uniform(-2, 2) * tol * scalar_cut_scale(q, x))
+            want = [k for k, q in enumerate(inst.quad_rows)
+                    if q.violation(x) > tol * scalar_cut_scale(q, x)]
+            assert pool.violated(x, tol).tolist() == want
+            sizes.add(len(want))
+        assert len(sizes) > 2
