@@ -6,18 +6,25 @@ epigraph rows for the aging cost, the binary set, and the net-profit objective
 (minimized as its negation).  SOC dynamics are folded in by substitution: each
 slot's SOC is written as the initial SOC plus cumulative charge/discharge
 terms, so no extra state columns exist.
+
+Everything that depends only on the ESS specs, the market and H (columns,
+row structure, most coefficients, epigraph rows) is built once per such shape
+into a read-only WindowTemplate; build_problem copies the template's numbers
+and writes the entries that depend on the slot data and the initial SOC.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import aging
 from .domain import (DispatchDecision, EssSpec, MarketSpec, SlotExogenous,
-                     SocState)
+                     SocState, validate_inputs)
 
 # Continuous variables per (ess, slot) and per slot, in index order.
 ESS_VARS = ("pc", "prec", "pfrc", "pd", "pfrd", "psr", "z", "zeta")
@@ -37,6 +44,62 @@ class LinRow:
         return sum(c * x[j] for j, c in self.coeffs.items())
 
 
+class LinRows(Sequence):
+    """Linear rows  sum_k value[k]*x[index[k]] <= rhs[r]  over the entries
+    k in [ptr[r], ptr[r+1]), as CSR arrays with zero coefficients kept;
+    row_of[k] is the row of entry k.
+
+    Reading a row builds its LinRow, coefficients in entry order.  append
+    replaces the arrays instead of writing them, so arrays shared with other
+    windows stay intact.
+    """
+
+    def __init__(self, ptr: np.ndarray, row_of: np.ndarray, index: np.ndarray,
+                 value: np.ndarray, rhs: np.ndarray, names: tuple[str, ...]):
+        self.ptr = ptr
+        self.row_of = row_of
+        self.index = index
+        self.value = value
+        self.rhs = rhs
+        self.names = names
+
+    @classmethod
+    def of(cls, rows: Iterable[LinRow]) -> LinRows:
+        rows = list(rows)
+        counts = np.fromiter(map(len, (row.coeffs for row in rows)), np.intp,
+                             len(rows))
+        ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        nnz = int(ptr[-1])
+        return cls(
+            ptr, np.repeat(np.arange(len(rows)), counts),
+            np.fromiter(itertools.chain.from_iterable(row.coeffs for row in rows),
+                        np.int32, nnz),
+            np.fromiter(itertools.chain.from_iterable(row.coeffs.values()
+                                                      for row in rows), float, nnz),
+            np.fromiter((row.rhs for row in rows), float, len(rows)),
+            tuple(row.name for row in rows))
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[r] for r in range(len(self))[i]]
+        r = range(len(self))[i]
+        a, b = self.ptr[r], self.ptr[r + 1]
+        return LinRow(dict(zip(self.index[a:b].tolist(), self.value[a:b].tolist())),
+                      float(self.rhs[r]), self.names[r])
+
+    def __iter__(self):
+        index, value, ptr = self.index.tolist(), self.value.tolist(), self.ptr.tolist()
+        for r, (rhs, name) in enumerate(zip(self.rhs.tolist(), self.names)):
+            a, b = ptr[r], ptr[r + 1]
+            yield LinRow(dict(zip(index[a:b], value[a:b])), rhs, name)
+
+    def append(self, row: LinRow) -> None:
+        vars(self).update(vars(LinRows.of([*self, row])))
+
+
 @dataclass(frozen=True)
 class QuadRow:
     """An aging epigraph row bound to instance columns: f(pc, pd) - zeta <= 0."""
@@ -50,30 +113,111 @@ class QuadRow:
         return self.row.value(x[self.pc], x[self.pd]) - x[self.zeta]
 
 
-@dataclass
-class ProblemInstance:
-    n_ess: int
-    horizon: int
-    t: int
-    names: list[str]
-    lb: np.ndarray
-    ub: np.ndarray
-    binary_cols: list[int]
-    rows: list[LinRow]
-    quad_rows: list[QuadRow]
-    objective: np.ndarray
+@dataclass(frozen=True, eq=False)
+class WindowTemplate:
+    """What every window with the same specs, market and horizon length
+    shares; built once by window_template, and every array is read-only.
+
+    numbers holds, back to back, the window-independent values of lb, ub,
+    objective, the row right-hand sides and the row coefficients (the last
+    two laid out as ptr, row_of, index and row_names say).  A window writes
+    numbers[fill_dst] = w[fill_src], where w lists its own values in
+    build_problem's order.  The quad-row arrays have one column per entry
+    of quad_rows: its (pc, pd, zeta) columns (qcols); twice the quadratic,
+    the linear and the quadratic
+    coefficients of f, charge side first (qcoef[0], [1] and [2]); and the
+    (charge, discharge) rate maxima of its ESS (rate_max).
+    """
+
     specs: tuple[EssSpec, ...]
     market: MarketSpec
+    horizon: int
+    names: tuple[str, ...]
+    cols: dict[str, np.ndarray]
+    ess_cols: np.ndarray    # the cols of ESS_VARS and vc, stacked
+    slot_cols: np.ndarray   # the cols of SLOT_VARS, vfr and vsr, stacked
+    binary_cols: np.ndarray
+    quad_rows: tuple[QuadRow, ...]
+    ptr: np.ndarray
+    row_of: np.ndarray
+    index: np.ndarray
+    row_names: tuple[str, ...]
+    numbers: np.ndarray
+    fill_dst: np.ndarray
+    fill_src: np.ndarray
+    qcols: np.ndarray
+    qcoef: np.ndarray
+    rate_max: np.ndarray
+
+    def split(self, numbers: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of lb, ub, objective, rhs and coefficients in numbers."""
+        n, m = len(self.names), len(self.row_names)
+        return (numbers[:n], numbers[n:2 * n], numbers[2 * n:3 * n],
+                numbers[3 * n:3 * n + m], numbers[3 * n + m:])
+
+
+@dataclass
+class ProblemInstance:
+    """One window's problem: minimize objective.x over lb <= x <= ub, the
+    linear rows and the epigraph rows quad_rows.
+
+    lb, ub, objective and rows are this window's own arrays.  template is
+    shared read-only with every window of the same specs, market and horizon
+    length: names, cols, binary_cols, quad_rows, specs, market, n_ess and
+    horizon are read from it.  rows may be given as LinRow objects.
+    """
+
+    t: int
+    lb: np.ndarray
+    ub: np.ndarray
+    rows: LinRows
+    objective: np.ndarray
     exog: tuple[SlotExogenous, ...]
     soc0: tuple[float, ...]
-    cols: dict[str, np.ndarray] = field(default_factory=dict)
+    template: WindowTemplate
+
+    def __post_init__(self):
+        if not isinstance(self.rows, LinRows):
+            self.rows = LinRows.of(self.rows)
+
+    @property
+    def n_ess(self) -> int:
+        return len(self.template.specs)
+
+    @property
+    def horizon(self) -> int:
+        return self.template.horizon
+
+    @property
+    def specs(self) -> tuple[EssSpec, ...]:
+        return self.template.specs
+
+    @property
+    def market(self) -> MarketSpec:
+        return self.template.market
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.template.names
+
+    @property
+    def cols(self) -> dict[str, np.ndarray]:
+        return self.template.cols
+
+    @property
+    def binary_cols(self) -> np.ndarray:
+        return self.template.binary_cols
+
+    @property
+    def quad_rows(self) -> tuple[QuadRow, ...]:
+        return self.template.quad_rows
 
     @property
     def n_cols(self) -> int:
-        return len(self.names)
+        return len(self.template.names)
 
     def col(self, var: str, *index: int) -> int:
-        return int(self.cols[var][index])
+        return int(self.template.cols[var][index])
 
 
 @dataclass
@@ -112,29 +256,37 @@ def mccormick_rows(z: int, v: int, reserve: int, discharge_rate_max: float,
     ]
 
 
-def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
-                  specs: Sequence[EssSpec], market: MarketSpec) -> ProblemInstance:
-    """Build the full instance for decision time t over the given horizon."""
-    H = len(horizon)
-    if H == 0:
-        raise ValueError("horizon must be nonempty")
+# Layout of a window's own values (build_problem's w): the SOC headroom
+# above, then below, the corridor per ESS; then per slot the entries at these
+# offsets, followed by two per ESS (the flag terms of fr_d and fr_c).
+_DEMAND, _RENEWABLE, _FR_MIN_C, _FR_MIN_D = range(4)
+_OBJ = {var: 4 + k for k, var in
+        enumerate(("pc", "prec", "pfrc", "pd", "pfrd", "psr", "presc", "pres"))}
+_PER_SLOT = 4 + len(_OBJ)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=128)
+def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
+                    H: int) -> WindowTemplate:
+    """The shared part of every window over H slots with these specs and
+    market, built on first use and cached."""
     n = len(specs)
-    if len(state) != n:
-        raise ValueError("state / specs ESS count mismatch")
-    for i, spec in enumerate(specs):
-        if not (spec.soc_min - 1e-9 <= state.soc[i] <= spec.soc_max + 1e-9):
-            raise ValueError(f"initial SOC {state.soc[i]} of ess {i} outside bounds")
     ts = market.slot_hours
+    per_slot = _PER_SLOT + 2 * n
+
+    def src(tau: int, offset: int) -> int:
+        return 2 * n + tau * per_slot + offset
 
     names: list[str] = []
-    cols: dict[str, np.ndarray] = {}
-    for var in ESS_VARS:
-        cols[var] = np.zeros((n, H), dtype=int)
-    for var in SLOT_VARS:
-        cols[var] = np.zeros(H, dtype=int)
-    cols["vc"] = np.zeros((n, H), dtype=int)
-    cols["vfr"] = np.zeros(H, dtype=int)
-    cols["vsr"] = np.zeros(H, dtype=int)
+    ess_cols = np.zeros((len(ESS_VARS) + 1, n, H), dtype=int)
+    slot_cols = np.zeros((len(SLOT_VARS) + 2, H), dtype=int)
+    cols = {**dict(zip(ESS_VARS, ess_cols)), **dict(zip(SLOT_VARS, slot_cols)),
+            "vc": ess_cols[-1], "vfr": slot_cols[-2], "vsr": slot_cols[-1]}
 
     def add(name: str) -> int:
         names.append(name)
@@ -162,11 +314,18 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
     obj = np.zeros(n_cols)
     rows: list[LinRow] = []
     quad_rows: list[QuadRow] = []
+    # Window-dependent entries: (column, source) for bounds and objective,
+    # (row, column or None for the rhs, source) for rows.  Their template
+    # values are placeholders.
+    ub_fill: list[tuple[int, int]] = []
+    obj_fill: list[tuple[int, int]] = []
+    row_fill: list[tuple[int, int | None, int]] = []
 
-    for tau, slot in enumerate(horizon):
-        price_reg = slot.perf_score * (slot.price_rmccp
-                                       + slot.price_rmpcp * slot.mileage_ratio)
-        u = slot.reg_up_flag
+    def add_row(row: LinRow, *fills: tuple[int | None, int]) -> None:
+        row_fill.extend((len(rows), col, s) for col, s in fills)
+        rows.append(row)
+
+    for tau in range(H):
         for i, spec in enumerate(specs):
             pc = cols["pc"][i, tau]
             prec = cols["prec"][i, tau]
@@ -188,19 +347,20 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
 
             tag = f"[{i},{tau}]"
             # Aggregate-rate linkage with the bill/future split eliminated.
-            rows.append(LinRow({prec: 1.0, pfrc: 1.0, pc: -1.0}, 0.0, f"link_c_lo{tag}"))
-            rows.append(LinRow({pc: 1.0, vc: -spec.charge_rate_max}, 0.0, f"link_c_hi{tag}"))
-            rows.append(LinRow({pfrd: 1.0, pd: -1.0}, 0.0, f"link_d_lo{tag}"))
-            rows.append(LinRow({pd: 1.0, vc: spec.discharge_rate_max, psr: 1.0, z: -1.0},
-                               spec.discharge_rate_max, f"link_d_hi{tag}"))
-            # Regulation direction gating by the exogenous up/down flag.
-            rows.append(LinRow({pfrd: 1.0, vfr: -u * spec.discharge_rate_max}, 0.0,
-                               f"fr_d{tag}"))
-            rows.append(LinRow({pfrc: 1.0, vfr: -(1 - u) * spec.charge_rate_max}, 0.0,
-                               f"fr_c{tag}"))
-            rows.append(LinRow({psr: 1.0, vsr: -spec.discharge_rate_max}, 0.0,
-                               f"sr_cap{tag}"))
-            rows.extend(mccormick_rows(z, vc, psr, spec.discharge_rate_max, tag))
+            add_row(LinRow({prec: 1.0, pfrc: 1.0, pc: -1.0}, 0.0, f"link_c_lo{tag}"))
+            add_row(LinRow({pc: 1.0, vc: -spec.charge_rate_max}, 0.0, f"link_c_hi{tag}"))
+            add_row(LinRow({pfrd: 1.0, pd: -1.0}, 0.0, f"link_d_lo{tag}"))
+            add_row(LinRow({pd: 1.0, vc: spec.discharge_rate_max, psr: 1.0, z: -1.0},
+                           spec.discharge_rate_max, f"link_d_hi{tag}"))
+            # Regulation direction gating by the slot's up/down flag.
+            add_row(LinRow({pfrd: 1.0, vfr: 0.0}, 0.0, f"fr_d{tag}"),
+                    (vfr, src(tau, _PER_SLOT + 2 * i)))
+            add_row(LinRow({pfrc: 1.0, vfr: 0.0}, 0.0, f"fr_c{tag}"),
+                    (vfr, src(tau, _PER_SLOT + 2 * i + 1)))
+            add_row(LinRow({psr: 1.0, vsr: -spec.discharge_rate_max}, 0.0,
+                           f"sr_cap{tag}"))
+            for row in mccormick_rows(z, vc, psr, spec.discharge_rate_max, tag):
+                add_row(row)
 
             # SOC corridor on the cumulative dynamics up to this slot.
             k_c = ts * spec.eff_charge / spec.energy_capacity
@@ -212,50 +372,129 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
                 hi[int(cols["pd"][i, sigma])] = -k_d
                 lo[int(cols["pc"][i, sigma])] = -k_c
                 lo[int(cols["pd"][i, sigma])] = k_d
-            rows.append(LinRow(hi, spec.soc_max - state.soc[i], f"soc_hi{tag}"))
+            add_row(LinRow(hi, 0.0, f"soc_hi{tag}"), (None, i))
             if market.reserve_min_duration > 0:
                 lo[int(psr)] = lo.get(int(psr), 0.0) + \
                     market.reserve_min_duration / spec.energy_capacity
-            rows.append(LinRow(lo, state.soc[i] - spec.soc_min, f"soc_lo{tag}"))
+            add_row(LinRow(lo, 0.0, f"soc_lo{tag}"), (None, n + i))
 
             for epi in aging.epigraph_rows(spec, tau):
                 quad_rows.append(QuadRow(epi, int(pc), int(pd), int(zeta)))
 
-            obj[pc] += ts * slot.price_purchase
-            obj[prec] += -2.0 * ts * slot.price_purchase
-            obj[pfrc] += -ts * price_reg * (1 - u)
-            obj[pd] += -ts * slot.price_purchase
-            obj[pfrd] += -ts * price_reg * u
-            obj[psr] += -ts * slot.price_reserve
             obj[zeta] += aging.cost_scale(spec, ts)
+            for var in ("pc", "prec", "pfrc", "pd", "pfrd", "psr"):
+                obj_fill.append((cols[var][i, tau], src(tau, _OBJ[var])))
 
         presc = cols["presc"][tau]
         pres = cols["pres"][tau]
-        ub[presc] = slot.demand
+        ub_fill.append((presc, src(tau, _DEMAND)))
         ub[pres] = market.export_power_max
-        obj[presc] += -ts * slot.price_purchase
-        obj[pres] += -ts * slot.price_sale
+        obj_fill.append((presc, src(tau, _OBJ["presc"])))
+        obj_fill.append((pres, src(tau, _OBJ["pres"])))
 
         balance = {int(presc): 1.0, int(pres): 1.0}
         fr_min: dict[int, float] = {int(cols["vfr"][tau]): market.reg_min_power}
         sr_min: dict[int, float] = {int(cols["vsr"][tau]): market.reserve_min_power}
+        flag_terms = []
         for i in range(n):
             balance[int(cols["prec"][i, tau])] = 1.0
-            fr_min[int(cols["pfrc"][i, tau])] = -(1.0 - u)
-            fr_min[int(cols["pfrd"][i, tau])] = -float(u)
+            fr_min[int(cols["pfrc"][i, tau])] = 0.0
+            fr_min[int(cols["pfrd"][i, tau])] = 0.0
             sr_min[int(cols["psr"][i, tau])] = -1.0
-        rows.append(LinRow(balance, slot.renewable, f"re_balance[{tau}]"))
-        rows.append(LinRow(fr_min, 0.0, f"fr_min[{tau}]"))
-        rows.append(LinRow(sr_min, 0.0, f"sr_min[{tau}]"))
+            flag_terms += [(cols["pfrc"][i, tau], src(tau, _FR_MIN_C)),
+                           (cols["pfrd"][i, tau], src(tau, _FR_MIN_D))]
+        add_row(LinRow(balance, 0.0, f"re_balance[{tau}]"),
+                (None, src(tau, _RENEWABLE)))
+        add_row(LinRow(fr_min, 0.0, f"fr_min[{tau}]"), *flag_terms)
+        add_row(LinRow(sr_min, 0.0, f"sr_min[{tau}]"))
 
     for c in binary_cols:
         ub[c] = 1.0
 
+    csr = LinRows.of(rows)
+    numbers = np.concatenate([lb, ub, obj, csr.rhs, csr.value])
+    if not np.isfinite(numbers).all():
+        raise ValueError("non-finite ESS spec or market value: "
+                         + "; ".join(validate_inputs(specs, market, ()).violations))
+    m = len(rows)
+    base = 3 * n_cols + m
+    fill = ([(n_cols + c, s) for c, s in ub_fill]
+            + [(2 * n_cols + c, s) for c, s in obj_fill]
+            + [(3 * n_cols + r if c is None
+                else base + int(csr.ptr[r]) + list(rows[r].coeffs).index(c), s)
+               for r, c, s in row_fill])
+    fill_dst, fill_src = np.array(fill, dtype=np.intp).reshape(-1, 2).T
+
+    # A quad row's rate box is that of the first spec with its ess id.
+    spec_of = {s.id: s for s in reversed(specs)}
+    qcols = np.array([(q.pc, q.pd, q.zeta) for q in quad_rows],
+                     dtype=np.int32).reshape(-1, 3).T.copy()
+    quad = np.array([(q.row.quad_c, q.row.quad_d) for q in quad_rows],
+                    dtype=float).reshape(-1, 2).T.copy()
+    lin = np.array([(q.row.lin_c, q.row.lin_d) for q in quad_rows],
+                   dtype=float).reshape(-1, 2).T.copy()
+    for a in cols.values():
+        _read_only(a)
+    return WindowTemplate(
+        specs=specs, market=market, horizon=H, names=tuple(names), cols=cols,
+        ess_cols=_read_only(ess_cols), slot_cols=_read_only(slot_cols),
+        binary_cols=_read_only(np.array(binary_cols, dtype=int)),
+        quad_rows=tuple(quad_rows), ptr=_read_only(csr.ptr),
+        row_of=_read_only(csr.row_of), index=_read_only(csr.index),
+        row_names=csr.names, numbers=_read_only(numbers),
+        fill_dst=_read_only(fill_dst.copy()), fill_src=_read_only(fill_src.copy()),
+        qcols=_read_only(qcols),
+        qcoef=_read_only(np.stack([2.0 * quad, lin, quad])),
+        rate_max=_read_only(np.array(
+            [(spec_of[q.row.ess].charge_rate_max, spec_of[q.row.ess].discharge_rate_max)
+             for q in quad_rows], dtype=float).reshape(-1, 2).T.copy()))
+
+
+def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
+                  specs: Sequence[EssSpec], market: MarketSpec) -> ProblemInstance:
+    """Build the full instance for decision time t over the given horizon."""
+    H = len(horizon)
+    if H == 0:
+        raise ValueError("horizon must be nonempty")
+    if len(state) != len(specs):
+        raise ValueError("state / specs ESS count mismatch")
+    for i, spec in enumerate(specs):
+        if not (spec.soc_min - 1e-9 <= state.soc[i] <= spec.soc_max + 1e-9):
+            raise ValueError(f"initial SOC {state.soc[i]} of ess {i} outside bounds")
+    template = window_template(tuple(specs), market, H)
+    ts = market.slot_hours
+
+    # This window's own values, laid out as the template's fill_src expects.
+    w = [spec.soc_max - s for spec, s in zip(specs, state.soc)]
+    w += [s - spec.soc_min for spec, s in zip(specs, state.soc)]
+    for slot in horizon:
+        u = slot.reg_up_flag
+        p = slot.price_purchase
+        price_reg = slot.perf_score * (slot.price_rmccp
+                                       + slot.price_rmpcp * slot.mileage_ratio)
+        w += (slot.demand, slot.renewable, -(1.0 - u), -float(u),
+              ts * p, -2.0 * ts * p, -ts * price_reg * (1 - u), -ts * p,
+              -ts * price_reg * u, -ts * slot.price_reserve, -ts * p,
+              -ts * slot.price_sale)
+        for spec in specs:
+            w += (-u * spec.discharge_rate_max, -(1 - u) * spec.charge_rate_max)
+    w = np.array(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError(f"non-finite input in the window at t={t}: " + "; ".join(
+            validate_inputs(specs, market, horizon).violations
+            or ("a product of slot values overflows",)))
+
+    numbers = template.numbers.copy()
+    numbers[template.fill_dst] = w[template.fill_src]
+    lb, ub, objective, rhs, value = template.split(numbers)
+    # Each objective entry is one term summed onto 0.0, so -0.0 reads 0.0.
+    objective += 0.0
     return ProblemInstance(
-        n_ess=n, horizon=H, t=t, names=names, lb=lb, ub=ub,
-        binary_cols=binary_cols, rows=rows, quad_rows=quad_rows, objective=obj,
-        specs=tuple(specs), market=market, exog=tuple(horizon),
-        soc0=tuple(state.soc), cols=cols)
+        t=t, lb=lb, ub=ub,
+        rows=LinRows(template.ptr, template.row_of, template.index, value, rhs,
+                     template.row_names),
+        objective=objective, exog=tuple(horizon), soc0=tuple(state.soc),
+        template=template)
 
 
 def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
@@ -266,23 +505,20 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
     """
     if result.status != "optimal":
         raise ValueError(f"cannot decode decisions from status {result.status}")
-    inst = result.instance
-    x = result.x
+    template = result.instance.template
+    n = len(template.specs)
+    # Per variable, slot and ESS; the rates with LP-tolerance noise below the
+    # zero bound clipped, as max(0.0, v) does.
+    ess = result.x[template.ess_cols].transpose(0, 2, 1)
+    rates = np.where(ess[:6] > 0.0, ess[:6], 0.0).tolist()
+    modes = ess[-1].tolist()
+    renewable_selfuse, renewable_export, vfr, vsr = result.x[template.slot_cols].tolist()
     decisions = []
-    for tau in range(inst.horizon):
-        def ess_vals(var):
-            # Clip LP-tolerance noise below the zero bound.
-            return tuple(max(0.0, float(x[inst.col(var, i, tau)]))
-                         for i in range(inst.n_ess))
-
-        pc = ess_vals("pc")
-        prec = ess_vals("prec")
-        pfrc = ess_vals("pfrc")
-        pd = ess_vals("pd")
-        pfrd = ess_vals("pfrd")
+    for tau in range(template.horizon):
+        pc, prec, pfrc, pd, pfrd, psr = (tuple(rate[tau]) for rate in rates)
         future = []
         bill = []
-        for i in range(inst.n_ess):
+        for i in range(n):
             fs = pc[i] - prec[i] - pfrc[i]
             br = pd[i] - pfrd[i]
             if fs < -1e-9 or br < -1e-9:
@@ -294,14 +530,13 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
         decisions.append(DispatchDecision(
             charge_total=pc, discharge_total=pd, charge_from_renewable=prec,
             charge_for_regulation=pfrc, discharge_for_regulation=pfrd,
-            reserve_commit=ess_vals("psr"), charge_future=tuple(future),
+            reserve_commit=psr, charge_future=tuple(future),
             discharge_bill=tuple(bill),
-            mode_flag=tuple(int(round(x[inst.col("vc", i, tau)]))
-                            for i in range(inst.n_ess)),
-            renewable_selfuse=max(0.0, float(x[inst.col("presc", tau)])),
-            renewable_export=max(0.0, float(x[inst.col("pres", tau)])),
-            reg_participate=int(round(x[inst.col("vfr", tau)])),
-            reserve_participate=int(round(x[inst.col("vsr", tau)])),
+            mode_flag=tuple(int(round(v)) for v in modes[tau]),
+            renewable_selfuse=max(0.0, renewable_selfuse[tau]),
+            renewable_export=max(0.0, renewable_export[tau]),
+            reg_participate=int(round(vfr[tau])),
+            reserve_participate=int(round(vsr[tau])),
         ))
     return decisions
 

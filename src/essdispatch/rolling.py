@@ -16,7 +16,7 @@ import numpy as np
 
 from .aging import aging_cost_eval
 from .domain import (DispatchDecision, EssSpec, MarketSpec, SlotExogenous,
-                     SocState, soc_update)
+                     SocState, soc_update, validate_inputs)
 from .problem import build_problem
 from .solver import SolverConfig, solve
 
@@ -190,7 +190,14 @@ def run_simulation(true_series: Sequence[SlotExogenous],
                    forecast: ForecastModel | None = None,
                    config: SolverConfig = SolverConfig(),
                    initial_soc: float | Sequence[float] = 0.5) -> SimulationReport:
-    """Roll the optimization over the whole series, committing one slot at a time."""
+    """Roll the optimization over the whole series, committing one slot at a time.
+
+    Raises ValueError, before any solve, if the inputs break an invariant
+    that validate_inputs checks.
+    """
+    problems = validate_inputs(specs, market, true_series).violations
+    if problems:
+        raise ValueError("invalid simulation inputs: " + "; ".join(problems))
     n_slots = len(true_series)
     if n_slots < horizon:
         raise ValueError(f"series of {n_slots} slots shorter than horizon {horizon}")

@@ -14,6 +14,7 @@ cuts append rows, and each run starts from the previous optimal basis.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections.abc import Sequence
@@ -31,8 +32,8 @@ except ImportError as exc:
         "scipy.optimize._highspy._core._Highs bundled with scipy") from exc
 
 from . import aging
-from .problem import (LinRow, ProblemInstance, QuadRow, SolveResult,
-                      recover_service_split)
+from .problem import (LinRow, LinRows, ProblemInstance, QuadRow, SolveResult,
+                      WindowTemplate, recover_service_split)
 
 
 @dataclass(frozen=True)
@@ -60,25 +61,18 @@ class SolverError(RuntimeError):
     """Numerical failure or limit breach inside the solver."""
 
 
-def _scaled_csr(rows: list[LinRow]):
+def _scaled_csr(rows: LinRows):
     """CSR arrays (starts, index, value) and rhs of the rows, every row
     normalized to max-abs coefficient 1 and its zero coefficients dropped."""
-    counts = np.fromiter(map(len, (row.coeffs for row in rows)), np.intp, len(rows))
-    nnz = int(counts.sum())
-    index = np.fromiter(itertools.chain.from_iterable(row.coeffs for row in rows),
-                        np.int32, nnz)
-    value = np.fromiter(itertools.chain.from_iterable(row.coeffs.values()
-                                                      for row in rows), float, nnz)
-    rhs = np.fromiter((row.rhs for row in rows), float, len(rows))
-    # An empty row keeps scale 1e-12; reduceat needs nonempty segments.
-    scale = np.full(len(rows), 1e-12)
-    filled = counts > 0
-    first = (np.cumsum(counts) - counts)[filled]
-    scale[filled] = np.maximum(np.maximum.reduceat(np.abs(value), first), 1e-12)
+    value = rows.value
+    # An empty row keeps scale 1e-12.
+    scale = np.full(len(rows.rhs), 1e-12)
+    np.maximum.at(scale, rows.row_of, np.abs(value))
     keep = value != 0.0
-    row_of = np.repeat(np.arange(len(rows)), counts)[keep]
-    starts = np.searchsorted(row_of, np.arange(len(rows))).astype(np.int32)
-    return starts, index[keep], value[keep] / scale[row_of], rhs / scale
+    kept = np.zeros(len(value) + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
+    return (kept[rows.ptr[:-1]], rows.index[keep],
+            value[keep] / scale[rows.row_of[keep]], rows.rhs / scale)
 
 
 def solve_lp(rows: list[LinRow], lb: np.ndarray, ub: np.ndarray,
@@ -91,7 +85,7 @@ def solve_lp(rows: list[LinRow], lb: np.ndarray, ub: np.ndarray,
     objective = np.asarray(objective, dtype=float)
     a = b = None
     if rows:
-        starts, index, value, b = _scaled_csr(rows)
+        starts, index, value, b = _scaled_csr(LinRows.of(rows))
         a = csr_array((value, index, np.append(starts, len(index))),
                       shape=(len(rows), len(objective)))
     res = linprog(objective, A_ub=a, b_ub=b,
@@ -119,18 +113,18 @@ class CutRows(Sequence):
         self._batches: list[tuple[np.ndarray, ...]] = []
         self._len = 0
 
-    def log(self, q: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray) -> None:
-        """Record cuts of quad rows q: unscaled (pc, pd, zeta) coefficients
-        and right-hand sides."""
-        self._batches.append((q, coeffs, rhs))
+    def log(self, q: np.ndarray, grad: np.ndarray, rhs: np.ndarray) -> None:
+        """Record cuts of quad rows q: unscaled (pc, pd) coefficients, one
+        column per cut, and right-hand sides; zeta's coefficient is -1."""
+        self._batches.append((q, grad, rhs))
         self._len += len(q)
 
     def _build(self) -> list[LinRow]:
         rows = []
-        for batch in self._batches:
-            for k, (c, d, z), r in zip(*batch):
+        for q, grad, rhs in self._batches:
+            for k, c, d, r in zip(q, *grad, rhs):
                 qr = self._quad_rows[k]
-                rows.append(LinRow({qr.pc: c, qr.pd: d, qr.zeta: z}, r,
+                rows.append(LinRow({qr.pc: c, qr.pd: d, qr.zeta: -1.0}, r,
                                    f"cut[{qr.row.ess},{qr.row.slot},{qr.row.segment}]"))
         return rows
 
@@ -142,6 +136,57 @@ class CutRows(Sequence):
 
     def __iter__(self):
         return iter(self._build())
+
+
+def _tangent_terms(coef: np.ndarray, p: np.ndarray):
+    """Gradient, cut scale and quadratic part of f at points p (2, k), for
+    quad rows with coefficients coef (2*quad, lin and quad; each (2, k)).
+
+    The cut scale is the tangent's max-abs coefficient, since zeta's is -1.
+    Same operation order as EpigraphRow.value and the scalar tangent, so
+    cuts and the violation test match the per-row rules bit for bit.
+    """
+    grad = coef[0] * p + coef[1]
+    a = np.abs(grad)
+    return grad, np.maximum(np.maximum(a[0], a[1]), 1.0), coef[2] * p * p
+
+
+def _tangent_rows(qcols: np.ndarray, q: np.ndarray, grad: np.ndarray,
+                  scale: np.ndarray, rhs: np.ndarray):
+    """CSR rows of the tangent cuts of quad rows q with gradients grad
+    (2, len(q)), cut scales and right-hand sides; each row is scaled to
+    max-abs coefficient 1 and its zero coefficients are dropped, as
+    _scaled_csr does."""
+    value = np.empty((len(q), 3))
+    np.divide(grad, scale, out=value[:, :2].T)
+    np.divide(-1.0, scale, out=value[:, 2])
+    index = np.take(qcols, q, axis=1).T
+    if grad.all():
+        # No zero gradient, so every cut keeps its three coefficients.
+        return (np.arange(0, value.size, 3, dtype=np.int32), index.ravel(),
+                value.ravel(), rhs / scale)
+    keep = np.ones(value.shape, dtype=bool)
+    keep[:, :2] = grad.T != 0.0
+    counts = keep.sum(axis=1, dtype=np.int32)
+    return (np.cumsum(counts, dtype=np.int32) - counts, index[keep], value[keep],
+            rhs / scale)
+
+
+@functools.lru_cache(maxsize=128)
+def _seed_tangents(template: WindowTemplate):
+    """The seed cuts of every window of a template: tangents of each quad
+    row at 9 points along its rate-box diagonal; the adaptive loop refines
+    wherever these are loose.  Returns the CSR rows and the CutRows log
+    entry, all read-only."""
+    t = np.linspace(0.0, 1.0, 9)
+    q = np.repeat(np.arange(len(template.quad_rows)), len(t))
+    p = (template.rate_max[:, :, None] * t).reshape(2, -1)
+    grad, scale, f2 = _tangent_terms(np.take(template.qcoef, q, axis=2), p)
+    rhs = f2[0] + f2[1]
+    csr = _tangent_rows(template.qcols, q, grad, scale, rhs)
+    for a in (*csr, q, grad, rhs):
+        a.flags.writeable = False
+    return csr, (q, grad, rhs)
 
 
 class CutPool:
@@ -167,57 +212,42 @@ class CutPool:
         self._highs.changeColsCost(n, self._cols, instance.objective)
         if instance.rows:
             self._add_rows(*_scaled_csr(instance.rows))
-        quads = instance.quad_rows
-        self.rows = CutRows(quads)
-        # One column per quad row: its (pc, pd, zeta) columns, and the
-        # quadratic and linear coefficients of f, charge side first; twice
-        # the quadratic ones are the gradient's.
-        self._qcols = np.array([(q.pc, q.pd, q.zeta) for q in quads],
-                               dtype=np.int32).reshape(-1, 3).T.copy()
-        self._quad = np.array([(q.row.quad_c, q.row.quad_d) for q in quads],
-                              dtype=float).reshape(-1, 2).T.copy()
-        self._lin = np.array([(q.row.lin_c, q.row.lin_d) for q in quads],
-                             dtype=float).reshape(-1, 2).T.copy()
-        self._quad2 = 2.0 * self._quad
-        # Seed tangents along the rate-box diagonal; the adaptive loop refines
-        # wherever these are loose.  A quad row's ess is the first spec with
-        # that id.
-        spec_of = {s.id: s for s in reversed(instance.specs)}
-        rate_max = np.array([(spec_of[q.row.ess].charge_rate_max,
-                              spec_of[q.row.ess].discharge_rate_max) for q in quads],
-                            dtype=float).reshape(-1, 2).T
-        t = np.linspace(0.0, 1.0, 9)
-        self.add_tangents(np.repeat(np.arange(len(quads)), len(t)),
-                          (rate_max[:, :, None] * t).reshape(2, -1))
+        self._tpl = instance.template
+        self.rows = CutRows(instance.quad_rows)
+        if instance.quad_rows:
+            seeds, log = _seed_tangents(self._tpl)
+            self._add_rows(*seeds)
+            self.rows.log(*log)
 
     def _add_rows(self, starts, index, value, rhs) -> None:
         self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
                             len(index), starts, index, value)
 
+    def _append(self, q, grad, scale, rhs) -> None:
+        self._add_rows(*_tangent_rows(self._tpl.qcols, q, grad, scale, rhs))
+        self.rows.log(q, grad, rhs)
+
     def add_tangents(self, q: np.ndarray, x: np.ndarray) -> None:
         """Append, as one batch, the tangent of quad row q[k]'s
         f(pc, pd) - zeta <= 0 at (pc, pd) = x[:, k]; valid for every feasible
-        point because tangents under-approximate a convex function.
-
-        Each row is scaled to max-abs coefficient 1 and its zero
-        coefficients are dropped, as _scaled_csr does.
-        """
+        point because tangents under-approximate a convex function."""
         if not len(q):
             return
-        grad = self._quad2[:, q] * x + self._lin[:, q]
-        f2 = self._quad[:, q] * x * x
-        rhs = f2[0] + f2[1]
-        value = np.empty((len(q), 3))
-        value[:, :2] = grad.T
-        value[:, 2] = -1.0
-        # The max-abs coefficient, since zeta's is -1.
-        scale = np.maximum(np.maximum(np.abs(grad[0]), np.abs(grad[1])), 1.0)
-        keep = value != 0.0
-        counts = keep.sum(axis=1, dtype=np.int32)
-        self._add_rows(np.cumsum(counts, dtype=np.int32) - counts,
-                       self._qcols[:, q].T[keep], (value / scale[:, None])[keep],
-                       rhs / scale)
-        self.rows.log(q, value, rhs)
+        grad, scale, f2 = _tangent_terms(np.take(self._tpl.qcoef, q, axis=2), x)
+        self._append(q, grad, scale, f2[0] + f2[1])
+
+    def _violations(self, x: np.ndarray, cut_tol: float):
+        """Violated quad rows at x, with every row's tangent terms there."""
+        tpl = self._tpl
+        at = x[tpl.qcols]
+        p = at[:2]
+        grad, scale, f2 = _tangent_terms(tpl.qcoef, p)
+        f1 = tpl.qcoef[1] * p
+        f = f2[0] + f1[0]
+        f += f2[1]
+        f += f1[1]
+        f -= at[2]
+        return np.flatnonzero(f > cut_tol * scale), grad, scale, f2
 
     def violated(self, x: np.ndarray, cut_tol: float) -> np.ndarray:
         """Indices of the quad rows that x violates by more than cut_tol times
@@ -227,25 +257,14 @@ class CutPool:
         the epigraph violation is only resolvable down to that scale; an
         absolute threshold below it would never converge.
         """
-        # Same operation order as EpigraphRow.value and the tangent's
-        # gradient, so the test matches the per-row rule bit for bit.
-        at = x[self._qcols]
-        p = at[:2]
-        grad = np.abs(self._quad2 * p + self._lin)
-        scale = np.maximum(np.maximum(grad[0], grad[1]), 1.0)
-        f2 = self._quad * p * p
-        f1 = self._lin * p
-        f = f2[0] + f1[0]
-        f += f2[1]
-        f += f1[1]
-        f -= at[2]
-        return np.flatnonzero(f > cut_tol * scale)
+        return self._violations(x, cut_tol)[0]
 
     def cut(self, x: np.ndarray, cut_tol: float) -> bool:
         """Add the tangent at x of every violated quad row; False if none is."""
-        hit = self.violated(x, cut_tol)
+        hit, grad, scale, f2 = self._violations(x, cut_tol)
         if hit.size:
-            self.add_tangents(hit, x[self._qcols[:2, hit]])
+            self._append(hit, np.take(grad, hit, axis=1), np.take(scale, hit),
+                         np.take(f2[0] + f2[1], hit))
         return bool(hit.size)
 
     def _run(self):
@@ -313,20 +332,26 @@ def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float
     (cuts only enforce them to tolerance); can only increase the objective.
     """
     x = x.copy()
-    for tau in range(instance.horizon):
-        for i, spec in enumerate(instance.specs):
-            zeta = instance.col("zeta", i, tau)
-            val = aging.segment_max(spec, max(0.0, x[instance.col("pc", i, tau)]),
-                                    max(0.0, x[instance.col("pd", i, tau)]))
+    cols = instance.cols
+    pc, pd = x[cols["pc"]], x[cols["pd"]]
+    for i, spec in enumerate(instance.specs):
+        for tau, zeta in enumerate(cols["zeta"][i].tolist()):
+            val = aging.segment_max(spec, max(0.0, pc[i, tau]), max(0.0, pd[i, tau]))
             x[zeta] = max(x[zeta], val)
     return x, float(instance.objective @ x)
 
 
-def _fractional(x: np.ndarray, binary_cols: list[int], tol: float) -> int | None:
-    """Most fractional binary column, ties to the lowest index; None if integral."""
+def _fractional(x: np.ndarray, binary_cols: np.ndarray, tol: float) -> int | None:
+    """Most fractional binary column, ties to the lowest index; None if integral.
+
+    Only columns past the first threshold, tol + 1e-15, can ever be picked,
+    so the scalar scan runs over those alone.
+    """
+    v = x[binary_cols]
     best = None
     best_frac = tol
-    for col in binary_cols:
+    for k in np.flatnonzero(np.abs(v - np.round(v)) > tol + 1e-15).tolist():
+        col = binary_cols[k]
         frac = abs(x[col] - round(x[col]))
         if frac > best_frac + 1e-15:
             best, best_frac = col, frac

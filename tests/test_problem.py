@@ -1,16 +1,24 @@
 import dataclasses
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from essdispatch.aging import segment_max
-from essdispatch.domain import SlotExogenous, SocState
-from essdispatch.problem import (build_problem, check_solution,
+from essdispatch import aging
+from essdispatch import solver as solver_module
+from essdispatch.aging import SegmentSet, segment_max
+from essdispatch.domain import DispatchDecision, MarketSpec, SlotExogenous, SocState
+from essdispatch.problem import (ESS_VARS, SLOT_VARS, LinRow, QuadRow,
+                                 build_problem, check_solution,
                                  decompose_at_point, dump_instance,
                                  mccormick_rows, objective_decomposition,
                                  recover_service_split)
 from essdispatch.problem import SolveResult
 from essdispatch.solver import solve, solve_relaxation
+
+from conftest import make_spec
+from test_solver import rand_slot
 
 
 def slot(demand=500.0, renewable=200.0, purchase=0.15, sale=0.09,
@@ -319,3 +327,331 @@ class TestSolutionInvariants:
         text = dump_instance(inst)
         assert text.count("\nrow ") == len(inst.rows)
         assert text.count("\nqrow ") == len(inst.quad_rows)
+
+
+# The dict-of-rows builder, decoder and polish that the window templates
+# replace; instances must match them bit for bit.
+
+def reference_build_problem(t, horizon, state, specs, market):
+    """The dict-of-rows builder that window templates replace."""
+    H = len(horizon)
+    if H == 0:
+        raise ValueError("horizon must be nonempty")
+    n = len(specs)
+    if len(state) != n:
+        raise ValueError("state / specs ESS count mismatch")
+    for i, spec in enumerate(specs):
+        if not (spec.soc_min - 1e-9 <= state.soc[i] <= spec.soc_max + 1e-9):
+            raise ValueError(f"initial SOC {state.soc[i]} of ess {i} outside bounds")
+    ts = market.slot_hours
+
+    names: list[str] = []
+    cols: dict[str, np.ndarray] = {}
+    for var in ESS_VARS:
+        cols[var] = np.zeros((n, H), dtype=int)
+    for var in SLOT_VARS:
+        cols[var] = np.zeros(H, dtype=int)
+    cols["vc"] = np.zeros((n, H), dtype=int)
+    cols["vfr"] = np.zeros(H, dtype=int)
+    cols["vsr"] = np.zeros(H, dtype=int)
+
+    def add(name: str) -> int:
+        names.append(name)
+        return len(names) - 1
+
+    for tau in range(H):
+        for i in range(n):
+            for var in ESS_VARS:
+                cols[var][i, tau] = add(f"{var}[{i},{tau}]")
+        for var in SLOT_VARS:
+            cols[var][tau] = add(f"{var}[{tau}]")
+    binary_cols: list[int] = []
+    for tau in range(H):
+        for i in range(n):
+            cols["vc"][i, tau] = add(f"vc[{i},{tau}]")
+            binary_cols.append(cols["vc"][i, tau])
+        cols["vfr"][tau] = add(f"vfr[{tau}]")
+        binary_cols.append(cols["vfr"][tau])
+        cols["vsr"][tau] = add(f"vsr[{tau}]")
+        binary_cols.append(cols["vsr"][tau])
+
+    n_cols = len(names)
+    lb = np.zeros(n_cols)
+    ub = np.zeros(n_cols)
+    obj = np.zeros(n_cols)
+    rows: list[LinRow] = []
+    quad_rows: list[QuadRow] = []
+
+    for tau, slot in enumerate(horizon):
+        price_reg = slot.perf_score * (slot.price_rmccp
+                                       + slot.price_rmpcp * slot.mileage_ratio)
+        u = slot.reg_up_flag
+        for i, spec in enumerate(specs):
+            pc = cols["pc"][i, tau]
+            prec = cols["prec"][i, tau]
+            pfrc = cols["pfrc"][i, tau]
+            pd = cols["pd"][i, tau]
+            pfrd = cols["pfrd"][i, tau]
+            psr = cols["psr"][i, tau]
+            z = cols["z"][i, tau]
+            zeta = cols["zeta"][i, tau]
+            vc = cols["vc"][i, tau]
+            vfr = cols["vfr"][tau]
+            vsr = cols["vsr"][tau]
+
+            for c in (pc, prec, pfrc):
+                ub[c] = spec.charge_rate_max
+            for c in (pd, pfrd, psr, z):
+                ub[c] = spec.discharge_rate_max
+            lb[zeta], ub[zeta] = aging.zeta_bounds(spec)
+
+            tag = f"[{i},{tau}]"
+            # Aggregate-rate linkage with the bill/future split eliminated.
+            rows.append(LinRow({prec: 1.0, pfrc: 1.0, pc: -1.0}, 0.0, f"link_c_lo{tag}"))
+            rows.append(LinRow({pc: 1.0, vc: -spec.charge_rate_max}, 0.0, f"link_c_hi{tag}"))
+            rows.append(LinRow({pfrd: 1.0, pd: -1.0}, 0.0, f"link_d_lo{tag}"))
+            rows.append(LinRow({pd: 1.0, vc: spec.discharge_rate_max, psr: 1.0, z: -1.0},
+                               spec.discharge_rate_max, f"link_d_hi{tag}"))
+            # Regulation direction gating by the exogenous up/down flag.
+            rows.append(LinRow({pfrd: 1.0, vfr: -u * spec.discharge_rate_max}, 0.0,
+                               f"fr_d{tag}"))
+            rows.append(LinRow({pfrc: 1.0, vfr: -(1 - u) * spec.charge_rate_max}, 0.0,
+                               f"fr_c{tag}"))
+            rows.append(LinRow({psr: 1.0, vsr: -spec.discharge_rate_max}, 0.0,
+                               f"sr_cap{tag}"))
+            rows.extend(mccormick_rows(z, vc, psr, spec.discharge_rate_max, tag))
+
+            # SOC corridor on the cumulative dynamics up to this slot.
+            k_c = ts * spec.eff_charge / spec.energy_capacity
+            k_d = ts / (spec.eff_discharge * spec.energy_capacity)
+            hi: dict[int, float] = {}
+            lo: dict[int, float] = {}
+            for sigma in range(tau + 1):
+                hi[int(cols["pc"][i, sigma])] = k_c
+                hi[int(cols["pd"][i, sigma])] = -k_d
+                lo[int(cols["pc"][i, sigma])] = -k_c
+                lo[int(cols["pd"][i, sigma])] = k_d
+            rows.append(LinRow(hi, spec.soc_max - state.soc[i], f"soc_hi{tag}"))
+            if market.reserve_min_duration > 0:
+                lo[int(psr)] = lo.get(int(psr), 0.0) + \
+                    market.reserve_min_duration / spec.energy_capacity
+            rows.append(LinRow(lo, state.soc[i] - spec.soc_min, f"soc_lo{tag}"))
+
+            for epi in aging.epigraph_rows(spec, tau):
+                quad_rows.append(QuadRow(epi, int(pc), int(pd), int(zeta)))
+
+            obj[pc] += ts * slot.price_purchase
+            obj[prec] += -2.0 * ts * slot.price_purchase
+            obj[pfrc] += -ts * price_reg * (1 - u)
+            obj[pd] += -ts * slot.price_purchase
+            obj[pfrd] += -ts * price_reg * u
+            obj[psr] += -ts * slot.price_reserve
+            obj[zeta] += aging.cost_scale(spec, ts)
+
+        presc = cols["presc"][tau]
+        pres = cols["pres"][tau]
+        ub[presc] = slot.demand
+        ub[pres] = market.export_power_max
+        obj[presc] += -ts * slot.price_purchase
+        obj[pres] += -ts * slot.price_sale
+
+        balance = {int(presc): 1.0, int(pres): 1.0}
+        fr_min: dict[int, float] = {int(cols["vfr"][tau]): market.reg_min_power}
+        sr_min: dict[int, float] = {int(cols["vsr"][tau]): market.reserve_min_power}
+        for i in range(n):
+            balance[int(cols["prec"][i, tau])] = 1.0
+            fr_min[int(cols["pfrc"][i, tau])] = -(1.0 - u)
+            fr_min[int(cols["pfrd"][i, tau])] = -float(u)
+            sr_min[int(cols["psr"][i, tau])] = -1.0
+        rows.append(LinRow(balance, slot.renewable, f"re_balance[{tau}]"))
+        rows.append(LinRow(fr_min, 0.0, f"fr_min[{tau}]"))
+        rows.append(LinRow(sr_min, 0.0, f"sr_min[{tau}]"))
+
+    for c in binary_cols:
+        ub[c] = 1.0
+
+    return SimpleNamespace(names=names, lb=lb, ub=ub, binary_cols=binary_cols,
+                           rows=rows, quad_rows=quad_rows, objective=obj,
+                           cols=cols)
+
+
+def reference_recover_service_split(result):
+    """Decode per-slot decisions, recovering the eliminated bill/future split.
+
+    charge_future = pc - prec - pfrc and discharge_bill = pd - pfrd; both must
+    come out nonnegative at any correct optimum.
+    """
+    if result.status != "optimal":
+        raise ValueError(f"cannot decode decisions from status {result.status}")
+    inst = result.instance
+    x = result.x
+    decisions = []
+    for tau in range(inst.horizon):
+        def ess_vals(var):
+            # Clip LP-tolerance noise below the zero bound.
+            return tuple(max(0.0, float(x[inst.col(var, i, tau)]))
+                         for i in range(inst.n_ess))
+
+        pc = ess_vals("pc")
+        prec = ess_vals("prec")
+        pfrc = ess_vals("pfrc")
+        pd = ess_vals("pd")
+        pfrd = ess_vals("pfrd")
+        future = []
+        bill = []
+        for i in range(inst.n_ess):
+            fs = pc[i] - prec[i] - pfrc[i]
+            br = pd[i] - pfrd[i]
+            if fs < -1e-9 or br < -1e-9:
+                raise ValueError(
+                    f"negative recovered split at ess {i}, slot {tau}: "
+                    f"fs={fs}, br={br} (solver bug)")
+            future.append(max(fs, 0.0))
+            bill.append(max(br, 0.0))
+        decisions.append(DispatchDecision(
+            charge_total=pc, discharge_total=pd, charge_from_renewable=prec,
+            charge_for_regulation=pfrc, discharge_for_regulation=pfrd,
+            reserve_commit=ess_vals("psr"), charge_future=tuple(future),
+            discharge_bill=tuple(bill),
+            mode_flag=tuple(int(round(x[inst.col("vc", i, tau)]))
+                            for i in range(inst.n_ess)),
+            renewable_selfuse=max(0.0, float(x[inst.col("presc", tau)])),
+            renewable_export=max(0.0, float(x[inst.col("pres", tau)])),
+            reg_participate=int(round(x[inst.col("vfr", tau)])),
+            reserve_participate=int(round(x[inst.col("vsr", tau)])),
+        ))
+    return decisions
+
+
+def reference_polish(instance, x):
+    """Lift epigraph variables to their pointwise maxima and re-price.
+
+    Makes an integral relaxation point exactly feasible for the quadratic rows
+    (cuts only enforce them to tolerance); can only increase the objective.
+    """
+    x = x.copy()
+    for tau in range(instance.horizon):
+        for i, spec in enumerate(instance.specs):
+            zeta = instance.col("zeta", i, tau)
+            val = aging.segment_max(spec, max(0.0, x[instance.col("pc", i, tau)]),
+                                    max(0.0, x[instance.col("pd", i, tau)]))
+            x[zeta] = max(x[zeta], val)
+    return x, float(instance.objective @ x)
+
+
+def random_window(rng, n_ess, horizon):
+    """A random window over the shapes the templates must cover: 1-3 ESS, a
+    market with or without reserve duration and minimum powers, mixed
+    regulation flags, zero prices (a -0.0 objective term) and, for some
+    specs, an aging segment with b = 0."""
+    market = MarketSpec(
+        slot_hours=float(rng.choice([1.0, 0.5])),
+        reg_min_power=float(rng.choice([0.0, 100.0])),
+        reserve_min_power=float(rng.choice([0.0, 80.0])),
+        reserve_min_duration=float(rng.choice([0.0, 1.0, 2.5])))
+    segments = SegmentSet(((1e-4, 0.0), (4e-6, 8e-6), (0.0, 1.2e-5)))
+    specs = [make_spec(1 + i % 2, id=i + 1,
+                       unit_capital_cost=float(rng.uniform(50, 300)),
+                       **({"aging_segments": segments} if rng.uniform() < 0.5 else {}))
+             for i in range(n_ess)]
+    slots = [rand_slot(rng) for _ in range(horizon)]
+    for k in range(horizon):
+        if rng.uniform() < 0.3:
+            slots[k] = dataclasses.replace(slots[k], price_reserve=0.0,
+                                           price_rmccp=0.0, price_rmpcp=0.0)
+    soc = SocState(tuple(float(rng.uniform(s.soc_min, s.soc_max)) for s in specs))
+    return slots, soc, specs, market
+
+
+def same_floats(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def random_point(inst, rng):
+    """A point inside the bounds whose bill/future split decodes, with some
+    LP-tolerance noise below zero."""
+    x = rng.uniform(inst.lb, inst.ub)
+    c = inst.cols
+    x[c["pc"]] = x[c["prec"]] + x[c["pfrc"]] + rng.uniform(0, 1, c["pc"].shape)
+    x[c["pd"]] = x[c["pfrd"]] + rng.uniform(0, 1, c["pd"].shape)
+    x[c["psr"]] = -rng.uniform(0, 1e-12, c["psr"].shape)
+    return x
+
+
+class TestWindowTemplate:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_reference_builder(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n_ess, horizon = 1 + seed % 3, 1 + seed % 6
+        window = random_window(rng, n_ess, horizon)
+        inst = build_problem(7, *window)
+        ref = reference_build_problem(7, *window)
+        assert list(inst.names) == ref.names
+        assert list(inst.cols) == list(ref.cols)
+        for var, a in inst.cols.items():
+            assert a.shape == ref.cols[var].shape
+            assert a.tolist() == ref.cols[var].tolist()
+        assert inst.binary_cols.tolist() == [int(c) for c in ref.binary_cols]
+        for a, b in ((inst.lb, ref.lb), (inst.ub, ref.ub),
+                     (inst.objective, ref.objective)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len(inst.rows) == len(ref.rows)
+        for row, want in zip(inst.rows, ref.rows):
+            assert list(row.coeffs) == list(want.coeffs)
+            assert same_floats(list(row.coeffs.values()), list(want.coeffs.values()))
+            assert same_floats(row.rhs, want.rhs)
+            assert row.name == want.name
+        assert list(inst.quad_rows) == ref.quad_rows
+        for _ in range(3):
+            x = random_point(inst, rng)
+            got, want = solver_module._polish(inst, x), reference_polish(inst, x)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            result = SolveResult("optimal", 0.0, 0.0, x, 1, inst)
+            got = recover_service_split(result)
+            want = reference_recover_service_split(result)
+            assert got == want and repr(got) == repr(want)
+
+    def test_windows_share_only_read_only_data(self, specs, market):
+        window_a = [slot(up=0), slot(up=1, purchase=0.0)]
+        window_b = [slot(up=1, renewable=50.0), slot(up=0, reserve=0.02)]
+        a = build_problem(0, window_a, SocState((0.5, 0.6)), specs, market)
+        snapshot = [arr.copy() for arr in (a.lb, a.ub, a.objective,
+                                           a.rows.value, a.rows.rhs)]
+        b = build_problem(1, window_b, SocState((0.3, 0.8)), specs, market)
+        assert a.template is b.template
+        for arr, before in zip((a.lb, a.ub, a.objective, a.rows.value,
+                                a.rows.rhs), snapshot):
+            assert arr.tobytes() == before.tobytes()
+        b_rows = list(b.rows)
+        b_bytes = [arr.tobytes() for arr in (b.lb, b.ub, b.objective)]
+        # writing one window's own arrays leaves the others alone
+        a.ub[a.col("pc", 0, 0)] = 0.0
+        a.objective[:] = 1.0
+        a.rows.value[:] = 2.0
+        a.rows.append(LinRow({a.col("pc", 0, 0): -1.0}, -1.0, "extra"))
+        assert len(a.rows) == len(b.rows) + 1 and a.rows[-1].name == "extra"
+        assert [arr.tobytes() for arr in (b.lb, b.ub, b.objective)] == b_bytes
+        assert list(b.rows) == b_rows
+        again = build_problem(1, window_b, SocState((0.3, 0.8)), specs, market)
+        assert [arr.tobytes() for arr in (again.lb, again.ub, again.objective)] == b_bytes
+        assert list(again.rows) == b_rows
+        assert again.rows.value.tobytes() == b.rows.value.tobytes()
+        # the shared arrays refuse writes
+        for shared in (a.template.numbers, a.template.index, a.template.ptr,
+                       a.binary_cols, a.cols["pc"], a.template.qcoef):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+
+    @pytest.mark.parametrize("field,value", [("price_purchase", float("nan")),
+                                             ("demand", float("inf"))])
+    def test_non_finite_slot_rejected(self, specs, market, field, value):
+        window = [slot(), dataclasses.replace(slot(), **{field: value})]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"slot 1: {field} {value}"):
+            build_problem(0, window, SocState((0.5, 0.5)), specs, market)
+        assert time.perf_counter() - start < 1.0
+
+    def test_non_finite_spec_rejected(self, market):
+        spec = make_spec(1, unit_capital_cost=float("inf"))
+        with pytest.raises(ValueError, match="unit_capital_cost inf"):
+            build_problem(0, [slot()], SocState((0.5,)), [spec], market)

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +264,15 @@ class TestRunSimulation:
         series = week_series[:12]
         report = run_simulation(series, specs, market, 2)
         assert report.ess_attributable_profit == pytest.approx(0.0, abs=1e-6)
+
+    def test_non_finite_input_rejected_before_solving(self, specs, market,
+                                                      week_series):
+        series = list(week_series[:4])
+        series[1] = dataclasses.replace(series[1], price_purchase=float("nan"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="slot 1: price_purchase nan"):
+            run_simulation(series, specs, market, 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_initial_soc_forms(self, specs, market, week_series):
         series = week_series[:6]

@@ -12,7 +12,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
 from essdispatch.domain import SlotExogenous, SocState
-from essdispatch.problem import LinRow, build_problem, check_solution
+from essdispatch.problem import LinRow, LinRows, build_problem, check_solution
 from essdispatch import solver as solver_module
 from essdispatch.solver import (CutPool, SolverConfig, SolverError,
                                 brute_force_oracle, solve, solve_lp,
@@ -345,6 +345,46 @@ class TestPersistentLp:
         assert res.lp_restarts == 0
 
 
+def scalar_fractional(x, binary_cols, tol):
+    """The scan that _fractional's prefilter shortens."""
+    best = None
+    best_frac = tol
+    for col in binary_cols:
+        frac = abs(x[col] - round(x[col]))
+        if frac > best_frac + 1e-15:
+            best, best_frac = col, frac
+    return best
+
+
+class TestFractional:
+    def test_prefilter_matches_scalar_rule(self):
+        tol = SolverConfig().int_tol
+        threshold = tol + 1e-15
+        below, above = np.nextafter(threshold, 0.0), np.nextafter(threshold, 1.0)
+        cols = np.arange(1, 40, 2)
+        # values at the threshold are integral, one ulp above is fractional
+        for v, want in ((threshold, None), (-threshold, None), (below, None),
+                        (above, cols[3]), (-above, cols[3])):
+            x = np.zeros(41)
+            x[cols[3]] = v
+            assert solver_module._fractional(x, cols, tol) == want
+            assert scalar_fractional(x, cols, tol) == want
+        integral = [0.0, -0.0, 1.0, tol, threshold, below, -threshold]
+        special = integral + [above, -above, 1.0 - 2.0 ** -20, 0.5, 0.25]
+        rng = np.random.default_rng(600)
+        outcomes = set()
+        for _ in range(500):
+            x = rng.uniform(-0.2, 1.2, 41)
+            if rng.uniform() < 0.3:
+                x[cols] = rng.choice(integral, size=len(cols))
+            pick = rng.uniform(size=41) < rng.uniform(0.0, 0.3)
+            x[pick] = rng.choice(special, size=int(pick.sum()))
+            want = scalar_fractional(x, cols, tol)
+            assert solver_module._fractional(x, cols, tol) == want
+            outcomes.add(None if want is None else int(want))
+        assert None in outcomes and len(outcomes) > 5
+
+
 class TestBruteForce:
     def test_binary_cap_enforced(self, specs, market):
         rng = np.random.default_rng(13)
@@ -475,7 +515,7 @@ class TestArrayPool:
         rows = [LinRow({3: 2.0, 0: -0.0, 1: -8.0}, 4.0), LinRow({}, 1.0),
                 LinRow({2: 0.0}, -3.0), LinRow({1: 1e-14}, 0.0),
                 LinRow({0: 5, 2: 0.25}, 7)]
-        got = solver_module._scaled_csr(rows)
+        got = solver_module._scaled_csr(LinRows.of(rows))
         want = scalar_scaled_csr(rows)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
