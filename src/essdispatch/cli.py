@@ -103,7 +103,6 @@ def main(argv=None) -> int:
                              "forecast-study"],
                     help="experiment selector (overrides config)")
     ap.add_argument("--out", help="output directory (overrides config)")
-    ap.add_argument("--seed", type=int, help="forecast seed (overrides config)")
     ap.add_argument("--strict", action="store_true",
                     help="reject unknown config keys")
     args = ap.parse_args(argv)
@@ -120,8 +119,6 @@ def main(argv=None) -> int:
             updates["out_dir"] = args.out
         if updates:
             run = dataclasses.replace(run, **updates)
-        if args.seed is not None:
-            forecast = dataclasses.replace(forecast, seed=args.seed)
         if not run.series_path:
             ap.error("no time series: pass --series or set series_path in [run]")
         series = load_timeseries_csv(run.series_path, market.sale_price_ratio)

@@ -107,6 +107,50 @@ class DispatchDecision:
     def n_ess(self) -> int:
         return len(self.charge_total)
 
+    def quantities(self) -> dict[str, float]:
+        """The quantities of REVENUE_TERMS, summed over the ESSs."""
+        return {"pc": sum(self.charge_total), "prec": sum(self.charge_from_renewable),
+                "pfrc": sum(self.charge_for_regulation), "pd": sum(self.discharge_total),
+                "pfrd": sum(self.discharge_for_regulation),
+                "psr": sum(self.reserve_commit), "presc": self.renewable_selfuse,
+                "pres": self.renewable_export, "future": sum(self.charge_future),
+                "bill": sum(self.discharge_bill)}
+
+
+# The four revenue streams, each booked per slot as slot_hours times a sum of
+# sign * price * quantity terms.  Quantities are powers summed over the ESSs:
+# pc / pd charge and discharge, prec charge from renewables, pfrc / pfrd the
+# regulation shares, psr the reserve commitment, presc / pres the renewable
+# self-use and export, and SPLIT's recovered future = pc - prec - pfrc (charge
+# kept for later) and bill = pd - pfrd (discharge that cuts the bill).
+REVENUE_TERMS = {
+    "r_sc": (("purchase", "prec", 1), ("purchase", "presc", 1), ("sale", "pres", 1)),
+    "r_fr": (("reg_c", "pfrc", 1), ("reg_d", "pfrd", 1),
+             ("purchase", "pfrd", 1), ("purchase", "pfrc", -1)),
+    "r_sr": (("reserve", "psr", 1),),
+    "r_br": (("purchase", "bill", 1), ("purchase", "future", -1)),
+}
+SPLIT = {"future": {"pc": 1, "prec": -1, "pfrc": -1}, "bill": {"pd": 1, "pfrd": -1}}
+
+
+def slot_prices(slot: SlotExogenous) -> dict[str, float]:
+    """The prices of REVENUE_TERMS in one slot.  Regulation capacity and
+    mileage pay on the charge side (reg_c) in a down-regulation slot and on
+    the discharge side (reg_d) in an up-regulation slot."""
+    u = slot.reg_up_flag
+    reg = slot.perf_score * (slot.price_rmccp + slot.price_rmpcp * slot.mileage_ratio)
+    return {"purchase": slot.price_purchase, "sale": slot.price_sale,
+            "reg_c": reg * (1 - u), "reg_d": reg * u, "reserve": slot.price_reserve}
+
+
+def slot_revenues(slot: SlotExogenous, quantities: dict[str, float],
+                  slot_hours: float) -> dict[str, float]:
+    """The four revenue streams of one slot; a quantity left out counts 0."""
+    prices = slot_prices(slot)
+    return {stream: slot_hours * sum(sign * prices[price] * quantities.get(q, 0.0)
+                                     for price, q, sign in terms)
+            for stream, terms in REVENUE_TERMS.items()}
+
 
 def idle_decision(n_ess: int) -> DispatchDecision:
     zeros = (0.0,) * n_ess

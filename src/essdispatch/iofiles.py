@@ -10,13 +10,12 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .aging import SegmentSet
-from .domain import (EXPORT_UNBOUNDED, EssSpec, MarketSpec, SlotExogenous,
-                     validate_inputs)
+from .domain import EssSpec, MarketSpec, SlotExogenous, validate_inputs
 from .rolling import ForecastModel, SimulationReport
 from .solver import SolverConfig
 
@@ -51,6 +50,9 @@ class RunConfig:
         grid = grids.get(self.experiment)
         if grid is not None and len(grid) == 0:
             raise DataError(f"empty grid for experiment {self.experiment}")
+        if min((self.horizon, *self.horizon_grid)) < 1:
+            raise DataError(f"horizon {self.horizon} and horizon_grid "
+                            f"{self.horizon_grid} must be >= 1")
 
 
 def load_timeseries_csv(path: str | Path,
@@ -105,17 +107,8 @@ def write_timeseries_csv(path: str | Path, series: Sequence[SlotExogenous]) -> N
                              s.reg_up_flag, _fmt(s.price_reserve)])
 
 
-_ESS_KEYS = {"energy_capacity", "soc_min", "soc_max", "charge_rate_max",
-             "discharge_rate_max", "eff_charge", "eff_discharge",
-             "unit_capital_cost", "charge_cost_fraction", "aging_segments"}
-_ESS_DEFAULTS = {"soc_min": 0.2, "soc_max": 0.9, "charge_cost_fraction": 0.5}
-_MARKET_KEYS = {"slot_hours", "reg_min_power", "reserve_min_power",
-                "reserve_min_duration", "export_power_max", "sale_price_ratio"}
-_SOLVER_KEYS = {"int_tol", "gap_tol", "cut_tol", "node_limit",
-                "cut_round_limit"}
-_FORECAST_KEYS = {"kappa_step", "kappa_cap", "clamp_low", "clamp_high", "seed"}
-_RUN_KEYS = {"series_path", "experiment", "horizon", "alpha_grid",
-             "horizon_grid", "seeds", "initial_soc", "out_dir"}
+# soc_min and soc_max have no EssSpec default.
+_ESS_DEFAULTS = {"soc_min": 0.2, "soc_max": 0.9}
 
 
 def parse_segments(text: str) -> SegmentSet:
@@ -127,86 +120,67 @@ def parse_segments(text: str) -> SegmentSet:
     return SegmentSet(tuple(segments))
 
 
-def _section(parser: configparser.ConfigParser, name: str, allowed: set[str],
-             strict: bool, path) -> dict[str, str]:
-    if not parser.has_section(name):
-        return {}
-    sec = dict(parser.items(name))
-    unknown = set(sec) - allowed
+# The parser of each field type a config key can have; fields of other types
+# (EssSpec.module_count) are not keys.
+_PARSERS = {
+    float: float, int: int, str: str, SegmentSet: parse_segments,
+    tuple[float, ...]: lambda text: tuple(float(v) for v in text.split(",")),
+    tuple[int, ...]: lambda text: tuple(int(v) for v in text.split(",")),
+}
+
+
+def _record(parser: configparser.ConfigParser, name: str, cls, strict: bool,
+            path, defaults: dict | None = None, **given):
+    """cls built from section [name].  Every field of cls that given leaves
+    out and _PARSERS can read is a key, parsed by the field's type; a missing
+    key takes defaults, else the field's own default."""
+    keys = {key: _PARSERS[kind] for key, kind in get_type_hints(cls).items()
+            if key not in given and kind in _PARSERS}
+    try:
+        sec = dict(parser.items(name)) if parser.has_section(name) else {}
+    except configparser.Error as exc:
+        raise DataError(f"{path}: [{name}] {exc}") from None
+    unknown = set(sec) - set(keys)
     if unknown and strict:
         raise DataError(f"{path}: unknown keys {sorted(unknown)} in [{name}]")
-    return sec
+    values = {**(defaults or {}), **given}
+    for key, parse in keys.items():
+        if key not in sec:
+            continue
+        try:
+            values[key] = parse(sec[key])
+        except ValueError as exc:
+            raise DataError(f"{path}: [{name}] {key} = {sec[key]!r}: {exc}") from None
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise DataError(f"{path}: [{name}] missing required key: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: [{name}] {exc}") from None
 
 
 def load_config(path: str | Path, strict: bool = False):
     """Parse the sectioned config into the five typed records.
 
     Returns (specs, market, solver_config, forecast_model, run_config).
+    Raises DataError for an unreadable file, a malformed value, a missing
+    required key and, with strict, an unknown key or section.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
-        raise DataError(f"{path}: cannot read config file")
+    try:
+        if not parser.read(path):
+            raise DataError(f"{path}: cannot read config file")
+    except configparser.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
 
-    specs = []
     ess_sections = sorted(s for s in parser.sections() if s.startswith("ess."))
-    for idx, name in enumerate(ess_sections, start=1):
-        sec = _section(parser, name, _ESS_KEYS, strict, path)
-        kwargs = dict(_ESS_DEFAULTS)
-        for key in _ESS_KEYS - {"aging_segments"}:
-            if key in sec:
-                kwargs[key] = float(sec[key])
-        segments = (parse_segments(sec["aging_segments"])
-                    if "aging_segments" in sec else None)
-        try:
-            spec = EssSpec(id=idx, aging_segments=segments, **kwargs) \
-                if segments else EssSpec(id=idx, **kwargs)
-        except TypeError as exc:
-            raise DataError(f"{path}: [{name}] missing required key: {exc}") from None
-        specs.append(spec)
-
-    msec = _section(parser, "market", _MARKET_KEYS, strict, path)
-    market = MarketSpec(
-        slot_hours=float(msec.get("slot_hours", 1.0)),
-        reg_min_power=float(msec.get("reg_min_power", 0.0)),
-        reserve_min_power=float(msec.get("reserve_min_power", 0.0)),
-        reserve_min_duration=float(msec.get("reserve_min_duration", 0.0)),
-        export_power_max=float(msec.get("export_power_max", EXPORT_UNBOUNDED)),
-        sale_price_ratio=float(msec.get("sale_price_ratio", 0.6)))
-
-    ssec = _section(parser, "solver", _SOLVER_KEYS, strict, path)
-    solver = SolverConfig(
-        int_tol=float(ssec.get("int_tol", 1e-6)),
-        gap_tol=float(ssec.get("gap_tol", 1e-6)),
-        cut_tol=float(ssec.get("cut_tol", 1e-7)),
-        node_limit=int(ssec.get("node_limit", 100000)),
-        cut_round_limit=int(ssec.get("cut_round_limit", 300)))
-
-    fsec = _section(parser, "forecast", _FORECAST_KEYS, strict, path)
-    step = float(fsec.get("kappa_step", 0.1))
-    cap = float(fsec.get("kappa_cap", 0.5))
-    forecast = ForecastModel(
-        error_schedule=lambda h, s=step, c=cap: min(s * h, c),
-        clamp_low=float(fsec.get("clamp_low", 0.8)),
-        clamp_high=float(fsec.get("clamp_high", 1.2)),
-        seed=int(fsec.get("seed", 0)))
-
-    rsec = _section(parser, "run", _RUN_KEYS, strict, path)
-
-    def grid(key: str, cast, default):
-        if key not in rsec:
-            return default
-        return tuple(cast(v) for v in rsec[key].split(","))
-
-    run = RunConfig(
-        series_path=rsec.get("series_path", ""),
-        experiment=rsec.get("experiment", "single"),
-        horizon=int(rsec.get("horizon", 4)),
-        alpha_grid=grid("alpha_grid", float, RunConfig.alpha_grid),
-        horizon_grid=grid("horizon_grid", int, RunConfig.horizon_grid),
-        seeds=grid("seeds", int, RunConfig.seeds),
-        initial_soc=float(rsec.get("initial_soc", 0.5)),
-        out_dir=rsec.get("out_dir", "out"))
+    specs = [_record(parser, name, EssSpec, strict, path, _ESS_DEFAULTS, id=idx)
+             for idx, name in enumerate(ess_sections, start=1)]
+    market = _record(parser, "market", MarketSpec, strict, path)
+    solver = _record(parser, "solver", SolverConfig, strict, path)
+    forecast = _record(parser, "forecast", ForecastModel, strict, path)
+    run = _record(parser, "run", RunConfig, strict, path)
 
     if strict:
         known = set(ess_sections) | {"market", "solver", "forecast", "run"}
@@ -216,6 +190,11 @@ def load_config(path: str | Path, strict: bool = False):
     report = validate_inputs(specs, market, [])
     if not report.ok:
         raise DataError(f"{path}: " + "; ".join(report.violations))
+    for spec in specs:
+        if not spec.soc_min <= run.initial_soc <= spec.soc_max:
+            raise DataError(f"{path}: [run] initial_soc {run.initial_soc} outside "
+                            f"the SOC corridor [{spec.soc_min}, {spec.soc_max}] "
+                            f"of ess {spec.id}")
     return specs, market, solver, forecast, run
 
 

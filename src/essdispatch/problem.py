@@ -15,6 +15,7 @@ and writes the entries that depend on the slot data and the initial SOC.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from collections.abc import Iterable, Sequence
@@ -23,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aging
-from .domain import (DispatchDecision, EssSpec, MarketSpec, SlotExogenous,
-                     SocState, validate_inputs)
+from .domain import (REVENUE_TERMS, SPLIT, DispatchDecision, EssSpec,
+                     MarketSpec, SlotExogenous, SocState, slot_prices,
+                     slot_revenues, validate_inputs)
 
 # Continuous variables per (ess, slot) and per slot, in index order.
 ESS_VARS = ("pc", "prec", "pfrc", "pd", "pfrd", "psr", "z", "zeta")
@@ -256,12 +258,28 @@ def mccormick_rows(z: int, v: int, reserve: int, discharge_rate_max: float,
     ]
 
 
+def _objective_terms() -> dict[str, tuple[str, int]]:
+    """(price, multiplier) of each objective column variable, in column
+    order: REVENUE_TERMS with SPLIT substituted, netted per column and price.
+    Each column nets to one price, so its entry -slot_hours * (price * m) is
+    one rounding; summing per-stream floats is not, e.g. pfrc's (reg - p) + p."""
+    net: collections.Counter = collections.Counter()
+    for terms in REVENUE_TERMS.values():
+        for price, q, sign in terms:
+            for var, m in SPLIT.get(q, {q: 1}).items():
+                net[var, price] += sign * m
+    terms = {var: (price, m) for (var, price), m in net.items() if m}
+    if len(terms) != sum(m != 0 for m in net.values()):
+        raise AssertionError("an objective column nets to more than one price")
+    return {var: terms[var] for var in ESS_VARS + SLOT_VARS if var in terms}
+
+
 # Layout of a window's own values (build_problem's w): the SOC headroom
 # above, then below, the corridor per ESS; then per slot the entries at these
 # offsets, followed by two per ESS (the flag terms of fr_d and fr_c).
 _DEMAND, _RENEWABLE, _FR_MIN_C, _FR_MIN_D = range(4)
-_OBJ = {var: 4 + k for k, var in
-        enumerate(("pc", "prec", "pfrc", "pd", "pfrd", "psr", "presc", "pres"))}
+_OBJ_TERMS = _objective_terms()
+_OBJ = {var: 4 + k for k, var in enumerate(_OBJ_TERMS)}
 _PER_SLOT = 4 + len(_OBJ)
 
 
@@ -382,15 +400,15 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
                 quad_rows.append(QuadRow(epi, int(pc), int(pd), int(zeta)))
 
             obj[zeta] += aging.cost_scale(spec, ts)
-            for var in ("pc", "prec", "pfrc", "pd", "pfrd", "psr"):
-                obj_fill.append((cols[var][i, tau], src(tau, _OBJ[var])))
+            obj_fill += [(cols[var][i, tau], src(tau, k))
+                         for var, k in _OBJ.items() if var in ESS_VARS]
 
         presc = cols["presc"][tau]
         pres = cols["pres"][tau]
         ub_fill.append((presc, src(tau, _DEMAND)))
         ub[pres] = market.export_power_max
-        obj_fill.append((presc, src(tau, _OBJ["presc"])))
-        obj_fill.append((pres, src(tau, _OBJ["pres"])))
+        obj_fill += [(cols[var][tau], src(tau, k))
+                     for var, k in _OBJ.items() if var in SLOT_VARS]
 
         balance = {int(presc): 1.0, int(pres): 1.0}
         fr_min: dict[int, float] = {int(cols["vfr"][tau]): market.reg_min_power}
@@ -469,13 +487,9 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
     w += [s - spec.soc_min for spec, s in zip(specs, state.soc)]
     for slot in horizon:
         u = slot.reg_up_flag
-        p = slot.price_purchase
-        price_reg = slot.perf_score * (slot.price_rmccp
-                                       + slot.price_rmpcp * slot.mileage_ratio)
-        w += (slot.demand, slot.renewable, -(1.0 - u), -float(u),
-              ts * p, -2.0 * ts * p, -ts * price_reg * (1 - u), -ts * p,
-              -ts * price_reg * u, -ts * slot.price_reserve, -ts * p,
-              -ts * slot.price_sale)
+        prices = slot_prices(slot)
+        w += (slot.demand, slot.renewable, -(1.0 - u), -float(u))
+        w += [-ts * (prices[price] * m) for price, m in _OBJ_TERMS.values()]
         for spec in specs:
             w += (-u * spec.discharge_rate_max, -(1 - u) * spec.charge_rate_max)
     w = np.array(w, dtype=float)
@@ -544,35 +558,29 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
 def decompose_at_point(instance: ProblemInstance, x: np.ndarray) -> dict[str, float]:
     """Per-service revenue totals and aging cost at an arbitrary primal point.
 
-    Uses the per-service revenue formulas with the bill/future split recovered
-    from the aggregate rates; their sum minus aging equals the consolidated
-    net-profit objective whenever the epigraph variables sit at their minima.
+    Evaluates REVENUE_TERMS on each slot's column sums over the ESSs, with
+    SPLIT's bill/future split recovered from them; their sum minus aging
+    equals the consolidated net-profit objective whenever the epigraph
+    variables sit at their minima.
     """
+    template = instance.template
     ts = instance.market.slot_hours
-    r_sc = r_fr = r_sr = r_br = cost = 0.0
-    for tau, slot in enumerate(instance.exog):
-        u = slot.reg_up_flag
-        p_fr = 0.0
-        for i, spec in enumerate(instance.specs):
-            pc = x[instance.col("pc", i, tau)]
-            prec = x[instance.col("prec", i, tau)]
-            pfrc = x[instance.col("pfrc", i, tau)]
-            pd = x[instance.col("pd", i, tau)]
-            pfrd = x[instance.col("pfrd", i, tau)]
-            psr = x[instance.col("psr", i, tau)]
-            p_fr += (1 - u) * pfrc + u * pfrd
-            r_sc += ts * slot.price_purchase * prec
-            r_fr += ts * slot.price_purchase * (pfrd - pfrc)
-            r_sr += ts * slot.price_reserve * psr
-            r_br += ts * slot.price_purchase * ((pd - pfrd) - (pc - prec - pfrc))
-            cost += aging.aging_cost_eval(spec, pc, pd, ts)
-        r_sc += ts * (slot.price_purchase * x[instance.col("presc", tau)]
-                      + slot.price_sale * x[instance.col("pres", tau)])
-        r_fr += ts * slot.perf_score * p_fr * (slot.price_rmccp
-                                               + slot.price_rmpcp * slot.mileage_ratio)
-    return {"r_sc": r_sc, "r_fr": r_fr, "r_sr": r_sr, "r_br": r_br,
-            "aging_cost": cost,
-            "tnp": r_sc + r_fr + r_sr + r_br - cost}
+    ess = x[template.ess_cols[:len(ESS_VARS)]].sum(axis=1).T.tolist()
+    own = x[template.slot_cols[:len(SLOT_VARS)]].T.tolist()
+    totals = dict.fromkeys(REVENUE_TERMS, 0.0)
+    for slot, ess_q, slot_q in zip(instance.exog, ess, own):
+        q = {**dict(zip(ESS_VARS, ess_q)), **dict(zip(SLOT_VARS, slot_q))}
+        q.update({name: sum(m * q[v] for v, m in terms.items())
+                  for name, terms in SPLIT.items()})
+        for stream, value in slot_revenues(slot, q, ts).items():
+            totals[stream] += value
+    pc, pd = x[template.cols["pc"]].tolist(), x[template.cols["pd"]].tolist()
+    totals["aging_cost"] = sum(
+        aging.aging_cost_eval(spec, c, d, ts)
+        for spec, pc_i, pd_i in zip(instance.specs, pc, pd)
+        for c, d in zip(pc_i, pd_i))
+    totals["tnp"] = sum(totals[stream] for stream in REVENUE_TERMS) - totals["aging_cost"]
+    return totals
 
 
 def objective_decomposition(result: SolveResult) -> dict[str, float]:
@@ -603,25 +611,3 @@ def check_solution(instance: ProblemInstance, x: np.ndarray,
             out.append(f"epigraph ess {q.row.ess} slot {q.row.slot} "
                        f"segment {q.row.segment}: violated by {v}")
     return out
-
-
-def dump_instance(instance: ProblemInstance) -> str:
-    """Human-readable text dump (one row per line) for debugging."""
-    lines = [f"# instance t={instance.t} H={instance.horizon} n_ess={instance.n_ess}"]
-    for j, name in enumerate(instance.names):
-        kind = "bin" if j in set(instance.binary_cols) else "cont"
-        lines.append(f"var {name} {kind} [{instance.lb[j]:.9g}, {instance.ub[j]:.9g}] "
-                     f"obj {instance.objective[j]:.9g}")
-    for row in instance.rows:
-        terms = " + ".join(f"{c:.9g}*{instance.names[j]}"
-                           for j, c in sorted(row.coeffs.items()))
-        lines.append(f"row {row.name}: {terms} <= {row.rhs:.9g}")
-    for q in instance.quad_rows:
-        lines.append(
-            f"qrow ess={q.row.ess} slot={q.row.slot} k={q.row.segment}: "
-            f"{q.row.quad_c:.9g}*{instance.names[q.pc]}^2 + "
-            f"{q.row.lin_c:.9g}*{instance.names[q.pc]} + "
-            f"{q.row.quad_d:.9g}*{instance.names[q.pd]}^2 + "
-            f"{q.row.lin_d:.9g}*{instance.names[q.pd]} - "
-            f"{instance.names[q.zeta]} <= 0")
-    return "\n".join(lines) + "\n"

@@ -10,20 +10,20 @@ isolates the profit attributable to the ESSs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .aging import aging_cost_eval
 from .domain import (DispatchDecision, EssSpec, MarketSpec, SlotExogenous,
-                     SocState, soc_update, validate_inputs)
+                     SocState, slot_revenues, soc_update, validate_inputs)
 from .problem import build_problem
 from .solver import SolverConfig, solve
 
 
-def default_error_schedule(h: int) -> float:
-    """Forecast-error proportionality growing with the lookahead step."""
-    return min(0.1 * h, 0.5)
+# The slot fields a forecast perturbs; the others are known in advance.
+FORECAST_SIGNALS = ("demand", "renewable", "price_rmccp", "price_rmpcp",
+                    "price_reserve")
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,18 @@ class ForecastModel:
     clamped to [clamp_low*min, clamp_high*max] of the true series.
     """
 
-    error_schedule: Callable[[int], float] = default_error_schedule
+    kappa_step: float = 0.1
+    kappa_cap: float = 0.5
     clamp_low: float = 0.8
     clamp_high: float = 1.2
     seed: int = 0
-    signals: tuple[str, ...] = ("demand", "renewable", "price_rmccp",
-                                "price_rmpcp", "price_reserve")
+
+    def error_schedule(self, h: int) -> float:
+        """Forecast-error proportionality, growing with the lookahead step."""
+        return min(self.kappa_step * h, self.kappa_cap)
 
 
-PERFECT_FORECAST = ForecastModel(error_schedule=lambda h: 0.0)
+PERFECT_FORECAST = ForecastModel(kappa_step=0.0, kappa_cap=0.0)
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def perturb_forecast(true_series: Sequence[SlotExogenous], t: int, h: int,
     prev = true_series[t + h - 1]
     kappa = model.error_schedule(h)
     updates = {}
-    for name in model.signals:
+    for name in FORECAST_SIGNALS:
         x = getattr(truth, name)
         emax = kappa * abs(x - getattr(prev, name))
         value = x + rng.uniform(-emax, emax)
@@ -103,7 +106,7 @@ def signal_ranges(true_series: Sequence[SlotExogenous],
                   model: ForecastModel) -> dict[str, tuple[float, float]]:
     return {name: (min(getattr(s, name) for s in true_series),
                    max(getattr(s, name) for s in true_series))
-            for name in model.signals}
+            for name in FORECAST_SIGNALS}
 
 
 def repair_dispatch(committed: DispatchDecision, true_slot: SlotExogenous,
@@ -141,33 +144,20 @@ def repair_dispatch(committed: DispatchDecision, true_slot: SlotExogenous,
 def realized_revenues(decision: DispatchDecision, true_slot: SlotExogenous,
                       specs: Sequence[EssSpec],
                       market: MarketSpec) -> dict[str, float]:
-    """Evaluate the four service revenues and aging cost at true prices."""
+    """Evaluate the four service revenues, REVENUE_TERMS on the decision's
+    sums over the ESSs, and the aging cost at true prices."""
     ts = market.slot_hours
-    u = true_slot.reg_up_flag
-    r_sc = ts * (true_slot.price_purchase
-                 * (decision.renewable_selfuse + sum(decision.charge_from_renewable))
-                 + true_slot.price_sale * decision.renewable_export)
-    p_fr = sum((1 - u) * c + u * d
-               for c, d in zip(decision.charge_for_regulation,
-                               decision.discharge_for_regulation))
-    r_fr = (ts * true_slot.perf_score * p_fr
-            * (true_slot.price_rmccp + true_slot.price_rmpcp * true_slot.mileage_ratio)
-            + ts * true_slot.price_purchase
-            * sum(d - c for c, d in zip(decision.charge_for_regulation,
-                                        decision.discharge_for_regulation)))
-    r_sr = ts * true_slot.price_reserve * sum(decision.reserve_commit)
-    r_br = ts * true_slot.price_purchase * sum(
-        d - c for c, d in zip(decision.charge_future, decision.discharge_bill))
-    cost = sum(aging_cost_eval(spec, decision.charge_total[i],
-                               decision.discharge_total[i], ts)
-               for i, spec in enumerate(specs))
-    return {"r_sc": r_sc, "r_fr": r_fr, "r_sr": r_sr, "r_br": r_br,
-            "aging_cost": cost}
+    rev = slot_revenues(true_slot, decision.quantities(), ts)
+    rev["aging_cost"] = sum(aging_cost_eval(spec, decision.charge_total[i],
+                                            decision.discharge_total[i], ts)
+                            for i, spec in enumerate(specs))
+    return rev
 
 
 def no_ess_baseline(true_series: Sequence[SlotExogenous],
                     market: MarketSpec) -> float:
-    """Optimal profit without storage: self-consume, export, curtail the rest.
+    """Optimal profit without storage: self-consume, export, curtail the rest,
+    booked as R_sc.
 
     Greedy per slot is optimal because the slots decouple without storage and
     the purchase price is at least the sale price.
@@ -176,8 +166,8 @@ def no_ess_baseline(true_series: Sequence[SlotExogenous],
     for slot in true_series:
         selfuse = min(slot.demand, slot.renewable)
         export = min(market.export_power_max, slot.renewable - selfuse)
-        total += market.slot_hours * (slot.price_purchase * selfuse
-                                      + slot.price_sale * export)
+        total += slot_revenues(slot, {"presc": selfuse, "pres": export},
+                               market.slot_hours)["r_sc"]
     return total
 
 
@@ -193,18 +183,19 @@ def run_simulation(true_series: Sequence[SlotExogenous],
     """Roll the optimization over the whole series, committing one slot at a time.
 
     Raises ValueError, before any solve, if the inputs break an invariant
-    that validate_inputs checks.
+    that validate_inputs checks or the horizon is below 1.
     """
     problems = validate_inputs(specs, market, true_series).violations
     if problems:
         raise ValueError("invalid simulation inputs: " + "; ".join(problems))
+    if horizon < 1:
+        raise ValueError(f"horizon {horizon} must be >= 1")
     n_slots = len(true_series)
     if n_slots < horizon:
         raise ValueError(f"series of {n_slots} slots shorter than horizon {horizon}")
-    if isinstance(initial_soc, (int, float)):
-        soc = SocState((float(initial_soc),) * len(specs))
-    else:
-        soc = SocState(tuple(initial_soc))
+    init = ((float(initial_soc),) * len(specs)
+            if isinstance(initial_soc, (int, float)) else tuple(initial_soc))
+    soc = SocState(init)
     rng = np.random.default_rng(forecast.seed) if forecast is not None else None
     ranges = signal_ranges(true_series, forecast) if forecast is not None else None
 
@@ -235,7 +226,5 @@ def run_simulation(true_series: Sequence[SlotExogenous],
     totals = {key: sum(getattr(e, key) for e in ledger)
               for key in ("r_sc", "r_fr", "r_sr", "r_br", "aging_cost", "net_profit")}
     baseline = no_ess_baseline(true_series, market)
-    init = ((float(initial_soc),) * len(specs)
-            if isinstance(initial_soc, (int, float)) else tuple(initial_soc))
     return SimulationReport(ledger=ledger, totals=totals, baseline_profit=baseline,
                             initial_soc=init, node_counts=node_counts)

@@ -66,6 +66,19 @@ class TestMain:
         assert run_cli(workdir) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("energy_capacity = 480", "energy_capacity = abc", "[ess.1] energy_capacity"),
+        ("horizon = 4", "horizon = two", "[run] horizon"),
+        ("[solver]\n", "[solver]\nnode_limit = lots\n", "[solver] node_limit"),
+        ("horizon = 4", "horizon = 0", "must be >= 1"),
+        ("initial_soc = 0.5", "initial_soc = 1.5", "initial_soc 1.5 outside")])
+    def test_bad_config_value_exit_code(self, workdir, capsys, old, new, message):
+        config = workdir / "config.ini"
+        config.write_text(config.read_text().replace(old, new, 1))
+        assert run_cli(workdir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_bad_series_exit_code(self, workdir, capsys):
         (workdir / "series.csv").write_text("slot,demand_kw\n0,1\n")
         assert run_cli(workdir) == 2

@@ -1,3 +1,4 @@
+import configparser
 import json
 
 import pytest
@@ -8,7 +9,9 @@ from essdispatch.iofiles import (CSV_COLUMNS, DataError, RunConfig, emit_report,
                                  load_config, load_timeseries_csv,
                                  parse_segments, summary_dict,
                                  write_timeseries_csv)
-from essdispatch.rolling import run_simulation
+from essdispatch.domain import MarketSpec
+from essdispatch.rolling import ForecastModel, run_simulation
+from essdispatch.solver import SolverConfig
 
 
 @pytest.fixture
@@ -16,6 +19,14 @@ def config_path(tmp_path):
     p = tmp_path / "config.ini"
     write_default_config(p)
     return p
+
+
+def set_key(path, section, key, value):
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    parser[section][key] = value
+    with path.open("w") as fh:
+        parser.write(fh)
 
 
 class TestTimeseriesCsv:
@@ -156,6 +167,53 @@ class TestLoadConfig:
     def test_empty_grid_rejected(self):
         with pytest.raises(DataError, match="empty grid"):
             RunConfig(experiment="alpha-sweep", alpha_grid=())
+
+    def test_absent_sections_take_record_defaults(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[ess.1]\nenergy_capacity = 480\ncharge_rate_max = 102\n"
+                     "discharge_rate_max = 74\neff_charge = 0.82\n"
+                     "eff_discharge = 0.88\nunit_capital_cost = 100\n")
+        specs, market, solver, forecast, run = load_config(p, strict=True)
+        assert (specs[0].soc_min, specs[0].soc_max) == (0.2, 0.9)
+        assert specs[0].charge_cost_fraction == 0.5
+        assert (market, solver, forecast, run) == (
+            MarketSpec(), SolverConfig(), ForecastModel(), RunConfig())
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("ess.1", "energy_capacity", "abc"), ("run", "horizon", "two"),
+        ("solver", "node_limit", "lots"), ("run", "horizon_grid", "1, x"),
+        ("ess.1", "aging_segments", "0.1:y"), ("forecast", "seed", "1.5")])
+    def test_malformed_value_names_section_and_key(self, config_path, section,
+                                                   key, value):
+        set_key(config_path, section, key, value)
+        with pytest.raises(DataError, match=rf"\[{section}\] {key} = '{value}'"):
+            load_config(config_path)
+
+    @pytest.mark.parametrize("key,value", [("horizon", "0"), ("horizon", "-2"),
+                                           ("horizon_grid", "1, 0")])
+    def test_horizon_below_one_rejected(self, config_path, key, value):
+        set_key(config_path, "run", key, value)
+        with pytest.raises(DataError, match=r"\[run\] horizon .* must be >= 1"):
+            load_config(config_path)
+
+    @pytest.mark.parametrize("value", ["1.5", "0.1", "0.95"])
+    def test_initial_soc_outside_a_corridor_rejected(self, config_path, value):
+        set_key(config_path, "run", "initial_soc", value)
+        with pytest.raises(DataError, match="initial_soc .* outside"):
+            load_config(config_path)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("horizon = 4\n", "horizon = 4\nhorizon = 2\n", "'horizon'"),
+        ("fixture_week.csv", "100%.csv", r"\[run\] '%'")])
+    def test_unparsable_file_is_a_data_error(self, config_path, old, new, message):
+        config_path.write_text(config_path.read_text().replace(old, new))
+        with pytest.raises(DataError, match=message):
+            load_config(config_path)
+
+    def test_out_of_range_solver_value_is_a_data_error(self, config_path):
+        set_key(config_path, "solver", "gap_tol", "0")
+        with pytest.raises(DataError, match=r"\[solver\] gap_tol must be > 0"):
+            load_config(config_path)
 
 
 @pytest.fixture(scope="module")

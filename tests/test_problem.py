@@ -11,7 +11,7 @@ from essdispatch.aging import SegmentSet, segment_max
 from essdispatch.domain import DispatchDecision, MarketSpec, SlotExogenous, SocState
 from essdispatch.problem import (ESS_VARS, SLOT_VARS, LinRow, QuadRow,
                                  build_problem, check_solution,
-                                 decompose_at_point, dump_instance,
+                                 decompose_at_point,
                                  mccormick_rows, objective_decomposition,
                                  recover_service_split)
 from essdispatch.problem import SolveResult
@@ -322,11 +322,6 @@ class TestSolutionInvariants:
                     market.reserve_min_duration / spec.energy_capacity
                 assert floor - 1e-7 <= soc[i] <= spec.soc_max + 1e-7
 
-    def test_dump_mentions_every_row(self, specs, market):
-        inst = build_problem(0, [slot()], SocState((0.5, 0.5)), specs, market)
-        text = dump_instance(inst)
-        assert text.count("\nrow ") == len(inst.rows)
-        assert text.count("\nqrow ") == len(inst.quad_rows)
 
 
 # The dict-of-rows builder, decoder and polish that the window templates

@@ -1,16 +1,16 @@
 import dataclasses
+import pickle
 import time
 
 import numpy as np
 import pytest
 
 from essdispatch.domain import SlotExogenous, SocState, idle_decision, soc_update
-from essdispatch.problem import build_problem
-from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel,
-                                 default_error_schedule, no_ess_baseline,
+from essdispatch.problem import build_problem, decompose_at_point
+from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel, no_ess_baseline,
                                  perturb_forecast, realized_revenues,
                                  repair_dispatch, run_simulation, signal_ranges)
-from essdispatch.solver import brute_force_oracle
+from essdispatch.solver import brute_force_oracle, solve
 
 from conftest import make_spec
 from test_solver import rand_slot
@@ -27,10 +27,15 @@ def base_slot(**overrides):
 
 class TestErrorSchedule:
     def test_grows_then_caps(self):
-        assert default_error_schedule(1) == pytest.approx(0.1)
-        assert default_error_schedule(4) == pytest.approx(0.4)
-        assert default_error_schedule(5) == pytest.approx(0.5)
-        assert default_error_schedule(9) == pytest.approx(0.5)
+        assert ForecastModel().error_schedule(1) == pytest.approx(0.1)
+        assert ForecastModel().error_schedule(4) == pytest.approx(0.4)
+        assert ForecastModel().error_schedule(5) == pytest.approx(0.5)
+        assert ForecastModel().error_schedule(9) == pytest.approx(0.5)
+
+    def test_model_is_plain_data(self):
+        model = ForecastModel(kappa_step=0.2, kappa_cap=0.3, seed=4)
+        assert pickle.loads(pickle.dumps(model)) == model
+        assert PERFECT_FORECAST.error_schedule(7) == 0.0
 
 
 class TestPerturbForecast:
@@ -45,7 +50,7 @@ class TestPerturbForecast:
         rng = np.random.default_rng(0)
         ranges = signal_ranges(series, model)
         h = 3
-        emax = default_error_schedule(h) * 40.0  # demand step is 40
+        emax = model.error_schedule(h) * 40.0  # demand step is 40
         errors = np.array([
             perturb_forecast(series, 0, h, model, rng, ranges).demand
             - series[h].demand for _ in range(100_000)])
@@ -58,7 +63,7 @@ class TestPerturbForecast:
 
     def test_clamped_to_series_range(self):
         series = self.series()
-        model = ForecastModel(error_schedule=lambda h: 10.0)
+        model = ForecastModel(kappa_step=10.0, kappa_cap=10.0)
         rng = np.random.default_rng(1)
         ranges = signal_ranges(series, model)
         lo, hi = ranges["demand"]
@@ -75,7 +80,7 @@ class TestPerturbForecast:
 
     def test_unperturbed_fields_kept(self):
         series = self.series()
-        model = ForecastModel(error_schedule=lambda h: 0.5)
+        model = ForecastModel(kappa_step=0.5, kappa_cap=0.5)
         rng = np.random.default_rng(3)
         f = perturb_forecast(series, 0, 1, model, rng, signal_ranges(series, model))
         truth = series[1]
@@ -189,6 +194,32 @@ class TestRealizedRevenues:
         assert all(v == 0.0 for v in rev.values())
 
 
+class TestLedgerMatchesOptimizer:
+    """The ledger books a solved window's decisions at the objective's value."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_realized_revenues_sum_to_decomposition(self, market, seed):
+        rng = np.random.default_rng(700 + seed)
+        specs = [make_spec(1 + i, id=1 + i) for i in range(1 + seed % 2)]
+        zero = ["price_rmccp", "price_rmpcp", "price_reserve", "price_sale"][seed % 4]
+        window = []
+        for tau in range(1 + seed % 3):
+            slot = rand_slot(rng)
+            # Dearer regulation and reserve so that both markets get served.
+            prices = {"price_rmccp": 4 * slot.price_rmccp,
+                      "price_reserve": 10 * slot.price_reserve, zero: 0.0}
+            window.append(dataclasses.replace(slot, reg_up_flag=tau % 2, **prices))
+        soc = SocState(tuple(float(rng.uniform(0.25, 0.85)) for _ in specs))
+        inst = build_problem(0, window, soc, specs, market)
+        result = solve(inst)
+        assert result.status == "optimal"
+        expected = decompose_at_point(inst, result.x)
+        for key in ("r_sc", "r_fr", "r_sr", "r_br", "aging_cost"):
+            booked = sum(realized_revenues(d, slot, specs, market)[key]
+                         for d, slot in zip(result.decisions, inst.exog))
+            assert abs(booked - expected[key]) <= 1e-9 * max(1.0, abs(expected[key])), key
+
+
 class TestNoEssBaseline:
     def test_hand_example(self, market):
         series = [base_slot(demand=100.0, renewable=150.0)]
@@ -213,6 +244,11 @@ class TestNoEssBaseline:
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_non_positive_horizon_rejected(self, specs, market, week_series, horizon):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            run_simulation(week_series[:3], specs, market, horizon)
+
     def test_series_shorter_than_horizon(self, specs, market, week_series):
         with pytest.raises(ValueError, match="shorter than horizon"):
             run_simulation(week_series[:3], specs, market, 4)
