@@ -10,6 +10,11 @@ deterministic for a fixed instance and configuration.
 All LPs of one window are re-solves of a single persistent HiGHS model (the
 dual simplex of Huangfu & Hall, 2018): node fixings change column bounds, new
 cuts append rows, and each run starts from the previous optimal basis.
+Presolve is off: a window's LP is a few dozen to a few hundred rows that
+presolve cannot shrink, and warm runs skip it anyway.  A closed pool hands its
+model back, cleared but with its options, and the next window loads into it
+instead of constructing a new one; a cleared model gives the same runs as a
+fresh one with the same options.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
 try:
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 except ImportError as exc:
     raise ImportError(
         "essdispatch requires scipy>=1.17: its LP subsolver is the HiGHS class "
@@ -189,14 +194,34 @@ def _seed_tangents(template: WindowTemplate):
     return csr, (q, grad, rhs)
 
 
+# Models of closed pools, cleared, for the next pools to load into.
+_spare: list[_Highs] = []
+
+
+def _model() -> _Highs:
+    """A spare model, or a new one with the pool's options."""
+    try:
+        return _spare.pop()
+    except IndexError:
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+        return highs
+
+
 class CutPool:
     """One window's LP: the scaled base rows plus a growing set of tangent
     cuts, held in one persistent HiGHS model.
 
     Each solve changes only column bounds and re-runs the dual simplex from
-    the previous optimal basis.  rows lists the cuts (seed tangents first);
-    lp_calls, lp_iters and lp_restarts count simplex runs, simplex
+    the previous optimal basis; presolve is off, so the window's first run
+    is a plain cold simplex as well.  rows lists the cuts (seed tangents
+    first); lp_calls, lp_iters and lp_restarts count simplex runs, simplex
     iterations and cold restarts.
+
+    The model is a closed pool's, recycled, or a new one.  Used as a context
+    manager, the pool hands its model back on exit and can solve no more; a
+    pool that is not closed keeps its model to itself.
     """
 
     _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
@@ -206,8 +231,7 @@ class CutPool:
         self.lp_calls = self.lp_iters = self.lp_restarts = 0
         n = instance.n_cols
         self._cols = np.arange(n, dtype=np.int32)
-        self._highs = _Highs()
-        self._highs.setOptionValue("output_flag", False)
+        self._highs = _model()
         self._highs.addVars(n, instance.lb, instance.ub)
         self._highs.changeColsCost(n, self._cols, instance.objective)
         if instance.rows:
@@ -218,6 +242,14 @@ class CutPool:
             seeds, log = _seed_tangents(self._tpl)
             self._add_rows(*seeds)
             self.rows.log(*log)
+
+    def __enter__(self) -> CutPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        highs, self._highs = self._highs, None
+        highs.clearModel()
+        _spare.append(highs)
 
     def _add_rows(self, starts, index, value, rhs) -> None:
         self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
@@ -270,7 +302,11 @@ class CutPool:
     def _run(self):
         self._highs.run()
         self.lp_calls += 1
-        self.lp_iters += self._highs.getInfoValue("simplex_iteration_count")[1]
+        # Only an ok status vouches for the count; after an undecided run
+        # HiGHS can answer with a warning and an arbitrary number.
+        info, iters = self._highs.getInfoValue("simplex_iteration_count")
+        if info == HighsStatus.kOk:
+            self.lp_iters += iters
         return self._highs.getModelStatus()
 
     def solve(self, lb: np.ndarray, ub: np.ndarray) -> LpSolution:
@@ -312,9 +348,10 @@ def solve_relaxation(instance: ProblemInstance,
     objective is a valid lower bound for the node.  A shared cut_pool may be
     passed in; newly generated cuts are appended to it.
     """
-    lb, ub = _fixed_bounds(instance, fixed_binaries)
     if cut_pool is None:
-        cut_pool = CutPool(instance)
+        with CutPool(instance) as pool:
+            return solve_relaxation(instance, fixed_binaries, config, pool)
+    lb, ub = _fixed_bounds(instance, fixed_binaries)
     for _ in range(config.cut_round_limit):
         sol = cut_pool.solve(lb, ub)
         if sol.status != "optimal":
@@ -326,13 +363,21 @@ def solve_relaxation(instance: ProblemInstance,
 
 
 def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lift epigraph variables to their pointwise maxima and re-price.
+    """Make an integral relaxation point exactly feasible and re-price it.
 
-    Makes an integral relaxation point exactly feasible for the quadratic rows
-    (cuts only enforce them to tolerance); can only increase the objective.
+    The LP honours the mode links and the quadratic rows only to tolerance,
+    so this rounds the binaries, zeroes the flows of the side each mode flag
+    closes (pc, prec, pfrc in discharge mode, pd, pfrd in charge mode) and
+    lifts the epigraph variables to their pointwise maxima.
     """
     x = x.copy()
     cols = instance.cols
+    x[instance.binary_cols] = np.round(x[instance.binary_cols])
+    charging = x[cols["vc"]] == 1.0
+    for var in ("pc", "prec", "pfrc"):
+        x[cols[var][~charging]] = 0.0
+    for var in ("pd", "pfrd"):
+        x[cols[var][charging]] = 0.0
     pc, pd = x[cols["pc"]], x[cols["pd"]]
     for i, spec in enumerate(instance.specs):
         for tau, zeta in enumerate(cols["zeta"][i].tolist()):
@@ -367,7 +412,12 @@ def solve(instance: ProblemInstance,
     loop runs at the root and at integral nodes, where the bound feeds the
     incumbent and the final gap.
     """
-    cut_pool = CutPool(instance)
+    with CutPool(instance) as cut_pool:
+        return _branch_and_bound(instance, config, cut_pool)
+
+
+def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
+                      cut_pool: CutPool) -> SolveResult:
     incumbent_x = None
     incumbent_obj = np.inf
     counter = itertools.count()
@@ -458,17 +508,17 @@ def brute_force_oracle(instance: ProblemInstance,
     k = len(instance.binary_cols)
     if k > max_binaries:
         raise ValueError(f"{k} binaries exceed the enumeration cap {max_binaries}")
-    cut_pool = CutPool(instance)
     best_x = None
     best_obj = np.inf
-    for bits in itertools.product((0, 1), repeat=k):
-        fixed = dict(zip(instance.binary_cols, bits))
-        sol = solve_relaxation(instance, fixed, config, cut_pool)
-        if sol.status != "optimal":
-            continue
-        x, obj = _polish(instance, sol.x)
-        if obj < best_obj:
-            best_x, best_obj = x, obj
+    with CutPool(instance) as cut_pool:
+        for bits in itertools.product((0, 1), repeat=k):
+            fixed = dict(zip(instance.binary_cols, bits))
+            sol = solve_relaxation(instance, fixed, config, cut_pool)
+            if sol.status != "optimal":
+                continue
+            x, obj = _polish(instance, sol.x)
+            if obj < best_obj:
+                best_x, best_obj = x, obj
     if best_x is None:
         return SolveResult("infeasible", np.inf, np.inf, None, 2 ** k, instance)
     result = SolveResult("optimal", best_obj, best_obj, best_x, 2 ** k, instance)

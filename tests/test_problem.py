@@ -519,12 +519,17 @@ def reference_recover_service_split(result):
 
 
 def reference_polish(instance, x):
-    """Lift epigraph variables to their pointwise maxima and re-price.
-
-    Makes an integral relaxation point exactly feasible for the quadratic rows
-    (cuts only enforce them to tolerance); can only increase the objective.
-    """
+    """Round the binaries, zero the flows of the side each mode flag closes,
+    lift epigraph variables to their pointwise maxima and re-price."""
     x = x.copy()
+    for col in instance.binary_cols:
+        x[col] = round(x[col])
+    for tau in range(instance.horizon):
+        for i in range(instance.n_ess):
+            closed = (("pd", "pfrd") if x[instance.col("vc", i, tau)] == 1.0
+                      else ("pc", "prec", "pfrc"))
+            for var in closed:
+                x[instance.col(var, i, tau)] = 0.0
     for tau in range(instance.horizon):
         for i, spec in enumerate(instance.specs):
             zeta = instance.col("zeta", i, tau)

@@ -8,11 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
 from essdispatch.domain import SlotExogenous, SocState
-from essdispatch.problem import LinRow, LinRows, build_problem, check_solution
+from essdispatch.fixture import generate_series, write_default_config
+from essdispatch.iofiles import load_config
+from essdispatch.problem import (LinRow, LinRows, SolveResult, build_problem,
+                                 check_solution, recover_service_split)
+from essdispatch import rolling
 from essdispatch import solver as solver_module
 from essdispatch.solver import (CutPool, SolverConfig, SolverError,
                                 brute_force_oracle, solve, solve_lp,
@@ -274,6 +278,24 @@ class _Undecided:
         return self._highs.getModelStatus()
 
 
+class _WarningInfo:
+    """HiGHS model proxy whose first `reads` iteration counts come with a
+    warning status and a garbage value, as after an undecided run."""
+
+    def __init__(self, highs, reads):
+        self._highs = highs
+        self.reads = reads
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getInfoValue(self, name):
+        if self.reads:
+            self.reads -= 1
+            return HighsStatus.kWarning, -565_057_360
+        return self._highs.getInfoValue(name)
+
+
 class TestPersistentLp:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_cold_linprog_through_fixings_and_cuts(self, market, seed):
@@ -307,6 +329,8 @@ class TestPersistentLp:
         rng = np.random.default_rng(5)
         inst = rand_instance(rng, n_ess=2, market=market)
         reference = solve(inst)
+        # no spare model, so the pool constructs the proxy
+        monkeypatch.setattr(solver_module, "_spare", [])
         monkeypatch.setattr(solver_module, "_Highs",
                             lambda: _Undecided(_Highs(), 1))
         res = solve(inst)
@@ -322,6 +346,23 @@ class TestPersistentLp:
         with pytest.raises(SolverError, match="LP subsolver failed"):
             pool.solve(inst.lb, inst.ub)
         assert pool.lp_restarts == 1
+
+    def test_iterations_counted_only_with_ok_info(self, market):
+        rng = np.random.default_rng(7)
+        inst = rand_instance(rng, n_ess=2, market=market)
+        plain, proxied = CutPool(inst), CutPool(inst)
+        proxied._highs = _WarningInfo(proxied._highs, 1)
+        fixed_lb, fixed_ub = inst.lb.copy(), inst.ub.copy()
+        fixed_lb[inst.binary_cols[0]] = fixed_ub[inst.binary_cols[0]] = 1.0
+        for pool in (plain, proxied):
+            pool.solve(inst.lb, inst.ub)
+        first = plain.lp_iters
+        assert first > 0 and proxied.lp_iters == 0
+        for pool in (plain, proxied):
+            pool.solve(fixed_lb, fixed_ub)
+        assert plain.lp_iters > first
+        assert proxied.lp_iters == plain.lp_iters - first
+        assert proxied.lp_calls == plain.lp_calls == 2
 
     def test_missing_highs_class_names_scipy_requirement(self):
         # a scipy without the bundled HiGHS class must fail at import with the
@@ -343,6 +384,104 @@ class TestPersistentLp:
         assert res.lp_calls >= res.node_count
         assert res.lp_iters > 0
         assert res.lp_restarts == 0
+
+
+class _NoSpare(list):
+    """A spare-model list that keeps nothing, so every pool gets a new model."""
+
+    def append(self, highs):
+        pass
+
+
+def week_windows(tmp_path, monkeypatch, horizon, slots=36):
+    """The windows of a rolling run over the first slots of the bundled week."""
+    write_default_config(tmp_path / "config.ini")
+    specs, market, config, forecast, _ = load_config(tmp_path / "config.ini")
+    windows = []
+
+    def record(*args):
+        windows.append(build_problem(*args))
+        return windows[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rolling, "build_problem", record)
+        rolling.run_simulation(generate_series()[:slots], specs, market, horizon,
+                               forecast, config)
+    return windows, config
+
+
+class TestRecycledModel:
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_recycled_model_matches_fresh(self, tmp_path, monkeypatch, horizon):
+        # every window solved in a model that held the previous window gives
+        # the same runs, byte for byte, as in a newly constructed model
+        windows, config = week_windows(tmp_path, monkeypatch, horizon)
+
+        def outcomes(spare):
+            monkeypatch.setattr(solver_module, "_spare", spare)
+            return [(r.status, r.node_count, r.lp_calls, r.lp_iters,
+                     r.lp_restarts, r.objective, r.bound, r.x.tobytes())
+                    for r in (solve(inst, config) for inst in windows)]
+
+        spare = []
+        recycled = outcomes(spare)
+        assert len(spare) == 1  # one model served every window
+        fresh = outcomes(_NoSpare())
+        assert recycled == fresh
+        assert sum(r[1] for r in recycled) > len(windows)  # some branching
+
+    def test_only_closed_pools_share_their_model(self, market, monkeypatch):
+        monkeypatch.setattr(solver_module, "_spare", [])
+        rng = np.random.default_rng(8)
+        a, b = (rand_instance(rng, market=market) for _ in range(2))
+        open_pool = CutPool(a)
+        with CutPool(b) as closed:
+            closed_model = closed._highs
+            assert closed_model is not open_pool._highs
+        assert closed._highs is None
+        # the next pool loads into the closed pool's model, which kept its
+        # options and lost the previous window
+        with CutPool(a) as pool:
+            assert pool._highs is closed_model
+            assert pool._highs.getOptionValue("presolve")[1] == "off"
+            assert pool._highs.getLp().num_row_ == open_pool._highs.getLp().num_row_
+            assert (pool.solve(a.lb, a.ub).objective
+                    == open_pool.solve(a.lb, a.ub).objective)
+        assert open_pool._highs is not closed_model
+
+
+class TestPolish:
+    def test_closed_side_zeroed_exactly(self, specs, market):
+        # LP-tolerance flows on the side a mode flag closes, as the optimum
+        # of a bundled-week window had: vc = 0 with pc = 1.04e-7 kW
+        rng = np.random.default_rng(9)
+        inst = build_problem(0, [rand_slot(rng) for _ in range(2)],
+                             SocState((0.5, 0.5)), specs, market)
+        c = inst.cols
+        x = np.zeros(inst.n_cols)
+        x[c["vc"][0, 0]], x[c["pc"][0, 0]], x[c["pd"][0, 0]] = 0.0, 1e-7, 30.0
+        x[c["prec"][0, 0]] = x[c["pfrc"][0, 0]] = 4e-8
+        x[c["vc"][1, 0]], x[c["pc"][1, 0]], x[c["pd"][1, 0]] = 1.0 - 1e-9, 50.0, 1e-7
+        x[c["pfrd"][1, 0]] = 1e-7
+        x[c["vc"][0, 1]], x[c["vfr"][1]] = 1e-9, 1.0 - 1e-9
+        polished, obj = solver_module._polish(inst, x)
+        assert polished[inst.binary_cols].tolist() == np.round(x[inst.binary_cols]).tolist()
+        for var, i, want in (("pc", 0, 0.0), ("prec", 0, 0.0), ("pfrc", 0, 0.0),
+                             ("pd", 0, 30.0), ("pc", 1, 50.0), ("pd", 1, 0.0),
+                             ("pfrd", 1, 0.0)):
+            assert polished[c[var][i, 0]] == want
+        assert obj == float(inst.objective @ polished)
+        for i, spec in enumerate(specs):
+            zeta = polished[c["zeta"][i, 0]]
+            assert zeta == segment_max(spec, polished[c["pc"][i, 0]],
+                                       polished[c["pd"][i, 0]])
+        # the decoded decisions meet the mode links with no tolerance
+        d = recover_service_split(SolveResult("optimal", obj, obj, polished, 1, inst))[0]
+        for i, spec in enumerate(specs):
+            assert d.charge_total[i] <= spec.charge_rate_max * d.mode_flag[i]
+            assert d.discharge_total[i] <= ((1 - d.mode_flag[i])
+                                            * spec.discharge_rate_max)
+        assert d.mode_flag == (0, 1) and d.charge_total == (0.0, 50.0)
 
 
 def scalar_fractional(x, binary_cols, tol):
@@ -452,6 +591,7 @@ class ScalarPool:
         self.cols = np.arange(n, dtype=np.int32)
         self.highs = RecordingHighs()
         self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("presolve", "off")
         self.highs.addVars(n, inst.lb, inst.ub)
         self.highs.changeColsCost(n, self.cols, inst.objective)
         self.rows = []
@@ -523,6 +663,7 @@ class TestArrayPool:
     def test_lp_matches_scalar_assembly(self, market, seed, monkeypatch):
         # HiGHS gets the same addRows batches, byte for byte, and holds the
         # same LP, right after construction and after each set of cut rounds
+        monkeypatch.setattr(solver_module, "_spare", [])
         monkeypatch.setattr(solver_module, "_Highs", RecordingHighs)
         rng = np.random.default_rng(310 + seed)
         inst = zero_coeff_instance(rng, 1 + seed % 2, 1 + seed % 3, market)
