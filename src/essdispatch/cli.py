@@ -122,6 +122,11 @@ def main(argv=None) -> int:
         if not run.series_path:
             ap.error("no time series: pass --series or set series_path in [run]")
         series = load_timeseries_csv(run.series_path, market.sale_price_ratio)
+        key, longest = (("horizon_grid", max(run.horizon_grid))
+                        if run.experiment == "horizon-sweep" else ("horizon", run.horizon))
+        if len(series) < longest:
+            raise DataError(f"[run] {key} {longest} longer than the {len(series)} "
+                            f"slots of {run.series_path}")
         out = run_experiment(series, specs, market, solver, forecast, run)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

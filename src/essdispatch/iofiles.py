@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -53,6 +54,11 @@ class RunConfig:
         if min((self.horizon, *self.horizon_grid)) < 1:
             raise DataError(f"horizon {self.horizon} and horizon_grid "
                             f"{self.horizon_grid} must be >= 1")
+        if not all(math.isfinite(a) and a >= 0 for a in self.alpha_grid):
+            raise DataError(f"alpha_grid {self.alpha_grid} entries must be "
+                            "finite and >= 0")
+        if min(self.seeds, default=0) < 0:
+            raise DataError(f"seeds {self.seeds} must be >= 0")
 
 
 def load_timeseries_csv(path: str | Path,

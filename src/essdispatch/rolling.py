@@ -102,8 +102,8 @@ def perturb_forecast(true_series: Sequence[SlotExogenous], t: int, h: int,
     return replace(truth, **updates)
 
 
-def signal_ranges(true_series: Sequence[SlotExogenous],
-                  model: ForecastModel) -> dict[str, tuple[float, float]]:
+def signal_ranges(true_series: Sequence[SlotExogenous]
+                  ) -> dict[str, tuple[float, float]]:
     return {name: (min(getattr(s, name) for s in true_series),
                    max(getattr(s, name) for s in true_series))
             for name in FORECAST_SIGNALS}
@@ -197,7 +197,7 @@ def run_simulation(true_series: Sequence[SlotExogenous],
             if isinstance(initial_soc, (int, float)) else tuple(initial_soc))
     soc = SocState(init)
     rng = np.random.default_rng(forecast.seed) if forecast is not None else None
-    ranges = signal_ranges(true_series, forecast) if forecast is not None else None
+    ranges = signal_ranges(true_series) if forecast is not None else None
 
     ledger: list[LedgerEntry] = []
     node_counts: list[int] = []

@@ -14,7 +14,11 @@ Presolve is off: a window's LP is a few dozen to a few hundred rows that
 presolve cannot shrink, and warm runs skip it anyway.  A closed pool hands its
 model back, cleared but with its options, and the next window loads into it
 instead of constructing a new one; a cleared model gives the same runs as a
-fresh one with the same options.
+fresh one with the same options.  This CutPool is the only LP path: solve,
+solve_relaxation and brute_force_oracle all run their LPs in one.
+
+The integrality and cut tolerances and the cut-round limit are fixed module
+constants; SolverConfig carries the gap tolerance and the node limit.
 """
 
 from __future__ import annotations
@@ -22,12 +26,9 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 try:
     from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
@@ -37,22 +38,25 @@ except ImportError as exc:
         "scipy.optimize._highspy._core._Highs bundled with scipy") from exc
 
 from . import aging
-from .problem import (LinRow, LinRows, ProblemInstance, QuadRow, SolveResult,
-                      WindowTemplate, recover_service_split)
+from .problem import (LinRows, ProblemInstance, SolveResult, WindowTemplate,
+                      recover_service_split)
+
+# A binary column is integral within INT_TOL.
+INT_TOL = 1e-6
+# A quad row is violated beyond CUT_TOL times the scale of its tangent cut.
+CUT_TOL = 1e-7
+# Cut rounds one relaxation may take before it raises SolverError.
+CUT_ROUND_LIMIT = 300
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    int_tol: float = 1e-6
     gap_tol: float = 1e-6
-    cut_tol: float = 1e-7
     node_limit: int = 100000
-    cut_round_limit: int = 300
 
     def __post_init__(self):
-        for name in ("int_tol", "gap_tol", "cut_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.gap_tol <= 0:
+            raise ValueError("gap_tol must be > 0")
 
 
 @dataclass
@@ -78,69 +82,6 @@ def _scaled_csr(rows: LinRows):
     np.cumsum(keep, out=kept[1:])
     return (kept[rows.ptr[:-1]], rows.index[keep],
             value[keep] / scale[rows.row_of[keep]], rows.rhs / scale)
-
-
-def solve_lp(rows: list[LinRow], lb: np.ndarray, ub: np.ndarray,
-             objective: np.ndarray) -> LpSolution:
-    """Solve min c.x over scaled rows plus bounds with one cold linprog call.
-
-    Proven-optimal or certified infeasible/unbounded; the independent reference
-    for the persistent model behind CutPool.solve.
-    """
-    objective = np.asarray(objective, dtype=float)
-    a = b = None
-    if rows:
-        starts, index, value, b = _scaled_csr(LinRows.of(rows))
-        a = csr_array((value, index, np.append(starts, len(index))),
-                      shape=(len(rows), len(objective)))
-    res = linprog(objective, A_ub=a, b_ub=b,
-                  bounds=np.column_stack([np.asarray(lb, dtype=float),
-                                          np.asarray(ub, dtype=float)]),
-                  method="highs")
-    if res.status == 0:
-        return LpSolution("optimal", np.asarray(res.x), float(res.fun))
-    if res.status == 2:
-        return LpSolution("infeasible", None, np.inf)
-    if res.status == 3:
-        return LpSolution("unbounded", None, -np.inf)
-    raise SolverError(f"LP subsolver failed: {res.message}")
-
-
-class CutRows(Sequence):
-    """A pool's tangent cuts, seed tangents first, as LinRow objects.
-
-    The pool logs each batch as arrays; rows are built only when read, so
-    taking the length costs nothing.
-    """
-
-    def __init__(self, quad_rows: list[QuadRow]):
-        self._quad_rows = quad_rows
-        self._batches: list[tuple[np.ndarray, ...]] = []
-        self._len = 0
-
-    def log(self, q: np.ndarray, grad: np.ndarray, rhs: np.ndarray) -> None:
-        """Record cuts of quad rows q: unscaled (pc, pd) coefficients, one
-        column per cut, and right-hand sides; zeta's coefficient is -1."""
-        self._batches.append((q, grad, rhs))
-        self._len += len(q)
-
-    def _build(self) -> list[LinRow]:
-        rows = []
-        for q, grad, rhs in self._batches:
-            for k, c, d, r in zip(q, *grad, rhs):
-                qr = self._quad_rows[k]
-                rows.append(LinRow({qr.pc: c, qr.pd: d, qr.zeta: -1.0}, r,
-                                   f"cut[{qr.row.ess},{qr.row.slot},{qr.row.segment}]"))
-        return rows
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        return self._build()[i]
-
-    def __iter__(self):
-        return iter(self._build())
 
 
 def _tangent_terms(coef: np.ndarray, p: np.ndarray):
@@ -181,17 +122,15 @@ def _tangent_rows(qcols: np.ndarray, q: np.ndarray, grad: np.ndarray,
 def _seed_tangents(template: WindowTemplate):
     """The seed cuts of every window of a template: tangents of each quad
     row at 9 points along its rate-box diagonal; the adaptive loop refines
-    wherever these are loose.  Returns the CSR rows and the CutRows log
-    entry, all read-only."""
+    wherever these are loose.  Returns their CSR rows, read-only."""
     t = np.linspace(0.0, 1.0, 9)
     q = np.repeat(np.arange(len(template.quad_rows)), len(t))
     p = (template.rate_max[:, :, None] * t).reshape(2, -1)
     grad, scale, f2 = _tangent_terms(np.take(template.qcoef, q, axis=2), p)
-    rhs = f2[0] + f2[1]
-    csr = _tangent_rows(template.qcols, q, grad, scale, rhs)
-    for a in (*csr, q, grad, rhs):
+    csr = _tangent_rows(template.qcols, q, grad, scale, f2[0] + f2[1])
+    for a in csr:
         a.flags.writeable = False
-    return csr, (q, grad, rhs)
+    return csr
 
 
 # Models of closed pools, cleared, for the next pools to load into.
@@ -215,9 +154,10 @@ class CutPool:
 
     Each solve changes only column bounds and re-runs the dual simplex from
     the previous optimal basis; presolve is off, so the window's first run
-    is a plain cold simplex as well.  rows lists the cuts (seed tangents
-    first); lp_calls, lp_iters and lp_restarts count simplex runs, simplex
-    iterations and cold restarts.
+    is a plain cold simplex as well.  cut adds tangent cuts, and rows numbers
+    them (seed tangents first): they are the model's last len(rows) rows,
+    and rows keeps its length once the pool is closed.  lp_calls, lp_iters
+    and lp_restarts count simplex runs, simplex iterations and cold restarts.
 
     The model is a closed pool's, recycled, or a new one.  Used as a context
     manager, the pool hands its model back on exit and can solve no more; a
@@ -237,11 +177,9 @@ class CutPool:
         if instance.rows:
             self._add_rows(*_scaled_csr(instance.rows))
         self._tpl = instance.template
-        self.rows = CutRows(instance.quad_rows)
+        self.rows = range(0)
         if instance.quad_rows:
-            seeds, log = _seed_tangents(self._tpl)
-            self._add_rows(*seeds)
-            self.rows.log(*log)
+            self._add_cuts(*_seed_tangents(self._tpl))
 
     def __enter__(self) -> CutPool:
         return self
@@ -255,18 +193,9 @@ class CutPool:
         self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
                             len(index), starts, index, value)
 
-    def _append(self, q, grad, scale, rhs) -> None:
-        self._add_rows(*_tangent_rows(self._tpl.qcols, q, grad, scale, rhs))
-        self.rows.log(q, grad, rhs)
-
-    def add_tangents(self, q: np.ndarray, x: np.ndarray) -> None:
-        """Append, as one batch, the tangent of quad row q[k]'s
-        f(pc, pd) - zeta <= 0 at (pc, pd) = x[:, k]; valid for every feasible
-        point because tangents under-approximate a convex function."""
-        if not len(q):
-            return
-        grad, scale, f2 = _tangent_terms(np.take(self._tpl.qcoef, q, axis=2), x)
-        self._append(q, grad, scale, f2[0] + f2[1])
+    def _add_cuts(self, starts, index, value, rhs) -> None:
+        self._add_rows(starts, index, value, rhs)
+        self.rows = range(len(self.rows) + len(rhs))
 
     def _violations(self, x: np.ndarray, cut_tol: float):
         """Violated quad rows at x, with every row's tangent terms there."""
@@ -281,22 +210,22 @@ class CutPool:
         f -= at[2]
         return np.flatnonzero(f > cut_tol * scale), grad, scale, f2
 
-    def violated(self, x: np.ndarray, cut_tol: float) -> np.ndarray:
-        """Indices of the quad rows that x violates by more than cut_tol times
-        the coefficient scale of their tangent cut at x.
+    def cut(self, x: np.ndarray, cut_tol: float) -> bool:
+        """Add, as one batch, the tangent at x of every quad row that x
+        violates by more than cut_tol times the coefficient scale of that
+        tangent; False if none is.
 
         The LP enforces normalized rows to its own feasibility tolerance, so
         the epigraph violation is only resolvable down to that scale; an
-        absolute threshold below it would never converge.
+        absolute threshold below it would never converge.  A tangent
+        under-approximates a convex function, so every cut is valid for every
+        feasible point.
         """
-        return self._violations(x, cut_tol)[0]
-
-    def cut(self, x: np.ndarray, cut_tol: float) -> bool:
-        """Add the tangent at x of every violated quad row; False if none is."""
         hit, grad, scale, f2 = self._violations(x, cut_tol)
         if hit.size:
-            self._append(hit, np.take(grad, hit, axis=1), np.take(scale, hit),
-                         np.take(f2[0] + f2[1], hit))
+            self._add_cuts(*_tangent_rows(
+                self._tpl.qcols, hit, np.take(grad, hit, axis=1),
+                np.take(scale, hit), np.take(f2[0] + f2[1], hit)))
         return bool(hit.size)
 
     def _run(self):
@@ -340,7 +269,6 @@ def _fixed_bounds(instance: ProblemInstance,
 
 def solve_relaxation(instance: ProblemInstance,
                      fixed_binaries: dict[int, int] | None = None,
-                     config: SolverConfig = SolverConfig(),
                      cut_pool: CutPool | None = None) -> LpSolution:
     """Continuous relaxation with outer approximation of the epigraph rows.
 
@@ -350,16 +278,16 @@ def solve_relaxation(instance: ProblemInstance,
     """
     if cut_pool is None:
         with CutPool(instance) as pool:
-            return solve_relaxation(instance, fixed_binaries, config, pool)
+            return solve_relaxation(instance, fixed_binaries, pool)
     lb, ub = _fixed_bounds(instance, fixed_binaries)
-    for _ in range(config.cut_round_limit):
+    for _ in range(CUT_ROUND_LIMIT):
         sol = cut_pool.solve(lb, ub)
         if sol.status != "optimal":
             return sol
-        if not cut_pool.cut(sol.x, config.cut_tol):
+        if not cut_pool.cut(sol.x, CUT_TOL):
             return sol
-    raise SolverError(f"cut rounds exceeded {config.cut_round_limit} "
-                      "(check cut_tol vs. LP tolerance)")
+    raise SolverError(f"cut rounds exceeded {CUT_ROUND_LIMIT} "
+                      "(check CUT_TOL vs. LP tolerance)")
 
 
 def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -439,20 +367,20 @@ def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
         if obj < incumbent_obj:
             incumbent_x, incumbent_obj = polished, obj
 
-    root = solve_relaxation(instance, None, config, cut_pool)
+    root = solve_relaxation(instance, None, cut_pool)
     nodes = 1
     if root.status != "optimal":
         return finish("infeasible", np.inf, np.inf, None)
     relaxation_floor = np.inf  # tightest bound among fathomed integral nodes
     heap: list[tuple[float, int, dict[int, int]]] = []
-    if _fractional(root.x, instance.binary_cols, config.int_tol) is None:
+    if _fractional(root.x, instance.binary_cols, INT_TOL) is None:
         register(root.x)
         relaxation_floor = root.objective
     else:
         # Dive heuristic: fix all binaries to their rounded relaxation values;
         # a feasible result seeds the incumbent and enables early pruning.
         rounded = {col: int(round(root.x[col])) for col in instance.binary_cols}
-        dive = solve_relaxation(instance, rounded, config, cut_pool)
+        dive = solve_relaxation(instance, rounded, cut_pool)
         if dive.status == "optimal":
             register(dive.x)
         heap = [(root.objective, next(counter), {})]
@@ -472,13 +400,13 @@ def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
             continue  # infeasible node
         if incumbent_x is not None and gap_ok(sol.objective):
             continue
-        branch_col = _fractional(sol.x, instance.binary_cols, config.int_tol)
+        branch_col = _fractional(sol.x, instance.binary_cols, INT_TOL)
         if branch_col is None:
             # Converge the epigraph cuts before trusting the point.
-            sol = solve_relaxation(instance, fixed, config, cut_pool)
+            sol = solve_relaxation(instance, fixed, cut_pool)
             if sol.status != "optimal":
                 continue
-            branch_col = _fractional(sol.x, instance.binary_cols, config.int_tol)
+            branch_col = _fractional(sol.x, instance.binary_cols, INT_TOL)
             if branch_col is None:
                 register(sol.x)
                 relaxation_floor = min(relaxation_floor, sol.objective)
@@ -502,7 +430,6 @@ def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
 
 
 def brute_force_oracle(instance: ProblemInstance,
-                       config: SolverConfig = SolverConfig(),
                        max_binaries: int = 20) -> SolveResult:
     """Exhaustive 0/1 enumeration over the binaries; exact up to LP tolerance."""
     k = len(instance.binary_cols)
@@ -513,7 +440,7 @@ def brute_force_oracle(instance: ProblemInstance,
     with CutPool(instance) as cut_pool:
         for bits in itertools.product((0, 1), repeat=k):
             fixed = dict(zip(instance.binary_cols, bits))
-            sol = solve_relaxation(instance, fixed, config, cut_pool)
+            sol = solve_relaxation(instance, fixed, cut_pool)
             if sol.status != "optimal":
                 continue
             x, obj = _polish(instance, sol.x)

@@ -79,6 +79,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("line,experiment,key", [
+        ("alpha_grid = -50, 100", "alpha-sweep", "alpha_grid"),
+        ("alpha_grid = nan", "alpha-sweep", "alpha_grid"),
+        ("seeds = -1", "forecast-study", "seeds")])
+    def test_bad_grid_exit_code(self, workdir, capsys, line, experiment, key):
+        config = workdir / "config.ini"
+        config.write_text(config.read_text() + line + "\n")
+        out = workdir / "out"
+        assert run_cli(workdir, "--experiment", experiment, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"[run] {key} " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("slots,experiment,key", [
+        (2, "single", "horizon"), (2, "alpha-sweep", "horizon"),
+        (2, "forecast-study", "horizon"), (5, "horizon-sweep", "horizon_grid")])
+    def test_series_shorter_than_horizon_exit_code(self, workdir, capsys, slots,
+                                                  experiment, key):
+        # horizon = 4 in the config; the horizon sweep's longest is 6
+        write_timeseries_csv(workdir / "series.csv", generate_series(slots))
+        out = workdir / "out"
+        assert run_cli(workdir, "--experiment", experiment, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"[run] {key} " in err
+        assert f"the {slots} slots of" in err
+        assert not out.exists()
+
     def test_bad_series_exit_code(self, workdir, capsys):
         (workdir / "series.csv").write_text("slot,demand_kw\n0,1\n")
         assert run_cli(workdir) == 2

@@ -210,6 +210,29 @@ class TestLoadConfig:
         with pytest.raises(DataError, match=message):
             load_config(config_path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("alpha_grid", "-50, 100", "alpha_grid .* finite and >= 0"),
+        ("alpha_grid", "nan", "alpha_grid .* finite and >= 0"),
+        ("alpha_grid", "100, inf", "alpha_grid .* finite and >= 0"),
+        ("seeds", "-1", r"seeds \(-1,\) must be >= 0"),
+        ("seeds", "3, -2", "seeds .* must be >= 0")])
+    def test_bad_grid_entry_rejected(self, config_path, key, value, message):
+        set_key(config_path, "run", key, value)
+        with pytest.raises(DataError, match=rf"\[run\] {message}"):
+            load_config(config_path)
+
+    def test_zero_alpha_and_seed_accepted(self):
+        run = RunConfig(alpha_grid=(0.0, 50.0), seeds=(0, 1))
+        assert run.alpha_grid == (0.0, 50.0) and run.seeds == (0, 1)
+
+    @pytest.mark.parametrize("key,value", [("int_tol", "1e-6"), ("cut_tol", "1e-7"),
+                                           ("cut_round_limit", "300")])
+    def test_fixed_solver_tolerances_are_not_keys(self, config_path, key, value):
+        set_key(config_path, "solver", key, value)
+        assert load_config(config_path)[2] == SolverConfig(gap_tol=1e-6)
+        with pytest.raises(DataError, match=rf"unknown keys \['{key}'\] in \[solver\]"):
+            load_config(config_path, strict=True)
+
     def test_out_of_range_solver_value_is_a_data_error(self, config_path):
         set_key(config_path, "solver", "gap_tol", "0")
         with pytest.raises(DataError, match=r"\[solver\] gap_tol must be > 0"):

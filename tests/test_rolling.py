@@ -48,7 +48,7 @@ class TestPerturbForecast:
         series = self.series()
         model = ForecastModel()
         rng = np.random.default_rng(0)
-        ranges = signal_ranges(series, model)
+        ranges = signal_ranges(series)
         h = 3
         emax = model.error_schedule(h) * 40.0  # demand step is 40
         errors = np.array([
@@ -65,7 +65,7 @@ class TestPerturbForecast:
         series = self.series()
         model = ForecastModel(kappa_step=10.0, kappa_cap=10.0)
         rng = np.random.default_rng(1)
-        ranges = signal_ranges(series, model)
+        ranges = signal_ranges(series)
         lo, hi = ranges["demand"]
         for _ in range(2000):
             f = perturb_forecast(series, 0, 2, model, rng, ranges)
@@ -74,7 +74,7 @@ class TestPerturbForecast:
     def test_zero_schedule_exact(self):
         series = self.series()
         rng = np.random.default_rng(2)
-        ranges = signal_ranges(series, PERFECT_FORECAST)
+        ranges = signal_ranges(series)
         f = perturb_forecast(series, 1, 2, PERFECT_FORECAST, rng, ranges)
         assert f == series[3]
 
@@ -82,7 +82,7 @@ class TestPerturbForecast:
         series = self.series()
         model = ForecastModel(kappa_step=0.5, kappa_cap=0.5)
         rng = np.random.default_rng(3)
-        f = perturb_forecast(series, 0, 1, model, rng, signal_ranges(series, model))
+        f = perturb_forecast(series, 0, 1, model, rng, signal_ranges(series))
         truth = series[1]
         assert f.price_purchase == truth.price_purchase
         assert f.price_sale == truth.price_sale
@@ -94,7 +94,7 @@ class TestPerturbForecast:
         series = self.series()
         model = ForecastModel()
         rng = np.random.default_rng(4)
-        ranges = signal_ranges(series, model)
+        ranges = signal_ranges(series)
         with pytest.raises(IndexError):
             perturb_forecast(series, 0, 0, model, rng, ranges)
         with pytest.raises(IndexError):

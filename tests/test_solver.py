@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus,
+                                           MatrixFormat, _Highs)
+from scipy.sparse import csc_array, csr_array
 
 from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
 from essdispatch.domain import SlotExogenous, SocState
@@ -18,11 +20,50 @@ from essdispatch.problem import (LinRow, LinRows, SolveResult, build_problem,
                                  check_solution, recover_service_split)
 from essdispatch import rolling
 from essdispatch import solver as solver_module
-from essdispatch.solver import (CutPool, SolverConfig, SolverError,
-                                brute_force_oracle, solve, solve_lp,
-                                solve_relaxation)
+from essdispatch.solver import (CUT_TOL, INT_TOL, CutPool, LpSolution,
+                                SolverConfig, SolverError, brute_force_oracle,
+                                solve, solve_relaxation)
 
 from conftest import make_spec
+
+
+def cold_lp(a, b, lb, ub, objective) -> LpSolution:
+    """min c.x subject to a @ x <= b and the bounds, with one cold linprog
+    call: the independent reference for the persistent model behind
+    CutPool.solve.  Proven-optimal or certified infeasible/unbounded."""
+    res = linprog(np.asarray(objective, dtype=float), A_ub=a, b_ub=b,
+                  bounds=np.column_stack([np.asarray(lb, dtype=float),
+                                          np.asarray(ub, dtype=float)]),
+                  method="highs")
+    if res.status == 0:
+        return LpSolution("optimal", np.asarray(res.x), float(res.fun))
+    if res.status == 2:
+        return LpSolution("infeasible", None, np.inf)
+    if res.status == 3:
+        return LpSolution("unbounded", None, -np.inf)
+    raise SolverError(f"LP subsolver failed: {res.message}")
+
+
+def solve_lp(rows, lb, ub, objective) -> LpSolution:
+    """cold_lp over LinRow rows, each scaled as CutPool scales its base rows."""
+    a = b = None
+    if rows:
+        starts, index, value, b = solver_module._scaled_csr(LinRows.of(rows))
+        a = csr_array((value, index, np.append(starts, len(index))),
+                      shape=(len(rows), len(objective)))
+    return cold_lp(a, b, lb, ub, objective)
+
+
+def held_rows(highs):
+    """The rows a HiGHS model holds, all of the form a @ x <= b: the sparse
+    matrix a, in the model's own orientation, and b."""
+    lp = highs.getLp()
+    assert np.isneginf(lp.row_lower_).all()
+    m = lp.a_matrix_
+    kind = csr_array if m.format_ == MatrixFormat.kRowwise else csc_array
+    a = kind((np.asarray(m.value_), np.asarray(m.index_), np.asarray(m.start_)),
+             shape=(lp.num_row_, lp.num_col_))
+    return a, np.asarray(lp.row_upper_)
 
 
 def vertex_oracle(rows, ub, objective):
@@ -212,7 +253,7 @@ class TestSolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(int_tol=0.0)
+            SolverConfig(gap_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(gap_tol=-1e-9)
 
@@ -224,8 +265,15 @@ class TestCuts:
         inst = build_problem(0, [rand_slot(np.random.default_rng(7))],
                              SocState((0.5,)), [spec1], market)
         pool = CutPool(inst)
-        solve_relaxation(inst, None, SolverConfig(), pool)
+        solve_relaxation(inst, None, pool)
         assert len(pool.rows) > len(inst.quad_rows) * 3 - 1  # seeds plus extras
+        # the cuts are the model's last rows; undo each row's scaling, which
+        # divided zeta's coefficient -1 by the cut scale
+        a, b = held_rows(pool._highs)
+        cuts = a.toarray()[-len(pool.rows):]
+        scale = -1.0 / cuts[:, inst.col("zeta", 0, 0)]
+        cuts *= scale[:, None]
+        rhs = b[-len(pool.rows):] * scale
         rng = np.random.default_rng(8)
         x = np.zeros(inst.n_cols)
         for _ in range(300):
@@ -234,8 +282,7 @@ class TestCuts:
             x[inst.col("pc", 0, 0)] = pc
             x[inst.col("pd", 0, 0)] = pd
             x[inst.col("zeta", 0, 0)] = segment_max(spec1, pc, pd)
-            for row in pool.rows:
-                assert row.value(x) <= row.rhs + 1e-9
+            assert (cuts @ x <= rhs + 1e-9).all()
 
     def test_relaxation_enforces_epigraph_to_tolerance(self, spec1, market):
         inst = build_problem(0, [rand_slot(np.random.default_rng(9))],
@@ -246,9 +293,10 @@ class TestCuts:
         for q in inst.quad_rows:
             assert q.violation(sol.x) <= 1e-6
 
-    def test_cut_round_limit_raises(self, market):
+    def test_cut_round_limit_raises(self, market, monkeypatch):
         # steep wear curve with an interior discharge optimum: one round of
         # cuts cannot close the epigraph gap
+        monkeypatch.setattr(solver_module, "CUT_ROUND_LIMIT", 1)
         from essdispatch.aging import SegmentSet
         spec = make_spec(1, aging_segments=SegmentSet(((1e-3, 1e-4),)))
         s = SlotExogenous(demand=0.0, renewable=0.0, price_purchase=40.0,
@@ -257,8 +305,33 @@ class TestCuts:
                           price_reserve=0.0)
         inst = build_problem(0, [s], SocState((0.5,)), [spec], market)
         with pytest.raises(SolverError, match="cut rounds"):
-            solve_relaxation(inst, {c: 0 for c in inst.binary_cols},
-                             SolverConfig(cut_round_limit=1))
+            solve_relaxation(inst, {c: 0 for c in inst.binary_cols})
+
+
+class TestRowCount:
+    def test_rows_counts_the_cuts_the_model_holds(self, market):
+        # a benchmark tracer reads len(pool.rows) after construction and again
+        # after the solve has closed the pool, and takes the difference as the
+        # number of cuts added
+        inst = rand_instance(np.random.default_rng(11), n_ess=2, market=market)
+        with CutPool(inst) as pool:
+            seeds = len(pool.rows)
+            assert seeds == 9 * len(inst.quad_rows)
+            assert pool._highs.getLp().num_row_ == len(inst.rows) + seeds
+            rounds = []
+            while True:
+                x = pool.solve(inst.lb, inst.ub).x
+                hit = pool._violations(x, CUT_TOL)[0]
+                before = len(pool.rows)
+                assert pool.cut(x, CUT_TOL) == bool(hit.size)
+                assert len(pool.rows) == before + len(hit)
+                assert pool._highs.getLp().num_row_ == len(inst.rows) + len(pool.rows)
+                if not hit.size:
+                    break
+                rounds.append(len(hit))
+            assert rounds  # cut rounds ran
+        assert pool._highs is None
+        assert len(pool.rows) == seeds + sum(rounds)
 
 
 class _Undecided:
@@ -311,17 +384,23 @@ class TestPersistentLp:
                 if rng.uniform() < 0.5:
                     lb[col] = ub[col] = float(rng.integers(2))
             warm = pool.solve(lb, ub)
-            cold = solve_lp([*inst.rows, *pool.rows], lb, ub, inst.objective)
+            cold = cold_lp(*held_rows(pool._highs), lb, ub, inst.objective)
             assert warm.status == cold.status
             statuses.add(warm.status)
             if warm.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective,
                                                        rel=1e-9, abs=1e-9)
+            # a point where quad row k lies below its function, so cut adds
+            # its tangent there
             k = rng.integers(len(inst.quad_rows))
-            spec = next(s for s in inst.specs if s.id == inst.quad_rows[k].row.ess)
-            pool.add_tangents(np.array([k]),
-                              np.array([[rng.uniform(0, spec.charge_rate_max)],
-                                        [rng.uniform(0, spec.discharge_rate_max)]]))
+            q = inst.quad_rows[k]
+            spec = next(s for s in inst.specs if s.id == q.row.ess)
+            x = np.zeros(inst.n_cols)
+            x[q.pc] = rng.uniform(0, spec.charge_rate_max)
+            x[q.pd] = rng.uniform(0, spec.discharge_rate_max)
+            x[q.zeta] = q.row.value(x[q.pc], x[q.pd]) - 1.0
+            assert k in pool._violations(x, CUT_TOL)[0]
+            assert pool.cut(x, CUT_TOL)
         assert "optimal" in statuses
         assert pool.lp_calls == 15 and pool.lp_restarts == 0
 
@@ -497,7 +576,7 @@ def scalar_fractional(x, binary_cols, tol):
 
 class TestFractional:
     def test_prefilter_matches_scalar_rule(self):
-        tol = SolverConfig().int_tol
+        tol = INT_TOL
         threshold = tol + 1e-15
         below, above = np.nextafter(threshold, 0.0), np.nextafter(threshold, 1.0)
         cols = np.arange(1, 40, 2)
@@ -671,20 +750,18 @@ class TestArrayPool:
         assert any(0.0 in row.coeffs.values() for row in inst.rows)
         assert any(0.0 in row.coeffs.values() for row in ref.rows)
         assert len(pool.rows) == 9 * len(inst.quad_rows)
-        assert list(pool.rows) == ref.rows
         assert pool._highs.added == ref.highs.added
         assert lp_bytes(pool._highs) == lp_bytes(ref.highs)
-        config = SolverConfig()
         for _ in range(4):
             fixed = {col: int(rng.integers(2)) for col in inst.binary_cols
                      if rng.uniform() < 0.5}
-            sol = solve_relaxation(inst, fixed, config, pool)
+            sol = solve_relaxation(inst, fixed, pool)
             x = ref.relax(inst, *solver_module._fixed_bounds(inst, fixed),
-                          config.cut_tol)
+                          CUT_TOL)
             assert (sol.status == "optimal") == (x is not None)
             if x is not None:
                 assert sol.x.tobytes() == x.tobytes()
-            assert list(pool.rows) == ref.rows
+            assert len(pool.rows) == len(ref.rows)
             assert pool._highs.added == ref.highs.added
             assert lp_bytes(pool._highs) == lp_bytes(ref.highs)
         assert len(pool.rows) > 9 * len(inst.quad_rows)  # cut rounds ran
@@ -693,7 +770,7 @@ class TestArrayPool:
         rng = np.random.default_rng(400)
         inst = zero_coeff_instance(rng, 2, 3, market)
         pool = CutPool(inst)
-        tol = SolverConfig().cut_tol
+        tol = CUT_TOL
         # at the origin the violation is -zeta and every cut scale is 1, so
         # zeta = -tol sits exactly on the strict threshold
         everyone = list(range(len(inst.quad_rows)))
@@ -703,7 +780,7 @@ class TestArrayPool:
             assert all(scalar_cut_scale(q, x) == 1.0 for q in inst.quad_rows)
             assert [k for k, q in enumerate(inst.quad_rows)
                     if q.violation(x) > tol * scalar_cut_scale(q, x)] == want
-            assert pool.violated(x, tol).tolist() == want
+            assert pool._violations(x, tol)[0].tolist() == want
         sizes = set()
         for _ in range(200):
             x = rng.uniform(inst.lb, inst.ub)
@@ -715,6 +792,6 @@ class TestArrayPool:
                                  + rng.uniform(-2, 2) * tol * scalar_cut_scale(q, x))
             want = [k for k, q in enumerate(inst.quad_rows)
                     if q.violation(x) > tol * scalar_cut_scale(q, x)]
-            assert pool.violated(x, tol).tolist() == want
+            assert pool._violations(x, tol)[0].tolist() == want
             sizes.add(len(want))
         assert len(sizes) > 2
