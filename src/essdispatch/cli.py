@@ -14,8 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .iofiles import (DataError, RunConfig, emit_report, load_config,
-                      load_timeseries_csv, summary_dict, _fmt)
+from .iofiles import (EXPERIMENTS, DataError, RunConfig, emit_report,
+                      load_config, load_timeseries_csv, summary_dict, _fmt)
 from .rolling import ForecastModel, run_simulation
 from .solver import SolverConfig
 
@@ -25,18 +25,32 @@ def _simulate(series, specs, market, horizon, forecast, solver, run: RunConfig):
                           config=solver, initial_soc=run.initial_soc)
 
 
-def run_experiment(series, specs, market, solver: SolverConfig,
-                   forecast: ForecastModel, run: RunConfig) -> Path:
-    """Run the selected experiment and write its report files; returns out dir."""
+def _out_dir(series, run: RunConfig, key: str, horizons) -> Path:
+    """Create the output directory once the series covers every horizon."""
+    longest = max(horizons)
+    if len(series) < longest:
+        raise DataError(f"[run] {key} {longest} longer than the {len(series)} "
+                        f"slots of {run.series_path}")
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
 
+
+def run_experiment(series, specs, market, solver: SolverConfig,
+                   forecast: ForecastModel, run: RunConfig) -> Path:
+    """Run the selected experiment and write its report files; returns out dir.
+
+    A series shorter than a horizon the experiment runs raises DataError
+    before anything is written.
+    """
     if run.experiment == "single":
+        out = _out_dir(series, run, "horizon", [run.horizon])
         report = _simulate(series, specs, market, run.horizon, None, solver, run)
         emit_report(report, out)
         return out
 
     if run.experiment == "alpha-sweep":
+        out = _out_dir(series, run, "horizon", [run.horizon])
         rows = []
         for alpha in run.alpha_grid:
             scaled = [s.with_capital_cost(alpha) for s in specs]
@@ -52,6 +66,7 @@ def run_experiment(series, specs, market, solver: SolverConfig,
         return out
 
     if run.experiment == "horizon-sweep":
+        out = _out_dir(series, run, "horizon_grid", run.horizon_grid)
         rows = []
         for h in run.horizon_grid:
             report = _simulate(series, specs, market, h, None, solver, run)
@@ -64,32 +79,31 @@ def run_experiment(series, specs, market, solver: SolverConfig,
                 writer.writerow([h, _fmt(profit), _fmt(attr)])
         return out
 
-    if run.experiment == "forecast-study":
-        perfect = _simulate(series, specs, market, run.horizon, None, solver, run)
-        emit_report(perfect, out / "perfect")
-        rows = []
-        for seed in run.seeds:
-            model = dataclasses.replace(forecast, seed=seed)
-            report = _simulate(series, specs, market, run.horizon, model,
-                               solver, run)
-            emit_report(report, out / f"seed_{seed}")
-            rows.append((seed, report.net_profit,
-                         report.net_profit - perfect.net_profit))
-        with (out / "forecast_study.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "net_profit", "profit_difference"])
-            for seed, profit, diff in rows:
-                writer.writerow([seed, _fmt(profit), _fmt(diff)])
-        with (out / "forecast_summary.json").open("w") as fh:
-            diffs = [d for _, _, d in rows]
-            json.dump({"perfect_profit": float(_fmt(perfect.net_profit)),
-                       "mean_difference": float(_fmt(sum(diffs) / len(diffs))),
-                       "differences": [float(_fmt(d)) for d in diffs]},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return out
-
-    raise DataError(f"unknown experiment {run.experiment!r}")
+    # forecast-study: RunConfig admits no other experiment
+    out = _out_dir(series, run, "horizon", [run.horizon])
+    perfect = _simulate(series, specs, market, run.horizon, None, solver, run)
+    emit_report(perfect, out / "perfect")
+    rows = []
+    for seed in run.seeds:
+        model = dataclasses.replace(forecast, seed=seed)
+        report = _simulate(series, specs, market, run.horizon, model,
+                           solver, run)
+        emit_report(report, out / f"seed_{seed}")
+        rows.append((seed, report.net_profit,
+                     report.net_profit - perfect.net_profit))
+    with (out / "forecast_study.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["seed", "net_profit", "profit_difference"])
+        for seed, profit, diff in rows:
+            writer.writerow([seed, _fmt(profit), _fmt(diff)])
+    with (out / "forecast_summary.json").open("w") as fh:
+        diffs = [d for _, _, d in rows]
+        json.dump({"perfect_profit": float(_fmt(perfect.net_profit)),
+                   "mean_difference": float(_fmt(sum(diffs) / len(diffs))),
+                   "differences": [float(_fmt(d)) for d in diffs]},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return out
 
 
 def main(argv=None) -> int:
@@ -99,8 +113,7 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="sectioned config file")
     ap.add_argument("--series", help="time-series CSV (overrides config)")
     ap.add_argument("--experiment",
-                    choices=["single", "alpha-sweep", "horizon-sweep",
-                             "forecast-study"],
+                    choices=EXPERIMENTS,
                     help="experiment selector (overrides config)")
     ap.add_argument("--out", help="output directory (overrides config)")
     ap.add_argument("--strict", action="store_true",
@@ -122,11 +135,6 @@ def main(argv=None) -> int:
         if not run.series_path:
             ap.error("no time series: pass --series or set series_path in [run]")
         series = load_timeseries_csv(run.series_path, market.sale_price_ratio)
-        key, longest = (("horizon_grid", max(run.horizon_grid))
-                        if run.experiment == "horizon-sweep" else ("horizon", run.horizon))
-        if len(series) < longest:
-            raise DataError(f"[run] {key} {longest} longer than the {len(series)} "
-                            f"slots of {run.series_path}")
         out = run_experiment(series, specs, market, solver, forecast, run)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,9 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+EXPERIMENTS = ("single", "alpha-sweep", "horizon-sweep", "forecast-study")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     series_path: str = ""
@@ -46,6 +49,9 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise DataError(f"experiment {self.experiment!r} is not one of "
+                            f"{', '.join(EXPERIMENTS)}")
         grids = {"alpha-sweep": self.alpha_grid, "horizon-sweep": self.horizon_grid,
                  "forecast-study": self.seeds}
         grid = grids.get(self.experiment)

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from essdispatch.cli import main
+from essdispatch.cli import main, run_experiment
 from essdispatch.fixture import generate_series, write_default_config
-from essdispatch.iofiles import write_timeseries_csv
+from essdispatch.iofiles import DataError, load_config, write_timeseries_csv
 
 
 @pytest.fixture
@@ -104,6 +105,26 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"[run] {key} " in err
         assert f"the {slots} slots of" in err
+        assert not out.exists()
+
+    def test_library_run_checks_series_before_writing(self, workdir):
+        specs, market, solver, forecast, run = load_config(workdir / "config.ini")
+        out = workdir / "out"
+        run = replace(run, experiment="horizon-sweep", out_dir=str(out))
+        with pytest.raises(DataError, match=r"\[run\] horizon_grid 6 longer "
+                                            r"than the 5 slots"):
+            run_experiment(generate_series(5), specs, market, solver, forecast, run)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)])
+    def test_unknown_experiment_exit_code(self, workdir, capsys, strict):
+        config = workdir / "config.ini"
+        config.write_text(config.read_text().replace("experiment = single",
+                                                     "experiment = bogus"))
+        out = workdir / "out"
+        assert run_cli(workdir, "--out", str(out), *strict) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[run] experiment 'bogus'" in err
         assert not out.exists()
 
     def test_bad_series_exit_code(self, workdir, capsys):

@@ -168,6 +168,10 @@ class TestLoadConfig:
         with pytest.raises(DataError, match="empty grid"):
             RunConfig(experiment="alpha-sweep", alpha_grid=())
 
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(DataError, match="experiment 'bogus' is not one of"):
+            RunConfig(experiment="bogus")
+
     def test_absent_sections_take_record_defaults(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[ess.1]\nenergy_capacity = 480\ncharge_rate_max = 102\n"

@@ -321,9 +321,9 @@ class TestRowCount:
             rounds = []
             while True:
                 x = pool.solve(inst.lb, inst.ub).x
-                hit = pool._violations(x, CUT_TOL)[0]
+                hit = pool._violations(x)[0]
                 before = len(pool.rows)
-                assert pool.cut(x, CUT_TOL) == bool(hit.size)
+                assert pool.cut(x) == bool(hit.size)
                 assert len(pool.rows) == before + len(hit)
                 assert pool._highs.getLp().num_row_ == len(inst.rows) + len(pool.rows)
                 if not hit.size:
@@ -399,8 +399,8 @@ class TestPersistentLp:
             x[q.pc] = rng.uniform(0, spec.charge_rate_max)
             x[q.pd] = rng.uniform(0, spec.discharge_rate_max)
             x[q.zeta] = q.row.value(x[q.pc], x[q.pd]) - 1.0
-            assert k in pool._violations(x, CUT_TOL)[0]
-            assert pool.cut(x, CUT_TOL)
+            assert k in pool._violations(x)[0]
+            assert pool.cut(x)
         assert "optimal" in statuses
         assert pool.lp_calls == 15 and pool.lp_restarts == 0
 
@@ -780,7 +780,7 @@ class TestArrayPool:
             assert all(scalar_cut_scale(q, x) == 1.0 for q in inst.quad_rows)
             assert [k for k, q in enumerate(inst.quad_rows)
                     if q.violation(x) > tol * scalar_cut_scale(q, x)] == want
-            assert pool._violations(x, tol)[0].tolist() == want
+            assert pool._violations(x)[0].tolist() == want
         sizes = set()
         for _ in range(200):
             x = rng.uniform(inst.lb, inst.ub)
@@ -792,6 +792,6 @@ class TestArrayPool:
                                  + rng.uniform(-2, 2) * tol * scalar_cut_scale(q, x))
             want = [k for k, q in enumerate(inst.quad_rows)
                     if q.violation(x) > tol * scalar_cut_scale(q, x)]
-            assert pool._violations(x, tol)[0].tolist() == want
+            assert pool._violations(x)[0].tolist() == want
             sizes.add(len(want))
         assert len(sizes) > 2
