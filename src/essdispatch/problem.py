@@ -125,8 +125,9 @@ class WindowTemplate:
     two laid out as ptr, row_of, index and row_names say).  A window writes
     numbers[fill_dst] = w[fill_src], where w lists its own values in
     build_problem's order.  The quad-row arrays have one column per entry
-    of quad_rows: its (pc, pd, zeta) columns (qcols); twice the quadratic,
-    the linear and the quadratic
+    of quad_rows: its (pc, pd, zeta) columns (qcols); the column of the
+    charge-mode flag vc of its ESS and slot (qvc); twice the quadratic, the
+    linear and the quadratic
     coefficients of f, charge side first (qcoef[0], [1] and [2]); and the
     (charge, discharge) rate maxima of its ESS (rate_max).
     """
@@ -148,6 +149,7 @@ class WindowTemplate:
     fill_dst: np.ndarray
     fill_src: np.ndarray
     qcols: np.ndarray
+    qvc: np.ndarray
     qcoef: np.ndarray
     rate_max: np.ndarray
 
@@ -332,6 +334,7 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
     obj = np.zeros(n_cols)
     rows: list[LinRow] = []
     quad_rows: list[QuadRow] = []
+    quad_vc: list[int] = []
     # Window-dependent entries: (column, source) for bounds and objective,
     # (row, column or None for the rhs, source) for rows.  Their template
     # values are placeholders.
@@ -398,6 +401,7 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
 
             for epi in aging.epigraph_rows(spec, tau):
                 quad_rows.append(QuadRow(epi, int(pc), int(pd), int(zeta)))
+                quad_vc.append(int(vc))
 
             obj[zeta] += aging.cost_scale(spec, ts)
             obj_fill += [(cols[var][i, tau], src(tau, k))
@@ -461,7 +465,7 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
         row_of=_read_only(csr.row_of), index=_read_only(csr.index),
         row_names=csr.names, numbers=_read_only(numbers),
         fill_dst=_read_only(fill_dst.copy()), fill_src=_read_only(fill_src.copy()),
-        qcols=_read_only(qcols),
+        qcols=_read_only(qcols), qvc=_read_only(np.array(quad_vc, dtype=np.int32)),
         qcoef=_read_only(np.stack([2.0 * quad, lin, quad])),
         rate_max=_read_only(np.array(
             [(spec_of[q.row.ess].charge_rate_max, spec_of[q.row.ess].discharge_rate_max)

@@ -3,18 +3,23 @@
 The quadratic aging epigraph rows are handled by iterative outer approximation:
 each node solves plain LPs, adding tangent cuts of the convex segment functions
 at violating points until none remain.  Tangent cuts under-approximate a convex
-function, so every node objective is a valid lower bound.  Branching is on the
-most fractional binary with best-bound node selection; everything is
-deterministic for a fixed instance and configuration.
+function, so every node objective is a valid lower bound.  Each row's seed
+tangents are lifted with its charge-mode flag vc (perspective cuts): charging
+and discharging never share a slot, so a relaxation that splits vc gets the
+convex combination of the two one-sided tangents instead of their sum.  This
+tightens the bound where branching happens and shrinks the tree.  Branching
+is on the most fractional binary with best-bound node selection; everything
+is deterministic for a fixed instance and configuration.
 
 All LPs of one window are re-solves of a single persistent HiGHS model (the
 dual simplex of Huangfu & Hall, 2018): node fixings change column bounds, new
 cuts append rows, and each run starts from the previous optimal basis.
 Presolve is off: a window's LP is a few dozen to a few hundred rows that
-presolve cannot shrink, and warm runs skip it anyway.  A closed pool hands its
-model back, cleared but with its options, and the next window loads into it
-instead of constructing a new one; a cleared model gives the same runs as a
-fresh one with the same options.  This CutPool is the only LP path: solve,
+presolve cannot shrink, and warm runs skip it anyway.  The primal feasibility
+tolerance is 1e-9, since the rows are scaled to max-abs coefficient 1.  A
+closed pool hands its model back, cleared but with its options, and the next
+window loads into it instead of constructing a new one; a cleared model gives
+the same runs as a fresh one with the same options.  This CutPool is the only LP path: solve,
 solve_relaxation and brute_force_oracle all run their LPs in one.
 
 The integrality and cut tolerances and the cut-round limit are fixed module
@@ -48,7 +53,8 @@ from .problem import (LinRows, ProblemInstance, SolveResult, WindowTemplate,
 
 # A binary column is integral within INT_TOL.
 INT_TOL = 1e-6
-# A quad row is violated beyond CUT_TOL times the scale of its tangent cut.
+# A quad row is violated beyond CUT_TOL times the scale of its tangent cut:
+# 100 times the LP's primal feasibility tolerance (set in _model).
 CUT_TOL = 1e-7
 # Cut rounds one relaxation may take before it raises SolverError.
 CUT_ROUND_LIMIT = 300
@@ -102,22 +108,23 @@ def _tangent_terms(coef: np.ndarray, p: np.ndarray):
     return grad, np.maximum(np.maximum(a[0], a[1]), 1.0), coef[2] * p * p
 
 
-def _tangent_rows(qcols: np.ndarray, q: np.ndarray, grad: np.ndarray,
-                  scale: np.ndarray, rhs: np.ndarray):
-    """CSR rows of the tangent cuts of quad rows q with gradients grad
-    (2, len(q)), cut scales and right-hand sides; each row is scaled to
-    max-abs coefficient 1 and its zero coefficients are dropped, as
-    _scaled_csr does."""
-    value = np.empty((len(q), 3))
-    np.divide(grad, scale, out=value[:, :2].T)
-    np.divide(-1.0, scale, out=value[:, 2])
-    index = np.take(qcols, q, axis=1).T
+def _tangent_rows(index: np.ndarray, grad: np.ndarray, scale: np.ndarray,
+                  rhs: np.ndarray):
+    """CSR rows grad.x - zeta <= rhs over the columns index (w, k): the last
+    is each row's zeta and the others take the coefficients grad (w - 1, k).
+    Each row is divided by its cut scale, the max-abs coefficient, and its
+    zero coefficients are dropped, as _scaled_csr does."""
+    width, k = index.shape
+    value = np.empty((k, width))
+    np.divide(grad, scale, out=value[:, :-1].T)
+    np.divide(-1.0, scale, out=value[:, -1])
+    index = index.T
     if grad.all():
-        # No zero gradient, so every cut keeps its three coefficients.
-        return (np.arange(0, value.size, 3, dtype=np.int32), index.ravel(),
+        # No zero coefficient, so every row keeps all of them.
+        return (np.arange(0, value.size, width, dtype=np.int32), index.ravel(),
                 value.ravel(), rhs / scale)
     keep = np.ones(value.shape, dtype=bool)
-    keep[:, :2] = grad.T != 0.0
+    keep[:, :-1] = grad.T != 0.0
     counts = keep.sum(axis=1, dtype=np.int32)
     return (np.cumsum(counts, dtype=np.int32) - counts, index[keep], value[keep],
             rhs / scale)
@@ -125,14 +132,29 @@ def _tangent_rows(qcols: np.ndarray, q: np.ndarray, grad: np.ndarray,
 
 @functools.lru_cache(maxsize=128)
 def _seed_tangents(template: WindowTemplate):
-    """The seed cuts of every window of a template: tangents of each quad
-    row at 9 points along its rate-box diagonal; the adaptive loop refines
-    wherever these are loose.  Returns their CSR rows, read-only."""
+    """The seed cuts of every window of a template: for each quad row, its
+    tangents at 9 points (a, b) along the rate-box diagonal, each lifted
+    with the row's charge-mode flag vc to
+
+        grad.(pc, pd) + (qd*b^2 - qc*a^2)*vc - zeta <= qd*b^2.
+
+    At vc = 1 with pd = 0 this is the tangent of the charge side at a, and
+    at vc = 0 with pc = 0 the tangent of the discharge side at b.  The mode
+    links give every integral point one of those forms, so the row is valid.
+    Its right-hand side, qc*a^2*vc + qd*b^2*(1 - vc), is never above the
+    plain tangent's qc*a^2 + qd*b^2, so it is the tighter cut wherever the
+    relaxation splits vc (the perspective cut of Frangioni & Gentile, 2006).
+    The adaptive loop adds plain tangents wherever these are loose.
+    Returns their CSR rows, read-only.
+    """
     t = np.linspace(0.0, 1.0, 9)
     q = np.repeat(np.arange(len(template.quad_rows)), len(t))
     p = (template.rate_max[:, :, None] * t).reshape(2, -1)
     grad, scale, f2 = _tangent_terms(np.take(template.qcoef, q, axis=2), p)
-    csr = _tangent_rows(template.qcols, q, grad, scale, f2[0] + f2[1])
+    lift = f2[1] - f2[0]
+    np.maximum(scale, np.abs(lift), out=scale)
+    index = np.take(np.insert(template.qcols, 2, template.qvc, axis=0), q, axis=1)
+    csr = _tangent_rows(index, np.vstack([grad, lift]), scale, f2[1])
     for a in csr:
         a.flags.writeable = False
     return csr
@@ -150,6 +172,9 @@ def _model() -> _Highs:
         highs = _Highs()
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("presolve", "off")
+        # Rows are scaled to max-abs 1, so the default 1e-7 would let
+        # fr_min (coefficient 100) fall 1e-5 kW short of the market minimum.
+        highs.setOptionValue("primal_feasibility_tolerance", 1e-9)
         return highs
 
 
@@ -220,16 +245,16 @@ class CutPool:
         violates by more than CUT_TOL times the coefficient scale of that
         tangent; False if none is.
 
-        The LP enforces normalized rows to its own feasibility tolerance, so
-        the epigraph violation is only resolvable down to that scale; an
-        absolute threshold below it would never converge.  A tangent
-        under-approximates a convex function, so every cut is valid for every
-        feasible point.
+        The LP enforces normalized rows only to its primal feasibility
+        tolerance, 1e-9, so the epigraph violation is only resolvable down to
+        that times the cut scale; a threshold below it would never converge.
+        A tangent under-approximates a convex function, so every cut is valid
+        for every feasible point.
         """
         hit, grad, scale, f2 = self._violations(x)
         if hit.size:
             self._add_cuts(*_tangent_rows(
-                self._tpl.qcols, hit, np.take(grad, hit, axis=1),
+                np.take(self._tpl.qcols, hit, axis=1), np.take(grad, hit, axis=1),
                 np.take(scale, hit), np.take(f2[0] + f2[1], hit)))
         return bool(hit.size)
 

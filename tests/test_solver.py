@@ -258,6 +258,71 @@ class TestSolve:
             SolverConfig(gap_tol=-1e-9)
 
 
+def mode_point(inst, rng, specs, vc):
+    """A random point of one mode in every slot: charging (vc = 1, pd = 0) or
+    discharging (vc = 0, pc = 0), each zeta at the segment maximum."""
+    c = inst.cols
+    x = np.zeros(inst.n_cols)
+    for i, spec in enumerate(specs):
+        for tau in range(inst.horizon):
+            pc = vc * rng.uniform(0, spec.charge_rate_max)
+            pd = (1 - vc) * rng.uniform(0, spec.discharge_rate_max)
+            x[c["vc"][i, tau]], x[c["pc"][i, tau]], x[c["pd"][i, tau]] = vc, pc, pd
+            x[c["zeta"][i, tau]] = segment_max(spec, pc, pd)
+    return x
+
+
+def unscaled_seeds(inst):
+    """The seed rows of inst as a dense matrix and right-hand side, each row
+    multiplied back by its cut scale (zeta's coefficient was -1/scale)."""
+    starts, index, value, rhs = solver_module._seed_tangents(inst.template)
+    a = csr_array((value, index, np.append(starts, len(index))),
+                  shape=(len(rhs), inst.n_cols)).toarray()
+    scale = -1.0 / a[np.arange(len(rhs)), np.repeat(inst.template.qcols[2], 9)]
+    return a * scale[:, None], rhs * scale
+
+
+class TestSeedTangents:
+    def test_seeds_hold_between_modes(self, specs, market):
+        # every feasible point has one mode per slot, so a convex combination
+        # of a charging and a discharging point lies in the hull the lifted
+        # seeds must contain
+        rng = np.random.default_rng(12)
+        inst = build_problem(0, [rand_slot(rng) for _ in range(2)],
+                             SocState((0.5, 0.5)), specs, market)
+        a, rhs = unscaled_seeds(inst)
+        assert (a[:, inst.cols["vc"].ravel()] != 0.0).any()
+        slack = []
+        for lam in (0.0, 1.0, *rng.uniform(size=200)):
+            x = (lam * mode_point(inst, rng, specs, 1)
+                 + (1.0 - lam) * mode_point(inst, rng, specs, 0))
+            slack.append(rhs - a @ x)
+        assert (np.array(slack) >= -1e-9 * np.maximum(1.0, np.abs(rhs))).all()
+
+    def test_lifted_seed_tighter_than_plain_tangent(self, specs, market):
+        # at vc = 1 with pd = 0 a seed is the charge-side tangent, at vc = 0
+        # with pc = 0 the discharge-side one, and in between its right-hand
+        # side never exceeds the plain tangent's qc*a^2 + qd*b^2
+        inst = build_problem(0, [rand_slot(np.random.default_rng(13))],
+                             SocState((0.5, 0.5)), specs, market)
+        a, rhs = unscaled_seeds(inst)
+        tpl = inst.template
+        k = np.repeat(np.arange(len(inst.quad_rows)), 9)
+        t = np.tile(np.linspace(0.0, 1.0, 9), len(inst.quad_rows))
+        at = tpl.rate_max[:, k] * t
+        half = tpl.qcoef[2][:, k] * at * at  # qc*a^2, qd*b^2
+        grad = tpl.qcoef[0][:, k] * at + tpl.qcoef[1][:, k]
+        rows = np.arange(len(rhs))
+        np.testing.assert_allclose(a[rows, tpl.qcols[0, k]], grad[0], rtol=1e-12)
+        np.testing.assert_allclose(a[rows, tpl.qcols[1, k]], grad[1], rtol=1e-12)
+        lift = a[rows, tpl.qvc[k]]
+        for vc in np.linspace(0.0, 1.0, 11):
+            assert (rhs - lift * vc <= half[0] + half[1] + 1e-12).all()
+        np.testing.assert_allclose(rhs - lift, half[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rhs, half[1], rtol=1e-12, atol=1e-12)
+        assert (half[0] + half[1] - (rhs - 0.5 * lift) > 0.0).any()
+
+
 class TestCuts:
     def test_pool_cuts_valid_on_feasible_points(self, spec1, market):
         # every tangent cut generated while solving must hold at any point
@@ -275,13 +340,8 @@ class TestCuts:
         cuts *= scale[:, None]
         rhs = b[-len(pool.rows):] * scale
         rng = np.random.default_rng(8)
-        x = np.zeros(inst.n_cols)
         for _ in range(300):
-            pc = rng.uniform(0, spec1.charge_rate_max)
-            pd = rng.uniform(0, spec1.discharge_rate_max)
-            x[inst.col("pc", 0, 0)] = pc
-            x[inst.col("pd", 0, 0)] = pd
-            x[inst.col("zeta", 0, 0)] = segment_max(spec1, pc, pd)
+            x = mode_point(inst, rng, [spec1], int(rng.integers(2)))
             assert (cuts @ x <= rhs + 1e-9).all()
 
     def test_relaxation_enforces_epigraph_to_tolerance(self, spec1, market):
@@ -294,13 +354,13 @@ class TestCuts:
             assert q.violation(sol.x) <= 1e-6
 
     def test_cut_round_limit_raises(self, market, monkeypatch):
-        # steep wear curve with an interior discharge optimum: one round of
-        # cuts cannot close the epigraph gap
+        # steep wear curve with an interior discharge optimum (about 31 kW,
+        # between two seed points, where no seed tangent is exact): one round
+        # of cuts cannot close the epigraph gap
         monkeypatch.setattr(solver_module, "CUT_ROUND_LIMIT", 1)
-        from essdispatch.aging import SegmentSet
         spec = make_spec(1, aging_segments=SegmentSet(((1e-3, 1e-4),)))
-        s = SlotExogenous(demand=0.0, renewable=0.0, price_purchase=40.0,
-                          price_sale=24.0, price_rmccp=0.0, price_rmpcp=0.0,
+        s = SlotExogenous(demand=0.0, renewable=0.0, price_purchase=10.0,
+                          price_sale=6.0, price_rmccp=0.0, price_rmpcp=0.0,
                           perf_score=0.9, mileage_ratio=2.0, reg_up_flag=0,
                           price_reserve=0.0)
         inst = build_problem(0, [s], SocState((0.5,)), [spec], market)
@@ -639,6 +699,16 @@ def scalar_tangent_cut(q, x_c, x_d):
                   f"cut[{r.ess},{r.slot},{r.segment}]")
 
 
+def scalar_seed_cut(q, vc, x_c, x_d):
+    """The tangent at (x_c, x_d) lifted with the mode column vc."""
+    r = q.row
+    gc = 2.0 * r.quad_c * x_c + r.lin_c
+    gd = 2.0 * r.quad_d * x_d + r.lin_d
+    lift = r.quad_d * x_d * x_d - r.quad_c * x_c * x_c
+    return LinRow({q.pc: gc, q.pd: gd, vc: lift, q.zeta: -1.0},
+                  r.quad_d * x_d * x_d, f"seed[{r.ess},{r.slot},{r.segment}]")
+
+
 def scalar_cut_scale(q, x):
     r = q.row
     return max(1.0, abs(2.0 * r.quad_c * x[q.pc] + r.lin_c),
@@ -671,16 +741,18 @@ class ScalarPool:
         self.highs = RecordingHighs()
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("presolve", "off")
+        self.highs.setOptionValue("primal_feasibility_tolerance", 1e-9)
         self.highs.addVars(n, inst.lb, inst.ub)
         self.highs.changeColsCost(n, self.cols, inst.objective)
         self.rows = []
         self._append(inst.rows)
         seeds = []
         for q in inst.quad_rows:
-            spec = next(s for s in inst.specs if s.id == q.row.ess)
+            i = next(i for i, s in enumerate(inst.specs) if s.id == q.row.ess)
+            spec, vc = inst.specs[i], inst.cols["vc"][i, q.row.slot]
             for t in np.linspace(0.0, 1.0, 9):
-                seeds.append(scalar_tangent_cut(q, t * spec.charge_rate_max,
-                                                t * spec.discharge_rate_max))
+                seeds.append(scalar_seed_cut(q, vc, t * spec.charge_rate_max,
+                                             t * spec.discharge_rate_max))
         self.add(seeds)
 
     def _append(self, rows):
