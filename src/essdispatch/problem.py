@@ -33,6 +33,10 @@ ESS_VARS = ("pc", "prec", "pfrc", "pd", "pfrd", "psr", "z", "zeta")
 SLOT_VARS = ("presc", "pres")
 # Binary variables: one vc per ess per slot, plus vfr and vsr per slot.
 
+# Decoded powers at or below this many kW read as 0: the LP's primal
+# feasibility tolerance on rows scaled to max-abs coefficient 1.
+ZERO_KW = 1e-9
+
 
 @dataclass(frozen=True)
 class LinRow:
@@ -519,40 +523,41 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
     """Decode per-slot decisions, recovering the eliminated bill/future split.
 
     charge_future = pc - prec - pfrc and discharge_bill = pd - pfrd; both must
-    come out nonnegative at any correct optimum.
+    come out nonnegative at any correct optimum.  Every decoded power at or
+    below ZERO_KW reads as exactly 0, so LP noise never reaches a committed
+    decision.
     """
     if result.status != "optimal":
         raise ValueError(f"cannot decode decisions from status {result.status}")
     template = result.instance.template
-    n = len(template.specs)
-    # Per variable, slot and ESS; the rates with LP-tolerance noise below the
-    # zero bound clipped, as max(0.0, v) does.
+    # Per variable, slot and ESS, with LP noise below the zero bound clipped.
     ess = result.x[template.ess_cols].transpose(0, 2, 1)
-    rates = np.where(ess[:6] > 0.0, ess[:6], 0.0).tolist()
+    clipped = np.where(ess[:6] > 0.0, ess[:6], 0.0)
+    pc, prec, pfrc, pd, pfrd = clipped[:5]
+    split = np.stack([pc - prec - pfrc, pd - pfrd])
+    negative = np.argwhere((split < -1e-9).any(axis=0))
+    if negative.size:
+        tau, i = negative[0]
+        raise ValueError(f"negative recovered split at ess {i}, slot {tau}: "
+                         f"fs={split[0, tau, i]}, br={split[1, tau, i]} (solver bug)")
+    rates, (future, bill) = (np.where(a > ZERO_KW, a, 0.0).tolist()
+                             for a in (clipped, split))
     modes = ess[-1].tolist()
-    renewable_selfuse, renewable_export, vfr, vsr = result.x[template.slot_cols].tolist()
+    own = result.x[template.slot_cols]
+    renewable_selfuse, renewable_export = np.where(own[:2] > ZERO_KW, own[:2],
+                                                   0.0).tolist()
+    vfr, vsr = own[2:].tolist()
     decisions = []
     for tau in range(template.horizon):
         pc, prec, pfrc, pd, pfrd, psr = (tuple(rate[tau]) for rate in rates)
-        future = []
-        bill = []
-        for i in range(n):
-            fs = pc[i] - prec[i] - pfrc[i]
-            br = pd[i] - pfrd[i]
-            if fs < -1e-9 or br < -1e-9:
-                raise ValueError(
-                    f"negative recovered split at ess {i}, slot {tau}: "
-                    f"fs={fs}, br={br} (solver bug)")
-            future.append(max(fs, 0.0))
-            bill.append(max(br, 0.0))
         decisions.append(DispatchDecision(
             charge_total=pc, discharge_total=pd, charge_from_renewable=prec,
             charge_for_regulation=pfrc, discharge_for_regulation=pfrd,
-            reserve_commit=psr, charge_future=tuple(future),
-            discharge_bill=tuple(bill),
+            reserve_commit=psr, charge_future=tuple(future[tau]),
+            discharge_bill=tuple(bill[tau]),
             mode_flag=tuple(int(round(v)) for v in modes[tau]),
-            renewable_selfuse=max(0.0, renewable_selfuse[tau]),
-            renewable_export=max(0.0, renewable_export[tau]),
+            renewable_selfuse=renewable_selfuse[tau],
+            renewable_export=renewable_export[tau],
             reg_participate=int(round(vfr[tau])),
             reserve_participate=int(round(vsr[tau])),
         ))

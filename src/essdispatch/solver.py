@@ -22,6 +22,13 @@ window loads into it instead of constructing a new one; a cleared model gives
 the same runs as a fresh one with the same options.  This CutPool is the only LP path: solve,
 solve_relaxation and brute_force_oracle all run their LPs in one.
 
+A rolling run also keeps a ModelSet: a loaded model for each of its last few
+window shapes, whose next window of that shape changes only costs,
+right-hand sides and cuts, and runs its root from the basis the last one
+left.  Only a root that stays integral finishes there; a window whose root
+turns fractional is solved cold, as without the set, so branch-and-bound
+never starts from another window's basis.
+
 The integrality and cut tolerances and the cut-round limit are fixed module
 constants; SolverConfig carries the gap tolerance and the node limit.
 """
@@ -162,6 +169,10 @@ def _seed_tangents(template: WindowTemplate):
 
 # Models of closed pools, cleared, for the next pools to load into.
 _spare: list[_Highs] = []
+# Models a ModelSet keeps loaded at most.  A solved model keeps about 0.7 MB
+# of simplex workspace until it is destroyed (clearing it keeps that), so
+# the 19 shapes of the H=4 week raised that run's peak RSS by about 10 MB.
+MODEL_LIMIT = 4
 
 
 def _model() -> _Highs:
@@ -178,6 +189,53 @@ def _model() -> _Highs:
         return highs
 
 
+def _release(highs: _Highs) -> None:
+    """Clear a model, keeping its options, for the next pool to load into."""
+    highs.clearModel()
+    _spare.append(highs)
+
+
+class ModelSet:
+    """The loaded models of one rolling run, one per window shape, each with
+    the scaled right-hand sides it holds.
+
+    A shape is a window template plus byte-identical scaled base rows, so
+    every reg-up/down pattern of a template is a shape of its own.  A CutPool
+    made with the set loads a new shape into a model that the set keeps; for
+    a shape seen before it updates that model in place, and its first LP
+    starts from the basis the last window of that shape left.  Past
+    MODEL_LIMIT shapes, the least recently used one's model is cleared back
+    to the spares.  Used as a context manager, the set clears all its models
+    back on exit, so no basis outlives it.
+    """
+
+    def __init__(self) -> None:
+        # In order of last use, the most recent last.
+        self._models: dict[tuple, tuple[_Highs, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self._models)
+
+    def __enter__(self) -> ModelSet:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for highs, _ in self._models.values():
+            _release(highs)
+        self._models.clear()
+
+    def take(self, shape: tuple) -> tuple[_Highs, np.ndarray] | None:
+        """The model of a shape and the right-hand sides it holds, if kept."""
+        return self._models.pop(shape, None)
+
+    def keep(self, shape: tuple, highs: _Highs, rhs: np.ndarray) -> None:
+        """Keep a shape's model, holding right-hand sides rhs, as the most
+        recently used."""
+        self._models[shape] = (highs, rhs)
+        if len(self._models) > MODEL_LIMIT:
+            _release(self._models.pop(next(iter(self._models)))[0])
+
+
 class CutPool:
     """One window's LP: the scaled base rows plus a growing set of tangent
     cuts, held in one persistent HiGHS model.
@@ -191,41 +249,63 @@ class CutPool:
 
     The model is a closed pool's, recycled, or a new one.  Used as a context
     manager, the pool hands its model back on exit and can solve no more; a
-    pool that is not closed keeps its model to itself.
+    pool that is not closed keeps its model to itself.  A pool made with a
+    ModelSet takes its model from the set instead, and leaves it there; warm
+    says whether the set held the model already, with the last basis of its
+    shape, or loaded it new.
     """
 
     _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
                 HighsModelStatus.kUnbounded)
 
-    def __init__(self, instance: ProblemInstance):
+    def __init__(self, instance: ProblemInstance, models: ModelSet | None = None):
         self.lp_calls = self.lp_iters = self.lp_restarts = 0
         n = instance.n_cols
         self._cols = np.arange(n, dtype=np.int32)
-        self._highs = _model()
-        self._highs.addVars(n, instance.lb, instance.ub)
-        self._highs.changeColsCost(n, self._cols, instance.objective)
-        if instance.rows:
-            self._add_rows(*_scaled_csr(instance.rows))
         self._tpl = instance.template
-        self.rows = range(0)
-        if instance.quad_rows:
-            self._add_cuts(*_seed_tangents(self._tpl))
+        base = _scaled_csr(instance.rows)
+        seeds = _seed_tangents(self._tpl) if instance.quad_rows else None
+        self.rows = range(0 if seeds is None else len(seeds[3]))
+        self._models = models
+        kept = None
+        if models is not None:
+            shape = (self._tpl, *(a.tobytes() for a in base[:3]))
+            kept = models.take(shape)
+        if kept is None:
+            self._highs = _model()
+            self._highs.addVars(n, instance.lb, instance.ub)
+            self._highs.changeColsCost(n, self._cols, instance.objective)
+            if len(base[3]):
+                self._add_rows(*base)
+            if seeds is not None:
+                self._add_rows(*seeds)
+        else:
+            # The same shape: new costs and right-hand sides, and the last
+            # window's cuts deleted; column bounds are set by every solve.
+            self._highs, held = kept
+            self._highs.changeColsCost(n, self._cols, instance.objective)
+            rhs = base[3]
+            for r in np.flatnonzero(rhs != held).tolist():
+                self._highs.changeRowBounds(r, -np.inf, rhs[r])
+            cuts = np.arange(len(rhs) + len(self.rows), self._highs.getNumRow(),
+                             dtype=np.int32)
+            if cuts.size:
+                self._highs.deleteRows(cuts.size, cuts)
+        if models is not None:
+            models.keep(shape, self._highs, base[3])
+        self.warm = kept is not None
 
     def __enter__(self) -> CutPool:
         return self
 
     def __exit__(self, *exc) -> None:
         highs, self._highs = self._highs, None
-        highs.clearModel()
-        _spare.append(highs)
+        if self._models is None:
+            _release(highs)
 
     def _add_rows(self, starts, index, value, rhs) -> None:
         self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
                             len(index), starts, index, value)
-
-    def _add_cuts(self, starts, index, value, rhs) -> None:
-        self._add_rows(starts, index, value, rhs)
-        self.rows = range(len(self.rows) + len(rhs))
 
     def _violations(self, x: np.ndarray):
         """Violated quad rows at x, with every row's tangent terms there."""
@@ -253,9 +333,10 @@ class CutPool:
         """
         hit, grad, scale, f2 = self._violations(x)
         if hit.size:
-            self._add_cuts(*_tangent_rows(
+            self._add_rows(*_tangent_rows(
                 np.take(self._tpl.qcols, hit, axis=1), np.take(grad, hit, axis=1),
                 np.take(scale, hit), np.take(f2[0] + f2[1], hit)))
+            self.rows = range(len(self.rows) + hit.size)
         return bool(hit.size)
 
     def _run(self):
@@ -361,21 +442,58 @@ def _fractional(x: np.ndarray, binary_cols: np.ndarray, tol: float) -> int | Non
     return best
 
 
-def solve(instance: ProblemInstance,
-          config: SolverConfig = SolverConfig()) -> SolveResult:
+def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
+          models: ModelSet | None = None) -> SolveResult:
     """Branch-and-bound to proven optimality within the configured gap.
 
     Fractional nodes are bounded by a single LP over the shared cut pool (any
     tangent-cut relaxation is a valid lower bound); the full cut-convergence
     loop runs at the root and at integral nodes, where the bound feeds the
     incumbent and the final gap.
+
+    With a run's ModelSet, a window of a shape the set holds runs the root's
+    cut loop first in that shape's model, from the basis the last window of
+    the shape left.  If every LP of the loop is optimal and integral, the
+    window finishes there; at the first LP that is not, the window is solved
+    as without the set, in a fresh pool, so every branch-and-bound tree grows
+    from a cold root.  The LP counts of the result include the warm runs.  A
+    window of a new shape is solved cold in the model the set loads for it.
     """
+    if models is not None:
+        pool = CutPool(instance, models)
+        if not pool.warm:
+            # A newly loaded model runs exactly as a fresh pool would.
+            return _branch_and_bound(instance, config, pool)
+        root = _integral_root(instance, pool)
+        if root is not None:
+            return _branch_and_bound(instance, config, pool, root)
     with CutPool(instance) as cut_pool:
-        return _branch_and_bound(instance, config, cut_pool)
+        result = _branch_and_bound(instance, config, cut_pool)
+    if models is not None:
+        result.lp_calls += pool.lp_calls
+        result.lp_iters += pool.lp_iters
+        result.lp_restarts += pool.lp_restarts
+    return result
+
+
+def _integral_root(instance: ProblemInstance, pool: CutPool) -> LpSolution | None:
+    """The root relaxation, its cuts converged in pool, if every LP of the cut
+    loop is optimal with integral binaries; None at the first that is not."""
+    for _ in range(CUT_ROUND_LIMIT):
+        sol = pool.solve(instance.lb, instance.ub)
+        if (sol.status != "optimal"
+                or _fractional(sol.x, instance.binary_cols, INT_TOL) is not None):
+            return None
+        if not pool.cut(sol.x):
+            return sol
+    return None
 
 
 def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
-                      cut_pool: CutPool) -> SolveResult:
+                      cut_pool: CutPool,
+                      root: LpSolution | None = None) -> SolveResult:
+    """Branch-and-bound in cut_pool from the converged root relaxation: root,
+    if it was solved in cut_pool already, or else solved here."""
     incumbent_x = None
     incumbent_obj = np.inf
     counter = itertools.count()
@@ -397,7 +515,8 @@ def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
         if obj < incumbent_obj:
             incumbent_x, incumbent_obj = polished, obj
 
-    root = solve_relaxation(instance, None, cut_pool)
+    if root is None:
+        root = solve_relaxation(instance, None, cut_pool)
     nodes = 1
     if root.status != "optimal":
         return finish("infeasible", np.inf, np.inf, None)

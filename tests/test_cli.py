@@ -36,6 +36,26 @@ class TestMain:
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
         assert (a / "ledger.csv").read_bytes() == (b / "ledger.csv").read_bytes()
 
+    @pytest.mark.parametrize("horizon", [2, 3])
+    def test_sweeps_in_one_process_byte_identical(self, tmp_path, horizon):
+        # no warm model outlives a run: a second alpha-sweep in the same
+        # process writes the same bytes as the first.  One sweep point, so
+        # that a model set kept from one run to the next would still hold
+        # the first run's shapes; such a set changes this ledger at H=2 and 3.
+        write_default_config(tmp_path / "config.ini")
+        specs, market, solver, forecast, run = load_config(tmp_path / "config.ini")
+        series = generate_series()[:48]
+        trees = []
+        for name in ("a", "b"):
+            out = run_experiment(series, specs, market, solver, forecast,
+                                 replace(run, experiment="alpha-sweep",
+                                         horizon=horizon, alpha_grid=(50.0,),
+                                         out_dir=str(tmp_path / name)))
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 5
+        assert trees[0] == trees[1]
+
     def test_alpha_sweep_table(self, workdir):
         out = workdir / "sweep"
         config = workdir / "config.ini"

@@ -301,6 +301,24 @@ class TestRecoverServiceSplit:
         with pytest.raises(ValueError, match="negative recovered split"):
             recover_service_split(SolveResult("optimal", 0.0, 0.0, x, 1, inst))
 
+    def test_lp_noise_reads_as_zero(self, specs, market):
+        # near-zero flows of the kind an LP optimum carries, as the bundled
+        # week's ledger booked (discharge 3.2e-13 kW): every decoded power at
+        # or below 1e-9 kW, and a split left over by noise, is exactly 0
+        inst = build_problem(0, [slot()], SocState((0.5, 0.5)), specs, market)
+        x = np.zeros(inst.n_cols)
+        x[inst.col("pd", 0, 0)] = 3.2e-13
+        x[inst.col("pc", 1, 0)] = 40.0
+        x[inst.col("prec", 1, 0)] = 40.0 - 5e-10
+        x[inst.col("psr", 1, 0)] = 1e-9
+        x[inst.col("presc", 0)] = 7.4e-13
+        x[inst.col("pres", 0)] = 2e-9
+        d = recover_service_split(SolveResult("optimal", 0.0, 0.0, x, 1, inst))[0]
+        assert d.discharge_total == (0.0, 0.0) and d.discharge_bill == (0.0, 0.0)
+        assert d.charge_total == (0.0, 40.0) and d.charge_future == (0.0, 0.0)
+        assert d.reserve_commit == (0.0, 0.0)
+        assert d.renewable_selfuse == 0.0 and d.renewable_export == 2e-9
+
 
 class TestSolutionInvariants:
     def test_optimum_satisfies_all_constraints(self, specs, market):
@@ -474,18 +492,26 @@ def reference_recover_service_split(result):
     """Decode per-slot decisions, recovering the eliminated bill/future split.
 
     charge_future = pc - prec - pfrc and discharge_bill = pd - pfrd; both must
-    come out nonnegative at any correct optimum.
+    come out nonnegative at any correct optimum.  Decoded powers at or below
+    1e-9 kW read as 0.
     """
     if result.status != "optimal":
         raise ValueError(f"cannot decode decisions from status {result.status}")
     inst = result.instance
     x = result.x
+
+    def kw(v):
+        return v if v > 1e-9 else 0.0
+
     decisions = []
     for tau in range(inst.horizon):
         def ess_vals(var):
             # Clip LP-tolerance noise below the zero bound.
             return tuple(max(0.0, float(x[inst.col(var, i, tau)]))
                          for i in range(inst.n_ess))
+
+        def ess_kw(var):
+            return tuple(map(kw, ess_vals(var)))
 
         pc = ess_vals("pc")
         prec = ess_vals("prec")
@@ -501,17 +527,19 @@ def reference_recover_service_split(result):
                 raise ValueError(
                     f"negative recovered split at ess {i}, slot {tau}: "
                     f"fs={fs}, br={br} (solver bug)")
-            future.append(max(fs, 0.0))
-            bill.append(max(br, 0.0))
+            future.append(kw(fs))
+            bill.append(kw(br))
         decisions.append(DispatchDecision(
-            charge_total=pc, discharge_total=pd, charge_from_renewable=prec,
-            charge_for_regulation=pfrc, discharge_for_regulation=pfrd,
-            reserve_commit=ess_vals("psr"), charge_future=tuple(future),
+            charge_total=ess_kw("pc"), discharge_total=ess_kw("pd"),
+            charge_from_renewable=ess_kw("prec"),
+            charge_for_regulation=ess_kw("pfrc"),
+            discharge_for_regulation=ess_kw("pfrd"),
+            reserve_commit=ess_kw("psr"), charge_future=tuple(future),
             discharge_bill=tuple(bill),
             mode_flag=tuple(int(round(x[inst.col("vc", i, tau)]))
                             for i in range(inst.n_ess)),
-            renewable_selfuse=max(0.0, float(x[inst.col("presc", tau)])),
-            renewable_export=max(0.0, float(x[inst.col("pres", tau)])),
+            renewable_selfuse=kw(float(x[inst.col("presc", tau)])),
+            renewable_export=kw(float(x[inst.col("pres", tau)])),
             reg_participate=int(round(x[inst.col("vfr", tau)])),
             reserve_participate=int(round(x[inst.col("vsr", tau)])),
         ))

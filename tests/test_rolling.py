@@ -5,12 +5,15 @@ import time
 import numpy as np
 import pytest
 
+from essdispatch import rolling
 from essdispatch.domain import SlotExogenous, SocState, idle_decision, soc_update
-from essdispatch.problem import build_problem, decompose_at_point
+from essdispatch.fixture import write_default_config
+from essdispatch.iofiles import load_config
+from essdispatch.problem import build_problem, check_solution, decompose_at_point
 from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel, no_ess_baseline,
                                  perturb_forecast, realized_revenues,
                                  repair_dispatch, run_simulation, signal_ranges)
-from essdispatch.solver import brute_force_oracle, solve
+from essdispatch.solver import MODEL_LIMIT, brute_force_oracle, solve
 
 from conftest import make_spec
 from test_solver import rand_slot
@@ -315,3 +318,57 @@ class TestRunSimulation:
         a = run_simulation(series, specs, market, 2, initial_soc=0.5)
         b = run_simulation(series, specs, market, 2, initial_soc=(0.5, 0.5))
         assert a.totals == b.totals
+
+
+class TestWarmRoots:
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_warm_windows_agree_with_stateless_solves(self, tmp_path, monkeypatch,
+                                                      week_series, horizon):
+        # every window of a week run, solved with the run's model set, against
+        # a stateless solve of the same instance
+        write_default_config(tmp_path / "config.ini")
+        specs, market, config, forecast, _ = load_config(tmp_path / "config.ini")
+        solved = []
+
+        def record(instance, config, models):
+            result = solve(instance, config, models)
+            solved.append((instance, result, len(models)))
+            return result
+
+        monkeypatch.setattr(rolling, "solve", record)
+        run_simulation(week_series, specs, market, horizon, forecast, config)
+        assert len(solved) == len(week_series)
+        shapes = set()
+        branched = handed_off = 0
+        for instance, warm, n_models in solved:
+            cold = solve(instance, config)
+            assert warm.status == cold.status == "optimal"
+            assert abs(warm.objective - cold.objective) <= \
+                config.gap_tol * max(1.0, abs(cold.objective))
+            assert check_solution(instance, warm.x) == []
+            if cold.node_count > 1:
+                # a fractional root: branch-and-bound from a cold root
+                branched += 1
+                assert warm.node_count == cold.node_count
+                assert warm.x.tobytes() == cold.x.tobytes()
+                # its LP counts include the warm runs before a hand-off
+                assert warm.lp_calls >= cold.lp_calls
+                assert warm.lp_iters >= cold.lp_iters
+                handed_off += warm.lp_calls > cold.lp_calls
+            # one model per horizon length and reg-up/down pattern seen so
+            # far, up to the limit
+            shapes.add(tuple(slot.reg_up_flag for slot in instance.exog))
+            assert n_models == min(len(shapes), MODEL_LIMIT)
+        assert branched >= handed_off > 0 and len(shapes) >= 2 * horizon
+
+    def test_no_model_outlives_the_run(self, specs, market, week_series,
+                                       monkeypatch):
+        sets = []
+
+        def record(instance, config, models):
+            sets.append(models)
+            return solve(instance, config, models)
+
+        monkeypatch.setattr(rolling, "solve", record)
+        run_simulation(week_series[:12], specs, market, 2)
+        assert len(set(map(id, sets))) == 1 and len(sets[0]) == 0

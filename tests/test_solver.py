@@ -21,7 +21,7 @@ from essdispatch.problem import (LinRow, LinRows, SolveResult, build_problem,
 from essdispatch import rolling
 from essdispatch import solver as solver_module
 from essdispatch.solver import (CUT_TOL, INT_TOL, CutPool, LpSolution,
-                                SolverConfig, SolverError, brute_force_oracle,
+                                ModelSet, SolverConfig, SolverError, brute_force_oracle,
                                 solve, solve_relaxation)
 
 from conftest import make_spec
@@ -587,6 +587,71 @@ class TestRecycledModel:
             assert (pool.solve(a.lb, a.ub).objective
                     == open_pool.solve(a.lb, a.ub).objective)
         assert open_pool._highs is not closed_model
+
+
+class TestModelSet:
+    def test_one_model_per_shape(self, specs, market, monkeypatch):
+        # windows of one template load one model per reg-up/down pattern; a
+        # shape seen before takes its costs and right-hand sides in place and
+        # loses the last window's cuts, which leaves the LP a fresh load holds
+        monkeypatch.setattr(solver_module, "_spare", [])
+        rng = np.random.default_rng(21)
+
+        def window(*flags):
+            exog = [replace(rand_slot(rng), reg_up_flag=u) for u in flags]
+            soc = SocState(tuple(rng.uniform(0.3, 0.8, len(specs)).tolist()))
+            return build_problem(0, exog, soc, specs, market)
+
+        a, b, c = window(0, 1), window(1, 1), window(0, 1)
+        assert a.template is b.template is c.template
+        with ModelSet() as models:
+            first = CutPool(a, models)
+            seeds = len(first.rows)
+            hot = np.zeros(a.n_cols)
+            hot[a.cols["pc"]] = 100.0
+            assert first.cut(hot) and len(first.rows) > seeds
+            with CutPool(b, models) as second:
+                kept = [first._highs, second._highs]
+                assert len(models) == 2 and kept[1] is not kept[0]
+            third = CutPool(c, models)
+            assert len(models) == 2 and third._highs is first._highs
+            assert third.rows == range(seeds)
+            with CutPool(c) as fresh:
+                got, want = held_rows(third._highs), held_rows(fresh._highs)
+                assert (got[0].toarray() == want[0].toarray()).all()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert (np.asarray(third._highs.getLp().col_cost_).tobytes()
+                        == np.asarray(fresh._highs.getLp().col_cost_).tobytes())
+                assert third.solve(c.lb, c.ub).objective == pytest.approx(
+                    fresh.solve(c.lb, c.ub).objective, rel=1e-9, abs=1e-9)
+            # the set's models stay loaded until the set closes, also the
+            # one of a pool closed as a context manager
+            assert not any(h is s for h in kept for s in solver_module._spare)
+            assert all(h.getNumRow() > 0 for h in kept)
+        assert len(models) == 0
+        assert all(any(h is s for s in solver_module._spare) for h in kept)
+        assert all(h.getNumRow() == 0 for h in kept)
+
+    def test_least_recently_used_model_released(self, specs, market,
+                                                monkeypatch):
+        # past MODEL_LIMIT shapes, the model of the one used longest ago is
+        # cleared back to the spares and the others stay loaded
+        monkeypatch.setattr(solver_module, "_spare", [])
+        monkeypatch.setattr(solver_module, "MODEL_LIMIT", 2)
+        rng = np.random.default_rng(4)
+        soc = SocState((0.5, 0.5))
+        a, b, c = (build_problem(0, [replace(rand_slot(rng), reg_up_flag=u)
+                                     for u in flags], soc, specs, market)
+                   for flags in ((0, 0), (0, 1), (1, 1)))
+        with ModelSet() as models:
+            model_a, model_b = CutPool(a, models)._highs, CutPool(b, models)._highs
+            assert CutPool(a, models)._highs is model_a  # a is now the newest
+            model_c = CutPool(c, models)._highs
+            assert len(models) == 2 and solver_module._spare == [model_b]
+            assert model_b.getNumRow() == 0
+            assert CutPool(a, models)._highs is model_a
+            assert CutPool(b, models)._highs is model_b  # reloaded, evicts c
+            assert solver_module._spare == [model_c]
 
 
 class TestPolish:
