@@ -8,9 +8,10 @@ slot's SOC is written as the initial SOC plus cumulative charge/discharge
 terms, so no extra state columns exist.
 
 Everything that depends only on the ESS specs, the market and H (columns,
-row structure, most coefficients, epigraph rows) is built once per such shape
-into a read-only WindowTemplate; build_problem copies the template's numbers
-and writes the entries that depend on the slot data and the initial SOC.
+row structure, every row coefficient, epigraph rows) is built once per such
+shape into a read-only WindowTemplate; build_problem copies the template's
+numbers and writes the entries that depend on the slot data and the initial
+SOC: bounds, costs and right-hand sides.
 """
 
 from __future__ import annotations
@@ -282,11 +283,11 @@ def _objective_terms() -> dict[str, tuple[str, int]]:
 
 # Layout of a window's own values (build_problem's w): the SOC headroom
 # above, then below, the corridor per ESS; then per slot the entries at these
-# offsets, followed by two per ESS (the flag terms of fr_d and fr_c).
-_DEMAND, _RENEWABLE, _FR_MIN_C, _FR_MIN_D = range(4)
+# offsets, followed by two per ESS (the upper bounds of pfrd and pfrc).
+_DEMAND, _RENEWABLE = range(2)
 _OBJ_TERMS = _objective_terms()
-_OBJ = {var: 4 + k for k, var in enumerate(_OBJ_TERMS)}
-_PER_SLOT = 4 + len(_OBJ)
+_OBJ = {var: 2 + k for k, var in enumerate(_OBJ_TERMS)}
+_PER_SLOT = 2 + len(_OBJ)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -340,14 +341,15 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
     quad_rows: list[QuadRow] = []
     quad_vc: list[int] = []
     # Window-dependent entries: (column, source) for bounds and objective,
-    # (row, column or None for the rhs, source) for rows.  Their template
-    # values are placeholders.
+    # (row, source) for right-hand sides.  Their template values are
+    # placeholders.
     ub_fill: list[tuple[int, int]] = []
     obj_fill: list[tuple[int, int]] = []
-    row_fill: list[tuple[int, int | None, int]] = []
+    rhs_fill: list[tuple[int, int]] = []
 
-    def add_row(row: LinRow, *fills: tuple[int | None, int]) -> None:
-        row_fill.extend((len(rows), col, s) for col, s in fills)
+    def add_row(row: LinRow, rhs_src: int | None = None) -> None:
+        if rhs_src is not None:
+            rhs_fill.append((len(rows), rhs_src))
         rows.append(row)
 
     for tau in range(H):
@@ -364,9 +366,9 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
             vfr = cols["vfr"][tau]
             vsr = cols["vsr"][tau]
 
-            for c in (pc, prec, pfrc):
+            for c in (pc, prec):
                 ub[c] = spec.charge_rate_max
-            for c in (pd, pfrd, psr, z):
+            for c in (pd, psr, z):
                 ub[c] = spec.discharge_rate_max
             lb[zeta], ub[zeta] = aging.zeta_bounds(spec)
 
@@ -377,11 +379,15 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
             add_row(LinRow({pfrd: 1.0, pd: -1.0}, 0.0, f"link_d_lo{tag}"))
             add_row(LinRow({pd: 1.0, vc: spec.discharge_rate_max, psr: 1.0, z: -1.0},
                            spec.discharge_rate_max, f"link_d_hi{tag}"))
-            # Regulation direction gating by the slot's up/down flag.
-            add_row(LinRow({pfrd: 1.0, vfr: 0.0}, 0.0, f"fr_d{tag}"),
-                    (vfr, src(tau, _PER_SLOT + 2 * i)))
-            add_row(LinRow({pfrc: 1.0, vfr: 0.0}, 0.0, f"fr_c{tag}"),
-                    (vfr, src(tau, _PER_SLOT + 2 * i + 1)))
+            # Regulation direction gating by the slot's up/down flag u, in the
+            # column bounds ub[pfrd] = u*Pd and ub[pfrc] = (1-u)*Pc, so that
+            # every row coefficient is the same in every window.
+            ub_fill += [(pfrd, src(tau, _PER_SLOT + 2 * i)),
+                        (pfrc, src(tau, _PER_SLOT + 2 * i + 1))]
+            add_row(LinRow({pfrd: 1.0, vfr: -spec.discharge_rate_max}, 0.0,
+                           f"fr_d{tag}"))
+            add_row(LinRow({pfrc: 1.0, vfr: -spec.charge_rate_max}, 0.0,
+                           f"fr_c{tag}"))
             add_row(LinRow({psr: 1.0, vsr: -spec.discharge_rate_max}, 0.0,
                            f"sr_cap{tag}"))
             for row in mccormick_rows(z, vc, psr, spec.discharge_rate_max, tag):
@@ -397,11 +403,11 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
                 hi[int(cols["pd"][i, sigma])] = -k_d
                 lo[int(cols["pc"][i, sigma])] = -k_c
                 lo[int(cols["pd"][i, sigma])] = k_d
-            add_row(LinRow(hi, 0.0, f"soc_hi{tag}"), (None, i))
+            add_row(LinRow(hi, 0.0, f"soc_hi{tag}"), i)
             if market.reserve_min_duration > 0:
                 lo[int(psr)] = lo.get(int(psr), 0.0) + \
                     market.reserve_min_duration / spec.energy_capacity
-            add_row(LinRow(lo, 0.0, f"soc_lo{tag}"), (None, n + i))
+            add_row(LinRow(lo, 0.0, f"soc_lo{tag}"), n + i)
 
             for epi in aging.epigraph_rows(spec, tau):
                 quad_rows.append(QuadRow(epi, int(pc), int(pd), int(zeta)))
@@ -421,17 +427,13 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
         balance = {int(presc): 1.0, int(pres): 1.0}
         fr_min: dict[int, float] = {int(cols["vfr"][tau]): market.reg_min_power}
         sr_min: dict[int, float] = {int(cols["vsr"][tau]): market.reserve_min_power}
-        flag_terms = []
         for i in range(n):
             balance[int(cols["prec"][i, tau])] = 1.0
-            fr_min[int(cols["pfrc"][i, tau])] = 0.0
-            fr_min[int(cols["pfrd"][i, tau])] = 0.0
+            fr_min[int(cols["pfrc"][i, tau])] = -1.0
+            fr_min[int(cols["pfrd"][i, tau])] = -1.0
             sr_min[int(cols["psr"][i, tau])] = -1.0
-            flag_terms += [(cols["pfrc"][i, tau], src(tau, _FR_MIN_C)),
-                           (cols["pfrd"][i, tau], src(tau, _FR_MIN_D))]
-        add_row(LinRow(balance, 0.0, f"re_balance[{tau}]"),
-                (None, src(tau, _RENEWABLE)))
-        add_row(LinRow(fr_min, 0.0, f"fr_min[{tau}]"), *flag_terms)
+        add_row(LinRow(balance, 0.0, f"re_balance[{tau}]"), src(tau, _RENEWABLE))
+        add_row(LinRow(fr_min, 0.0, f"fr_min[{tau}]"))
         add_row(LinRow(sr_min, 0.0, f"sr_min[{tau}]"))
 
     for c in binary_cols:
@@ -442,13 +444,9 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
     if not np.isfinite(numbers).all():
         raise ValueError("non-finite ESS spec or market value: "
                          + "; ".join(validate_inputs(specs, market, ()).violations))
-    m = len(rows)
-    base = 3 * n_cols + m
     fill = ([(n_cols + c, s) for c, s in ub_fill]
             + [(2 * n_cols + c, s) for c, s in obj_fill]
-            + [(3 * n_cols + r if c is None
-                else base + int(csr.ptr[r]) + list(rows[r].coeffs).index(c), s)
-               for r, c, s in row_fill])
+            + [(3 * n_cols + r, s) for r, s in rhs_fill])
     fill_dst, fill_src = np.array(fill, dtype=np.intp).reshape(-1, 2).T
 
     # A quad row's rate box is that of the first spec with its ess id.
@@ -496,10 +494,10 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
     for slot in horizon:
         u = slot.reg_up_flag
         prices = slot_prices(slot)
-        w += (slot.demand, slot.renewable, -(1.0 - u), -float(u))
+        w += (slot.demand, slot.renewable)
         w += [-ts * (prices[price] * m) for price, m in _OBJ_TERMS.values()]
         for spec in specs:
-            w += (-u * spec.discharge_rate_max, -(1 - u) * spec.charge_rate_max)
+            w += (u * spec.discharge_rate_max, (1 - u) * spec.charge_rate_max)
     w = np.array(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError(f"non-finite input in the window at t={t}: " + "; ".join(

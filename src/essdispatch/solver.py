@@ -12,22 +12,26 @@ is on the most fractional binary with best-bound node selection; everything
 is deterministic for a fixed instance and configuration.
 
 All LPs of one window are re-solves of a single persistent HiGHS model (the
-dual simplex of Huangfu & Hall, 2018): node fixings change column bounds, new
-cuts append rows, and each run starts from the previous optimal basis.
+dual simplex of Huangfu & Hall, 2018): node fixings change column bounds and
+new cuts append rows.  Each node's LP starts from the basis its parent's last
+LP left, re-installed if another LP ran since, with the cuts added meanwhile
+basic.  Node LPs have nearly tied optima, and from the basis of another
+subtree the dual simplex tends to reach another of them and branch on
+another column: the bundled week at H=8 then took three times the nodes.
 Presolve is off: a window's LP is a few dozen to a few hundred rows that
-presolve cannot shrink, and warm runs skip it anyway.  The primal feasibility
-tolerance is 1e-9, since the rows are scaled to max-abs coefficient 1.  A
-closed pool hands its model back, cleared but with its options, and the next
-window loads into it instead of constructing a new one; a cleared model gives
-the same runs as a fresh one with the same options.  This CutPool is the only LP path: solve,
-solve_relaxation and brute_force_oracle all run their LPs in one.
+presolve cannot shrink, and warm runs skip it anyway.  The primal
+feasibility tolerance is 1e-9, since the rows are scaled to max-abs
+coefficient 1.  A closed pool hands its model back, cleared but with its
+options, and the next window loads into it instead of constructing a new
+one; a cleared model gives the same runs as a fresh one with the same
+options.  This CutPool is the only LP path: solve, solve_relaxation and
+brute_force_oracle all run their LPs in one.
 
 A rolling run also keeps a ModelSet: a loaded model for each of its last few
-window shapes, whose next window of that shape changes only costs,
-right-hand sides and cuts, and runs its root from the basis the last one
-left.  Only a root that stays integral finishes there; a window whose root
-turns fractional is solved cold, as without the set, so branch-and-bound
-never starts from another window's basis.
+window templates.  Every row coefficient of a template is fixed, so the next
+window of that template changes only costs, bounds, right-hand sides and
+cuts, and its whole branch-and-bound runs in that model, the root from the
+root basis the last window left.
 
 The integrality and cut tolerances and the cut-round limit are fixed module
 constants; SolverConfig carries the gap tolerance and the node limit.
@@ -48,7 +52,8 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 
 try:
-    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+    from scipy.optimize._highspy._core import (HighsBasisStatus, HighsModelStatus,
+                                               HighsStatus, _Highs)
 except ImportError as exc:
     raise ImportError(
         "essdispatch requires scipy>=1.17: its LP subsolver is the HiGHS class "
@@ -170,8 +175,9 @@ def _seed_tangents(template: WindowTemplate):
 # Models of closed pools, cleared, for the next pools to load into.
 _spare: list[_Highs] = []
 # Models a ModelSet keeps loaded at most.  A solved model keeps about 0.7 MB
-# of simplex workspace until it is destroyed (clearing it keeps that), so
-# the 19 shapes of the H=4 week raised that run's peak RSS by about 10 MB.
+# of simplex workspace until it is destroyed (clearing it keeps that).  A run
+# uses one template per window length, the full horizon and then the shorter
+# windows at the end of the series, so only those ever evict a model.
 MODEL_LIMIT = 4
 
 
@@ -196,22 +202,20 @@ def _release(highs: _Highs) -> None:
 
 
 class ModelSet:
-    """The loaded models of one rolling run, one per window shape, each with
-    the scaled right-hand sides it holds.
+    """The loaded models of one rolling run, one per window template, each
+    with the scaled right-hand sides it holds.
 
-    A shape is a window template plus byte-identical scaled base rows, so
-    every reg-up/down pattern of a template is a shape of its own.  A CutPool
-    made with the set loads a new shape into a model that the set keeps; for
-    a shape seen before it updates that model in place, and its first LP
-    starts from the basis the last window of that shape left.  Past
-    MODEL_LIMIT shapes, the least recently used one's model is cleared back
-    to the spares.  Used as a context manager, the set clears all its models
-    back on exit, so no basis outlives it.
+    A CutPool made with the set loads a new template into a model that the
+    set keeps; for a template seen before it updates that model in place, and
+    its first LP starts from the basis the last window of that template left.
+    Past MODEL_LIMIT templates, the least recently used one's model is
+    cleared back to the spares.  Used as a context manager, the set clears
+    all its models back on exit, so no basis outlives it.
     """
 
     def __init__(self) -> None:
         # In order of last use, the most recent last.
-        self._models: dict[tuple, tuple[_Highs, np.ndarray]] = {}
+        self._models: dict[WindowTemplate, tuple[_Highs, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self._models)
@@ -224,14 +228,14 @@ class ModelSet:
             _release(highs)
         self._models.clear()
 
-    def take(self, shape: tuple) -> tuple[_Highs, np.ndarray] | None:
-        """The model of a shape and the right-hand sides it holds, if kept."""
-        return self._models.pop(shape, None)
+    def take(self, template: WindowTemplate) -> tuple[_Highs, np.ndarray] | None:
+        """The model of a template and the right-hand sides it holds, if kept."""
+        return self._models.pop(template, None)
 
-    def keep(self, shape: tuple, highs: _Highs, rhs: np.ndarray) -> None:
-        """Keep a shape's model, holding right-hand sides rhs, as the most
+    def keep(self, template: WindowTemplate, highs: _Highs, rhs: np.ndarray) -> None:
+        """Keep a template's model, holding right-hand sides rhs, as the most
         recently used."""
-        self._models[shape] = (highs, rhs)
+        self._models[template] = (highs, rhs)
         if len(self._models) > MODEL_LIMIT:
             _release(self._models.pop(next(iter(self._models)))[0])
 
@@ -241,18 +245,20 @@ class CutPool:
     cuts, held in one persistent HiGHS model.
 
     Each solve changes only column bounds and re-runs the dual simplex from
-    the previous optimal basis; presolve is off, so the window's first run
-    is a plain cold simplex as well.  cut adds tangent cuts, and rows numbers
-    them (seed tangents first): they are the model's last len(rows) rows,
-    and rows keeps its length once the pool is closed.  lp_calls, lp_iters
-    and lp_restarts count simplex runs, simplex iterations and cold restarts.
+    the model's current basis, which basis and restore save and re-install;
+    presolve is off, so the window's first run is a plain cold simplex as
+    well.  cut adds tangent cuts, and rows numbers them (seed tangents
+    first): they are the model's last len(rows) rows, and rows keeps its
+    length once the pool is closed.  lp_calls, lp_iters and lp_restarts count
+    simplex runs, simplex iterations and cold restarts.
 
     The model is a closed pool's, recycled, or a new one.  Used as a context
     manager, the pool hands its model back on exit and can solve no more; a
     pool that is not closed keeps its model to itself.  A pool made with a
-    ModelSet takes its model from the set instead, and leaves it there; warm
-    says whether the set held the model already, with the last basis of its
-    shape, or loaded it new.
+    ModelSet takes its model from the set instead, and leaves it there (kept
+    says so): the model of the instance's template, with the last basis of
+    that template's previous window, or a new load.  The instance's rows must
+    then be its template's, as build_problem makes them.
     """
 
     _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
@@ -266,12 +272,9 @@ class CutPool:
         base = _scaled_csr(instance.rows)
         seeds = _seed_tangents(self._tpl) if instance.quad_rows else None
         self.rows = range(0 if seeds is None else len(seeds[3]))
-        self._models = models
-        kept = None
-        if models is not None:
-            shape = (self._tpl, *(a.tobytes() for a in base[:3]))
-            kept = models.take(shape)
-        if kept is None:
+        self.kept = models is not None
+        loaded = models.take(self._tpl) if self.kept else None
+        if loaded is None:
             self._highs = _model()
             self._highs.addVars(n, instance.lb, instance.ub)
             self._highs.changeColsCost(n, self._cols, instance.objective)
@@ -280,9 +283,9 @@ class CutPool:
             if seeds is not None:
                 self._add_rows(*seeds)
         else:
-            # The same shape: new costs and right-hand sides, and the last
-            # window's cuts deleted; column bounds are set by every solve.
-            self._highs, held = kept
+            # The same template: new costs and right-hand sides, and the
+            # last window's cuts deleted; column bounds are set by every solve.
+            self._highs, held = loaded
             self._highs.changeColsCost(n, self._cols, instance.objective)
             rhs = base[3]
             for r in np.flatnonzero(rhs != held).tolist():
@@ -291,16 +294,15 @@ class CutPool:
                              dtype=np.int32)
             if cuts.size:
                 self._highs.deleteRows(cuts.size, cuts)
-        if models is not None:
-            models.keep(shape, self._highs, base[3])
-        self.warm = kept is not None
+        if self.kept:
+            models.keep(self._tpl, self._highs, base[3])
 
     def __enter__(self) -> CutPool:
         return self
 
     def __exit__(self, *exc) -> None:
         highs, self._highs = self._highs, None
-        if self._models is None:
+        if not self.kept:
             _release(highs)
 
     def _add_rows(self, starts, index, value, rhs) -> None:
@@ -348,6 +350,27 @@ class CutPool:
         if info == HighsStatus.kOk:
             self.lp_iters += iters
         return self._highs.getModelStatus()
+
+    def basis(self) -> list:
+        """The model's basis, for restore: HiGHS's record of it, the row
+        count it covers and the LP count when it was taken."""
+        return [self._highs.getBasis(), self._highs.getNumRow(), self.lp_calls]
+
+    def restore(self, saved: list) -> None:
+        """Re-install a basis that basis() returned, with every row added
+        since as basic.  Nothing to do if no LP has run since: the model
+        still holds it.  Raises SolverError if HiGHS rejects it."""
+        basis, rows, lp_calls = saved
+        if lp_calls == self.lp_calls:
+            return
+        added = self._highs.getNumRow() - rows
+        if added:
+            # Both children of a node share its record, so extend it once.
+            basis.row_status = basis.row_status + [HighsBasisStatus.kBasic] * added
+            saved[1] += added
+        status = self._highs.setBasis(basis)
+        if status != HighsStatus.kOk:
+            raise SolverError(f"HiGHS rejected a saved basis: {status}")
 
     def solve(self, lb: np.ndarray, ub: np.ndarray) -> LpSolution:
         """min c.x over the base rows and cuts with the given column bounds."""
@@ -451,49 +474,21 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
     loop runs at the root and at integral nodes, where the bound feeds the
     incumbent and the final gap.
 
-    With a run's ModelSet, a window of a shape the set holds runs the root's
-    cut loop first in that shape's model, from the basis the last window of
-    the shape left.  If every LP of the loop is optimal and integral, the
-    window finishes there; at the first LP that is not, the window is solved
-    as without the set, in a fresh pool, so every branch-and-bound tree grows
-    from a cold root.  The LP counts of the result include the warm runs.  A
-    window of a new shape is solved cold in the model the set loads for it.
+    With a run's ModelSet, the window is solved in the model the set keeps
+    for its template, its root from the root basis of the last window of
+    that template; a branching window leaves its own root basis there for
+    the next one.
     """
     if models is not None:
-        pool = CutPool(instance, models)
-        if not pool.warm:
-            # A newly loaded model runs exactly as a fresh pool would.
-            return _branch_and_bound(instance, config, pool)
-        root = _integral_root(instance, pool)
-        if root is not None:
-            return _branch_and_bound(instance, config, pool, root)
+        return _branch_and_bound(instance, config, CutPool(instance, models))
     with CutPool(instance) as cut_pool:
-        result = _branch_and_bound(instance, config, cut_pool)
-    if models is not None:
-        result.lp_calls += pool.lp_calls
-        result.lp_iters += pool.lp_iters
-        result.lp_restarts += pool.lp_restarts
-    return result
-
-
-def _integral_root(instance: ProblemInstance, pool: CutPool) -> LpSolution | None:
-    """The root relaxation, its cuts converged in pool, if every LP of the cut
-    loop is optimal with integral binaries; None at the first that is not."""
-    for _ in range(CUT_ROUND_LIMIT):
-        sol = pool.solve(instance.lb, instance.ub)
-        if (sol.status != "optimal"
-                or _fractional(sol.x, instance.binary_cols, INT_TOL) is not None):
-            return None
-        if not pool.cut(sol.x):
-            return sol
-    return None
+        return _branch_and_bound(instance, config, cut_pool)
 
 
 def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
-                      cut_pool: CutPool,
-                      root: LpSolution | None = None) -> SolveResult:
-    """Branch-and-bound in cut_pool from the converged root relaxation: root,
-    if it was solved in cut_pool already, or else solved here."""
+                      cut_pool: CutPool) -> SolveResult:
+    """Branch-and-bound in cut_pool from its converged root relaxation, each
+    node's LP from the basis its parent's last LP left."""
     incumbent_x = None
     incumbent_obj = np.inf
     counter = itertools.count()
@@ -515,27 +510,29 @@ def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
         if obj < incumbent_obj:
             incumbent_x, incumbent_obj = polished, obj
 
-    if root is None:
-        root = solve_relaxation(instance, None, cut_pool)
+    root = solve_relaxation(instance, None, cut_pool)
     nodes = 1
     if root.status != "optimal":
         return finish("infeasible", np.inf, np.inf, None)
     relaxation_floor = np.inf  # tightest bound among fathomed integral nodes
-    heap: list[tuple[float, int, dict[int, int]]] = []
+    # Open nodes: bound, tie-breaker, fixings and the parent's saved basis.
+    heap: list[tuple[float, int, dict[int, int], list]] = []
+    root_basis = None
     if _fractional(root.x, instance.binary_cols, INT_TOL) is None:
         register(root.x)
         relaxation_floor = root.objective
     else:
+        root_basis = cut_pool.basis()
         # Dive heuristic: fix all binaries to their rounded relaxation values;
         # a feasible result seeds the incumbent and enables early pruning.
         rounded = {col: int(round(root.x[col])) for col in instance.binary_cols}
         dive = solve_relaxation(instance, rounded, cut_pool)
         if dive.status == "optimal":
             register(dive.x)
-        heap = [(root.objective, next(counter), {})]
+        heap = [(root.objective, next(counter), {}, root_basis)]
 
     while heap:
-        bound, _, fixed = heapq.heappop(heap)
+        bound, _, fixed, basis = heapq.heappop(heap)
         if incumbent_x is not None and gap_ok(bound):
             relaxation_floor = min(relaxation_floor, bound)
             break
@@ -544,6 +541,7 @@ def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
             relaxation_floor = min(relaxation_floor, bound)
             break
         nodes += 1
+        cut_pool.restore(basis)
         sol = cut_pool.solve(*_fixed_bounds(instance, fixed))
         if sol.status != "optimal":
             continue  # infeasible node
@@ -560,16 +558,20 @@ def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
                 register(sol.x)
                 relaxation_floor = min(relaxation_floor, sol.objective)
                 continue
+        basis = cut_pool.basis()
         for val in (0, 1):
             child = dict(fixed)
             child[branch_col] = val
-            heapq.heappush(heap, (sol.objective, next(counter), child))
+            heapq.heappush(heap, (sol.objective, next(counter), child, basis))
 
+    if root_basis is not None and cut_pool.kept:
+        # The next window of the template starts from this root basis.
+        cut_pool.restore(root_basis)
     if incumbent_x is None:
         if status == "node-limit":
             return finish("node-limit", np.inf, -np.inf, None)
         return finish("infeasible", np.inf, np.inf, None)
-    proven = min([b for b, _, _ in heap] + [relaxation_floor, incumbent_obj])
+    proven = min([entry[0] for entry in heap] + [relaxation_floor, incumbent_obj])
     if status == "optimal" and not gap_ok(proven):
         status = "gap-limit"
     result = finish(status, incumbent_obj, proven, incumbent_x)

@@ -14,8 +14,8 @@ from essdispatch.problem import (ESS_VARS, SLOT_VARS, LinRow, QuadRow,
                                  decompose_at_point,
                                  mccormick_rows, objective_decomposition,
                                  recover_service_split)
-from essdispatch.problem import SolveResult
-from essdispatch.solver import solve, solve_relaxation
+from essdispatch.problem import ProblemInstance, SolveResult
+from essdispatch.solver import SolverConfig, solve, solve_relaxation
 
 from conftest import make_spec
 from test_solver import rand_slot
@@ -58,9 +58,11 @@ class TestBuildProblem:
         inst = build_problem(0, [slot(renewable=0.0, up=1)],
                              SocState((0.5,)), [spec1], market)
         row = next(r for r in inst.rows if r.name == "fr_c[0,0]")
-        # charge-side cap multiplied by (1-u)=0: pfrc <= 0 regardless of vfr
+        # the row is the same in every window; the charge-side bound is
+        # multiplied by (1-u)=0: pfrc <= 0 regardless of vfr
         assert row.coeffs == {inst.col("pfrc", 0, 0): 1.0,
-                              inst.col("vfr", 0): 0.0}
+                              inst.col("vfr", 0): -spec1.charge_rate_max}
+        assert inst.ub[inst.col("pfrc", 0, 0)] == 0.0
         res = solve(inst)
         assert res.status == "optimal"
         assert res.x[inst.col("pfrc", 0, 0)] == pytest.approx(0.0, abs=1e-9)
@@ -345,8 +347,13 @@ class TestSolutionInvariants:
 # The dict-of-rows builder, decoder and polish that the window templates
 # replace; instances must match them bit for bit.
 
-def reference_build_problem(t, horizon, state, specs, market):
-    """The dict-of-rows builder that window templates replace."""
+def reference_build_problem(t, horizon, state, specs, market, gate="bounds"):
+    """The dict-of-rows builder that window templates replace.
+
+    gate says where the slot's regulation flag u enters: in the column bounds
+    ub[pfrd] = u*Pd and ub[pfrc] = (1-u)*Pc, as the templates have it, or
+    ("rows") in the row coefficients of fr_d, fr_c and fr_min, the earlier
+    form, whose rows differ between windows of one template."""
     H = len(horizon)
     if H == 0:
         raise ValueError("horizon must be nonempty")
@@ -399,6 +406,8 @@ def reference_build_problem(t, horizon, state, specs, market):
         price_reg = slot.perf_score * (slot.price_rmccp
                                        + slot.price_rmpcp * slot.mileage_ratio)
         u = slot.reg_up_flag
+        # The flag factors of the fr_d and fr_c rows and fr_min's weights.
+        up, down = (1, 1) if gate == "bounds" else (u, 1 - u)
         for i, spec in enumerate(specs):
             pc = cols["pc"][i, tau]
             prec = cols["prec"][i, tau]
@@ -417,6 +426,9 @@ def reference_build_problem(t, horizon, state, specs, market):
             for c in (pd, pfrd, psr, z):
                 ub[c] = spec.discharge_rate_max
             lb[zeta], ub[zeta] = aging.zeta_bounds(spec)
+            if gate == "bounds":
+                ub[pfrd] = u * spec.discharge_rate_max
+                ub[pfrc] = (1 - u) * spec.charge_rate_max
 
             tag = f"[{i},{tau}]"
             # Aggregate-rate linkage with the bill/future split eliminated.
@@ -426,9 +438,9 @@ def reference_build_problem(t, horizon, state, specs, market):
             rows.append(LinRow({pd: 1.0, vc: spec.discharge_rate_max, psr: 1.0, z: -1.0},
                                spec.discharge_rate_max, f"link_d_hi{tag}"))
             # Regulation direction gating by the exogenous up/down flag.
-            rows.append(LinRow({pfrd: 1.0, vfr: -u * spec.discharge_rate_max}, 0.0,
+            rows.append(LinRow({pfrd: 1.0, vfr: -up * spec.discharge_rate_max}, 0.0,
                                f"fr_d{tag}"))
-            rows.append(LinRow({pfrc: 1.0, vfr: -(1 - u) * spec.charge_rate_max}, 0.0,
+            rows.append(LinRow({pfrc: 1.0, vfr: -down * spec.charge_rate_max}, 0.0,
                                f"fr_c{tag}"))
             rows.append(LinRow({psr: 1.0, vsr: -spec.discharge_rate_max}, 0.0,
                                f"sr_cap{tag}"))
@@ -473,8 +485,8 @@ def reference_build_problem(t, horizon, state, specs, market):
         sr_min: dict[int, float] = {int(cols["vsr"][tau]): market.reserve_min_power}
         for i in range(n):
             balance[int(cols["prec"][i, tau])] = 1.0
-            fr_min[int(cols["pfrc"][i, tau])] = -(1.0 - u)
-            fr_min[int(cols["pfrd"][i, tau])] = -float(u)
+            fr_min[int(cols["pfrc"][i, tau])] = -float(down)
+            fr_min[int(cols["pfrd"][i, tau])] = -float(up)
             sr_min[int(cols["psr"][i, tau])] = -1.0
         rows.append(LinRow(balance, slot.renewable, f"re_balance[{tau}]"))
         rows.append(LinRow(fr_min, 0.0, f"fr_min[{tau}]"))
@@ -638,6 +650,27 @@ class TestWindowTemplate:
             got = recover_service_split(result)
             want = reference_recover_service_split(result)
             assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_bound_gating_is_exact(self, seed):
+        # the flag in the column bounds of pfrd and pfrc leaves the feasible
+        # set of the row-gated form, relaxed or not, unchanged
+        rng = np.random.default_rng(900 + seed)
+        n_ess, horizon = 1 + seed % 3, 1 + seed % 6
+        slots, soc, specs, market = window = random_window(rng, n_ess, horizon)
+        inst = build_problem(7, *window)
+        ref = reference_build_problem(7, *window, gate="rows")
+        gated = ProblemInstance(7, ref.lb, ref.ub, ref.rows, ref.objective,
+                                tuple(slots), soc.soc, inst.template)
+        assert gated.ub.tobytes() != inst.ub.tobytes()
+        got, want = solve_relaxation(inst), solve_relaxation(gated)
+        assert got.status == want.status == "optimal"
+        assert abs(got.objective - want.objective) <= (
+            1e-9 * max(1.0, abs(want.objective)))
+        got, want = solve(inst), solve(gated)
+        assert got.status == want.status == "optimal"
+        assert abs(got.objective - want.objective) <= (
+            SolverConfig().gap_tol * max(1.0, abs(want.objective)))
 
     def test_windows_share_only_read_only_data(self, specs, market):
         window_a = [slot(up=0), slot(up=1, purchase=0.0)]

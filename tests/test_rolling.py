@@ -324,8 +324,8 @@ class TestWarmRoots:
     @pytest.mark.parametrize("horizon", [1, 4])
     def test_warm_windows_agree_with_stateless_solves(self, tmp_path, monkeypatch,
                                                       week_series, horizon):
-        # every window of a week run, solved with the run's model set, against
-        # a stateless solve of the same instance
+        # every window of a week run, its branch-and-bound in the run's model
+        # of its template, against a stateless solve of the same instance
         write_default_config(tmp_path / "config.ini")
         specs, market, config, forecast, _ = load_config(tmp_path / "config.ini")
         solved = []
@@ -338,28 +338,20 @@ class TestWarmRoots:
         monkeypatch.setattr(rolling, "solve", record)
         run_simulation(week_series, specs, market, horizon, forecast, config)
         assert len(solved) == len(week_series)
-        shapes = set()
-        branched = handed_off = 0
+        lengths = set()
+        branched = 0
         for instance, warm, n_models in solved:
             cold = solve(instance, config)
             assert warm.status == cold.status == "optimal"
             assert abs(warm.objective - cold.objective) <= \
                 config.gap_tol * max(1.0, abs(cold.objective))
             assert check_solution(instance, warm.x) == []
-            if cold.node_count > 1:
-                # a fractional root: branch-and-bound from a cold root
-                branched += 1
-                assert warm.node_count == cold.node_count
-                assert warm.x.tobytes() == cold.x.tobytes()
-                # its LP counts include the warm runs before a hand-off
-                assert warm.lp_calls >= cold.lp_calls
-                assert warm.lp_iters >= cold.lp_iters
-                handed_off += warm.lp_calls > cold.lp_calls
-            # one model per horizon length and reg-up/down pattern seen so
-            # far, up to the limit
-            shapes.add(tuple(slot.reg_up_flag for slot in instance.exog))
-            assert n_models == min(len(shapes), MODEL_LIMIT)
-        assert branched >= handed_off > 0 and len(shapes) >= 2 * horizon
+            branched += warm.node_count > 1
+            # one model per window length seen so far, up to the limit,
+            # whatever the windows' reg-up/down patterns
+            lengths.add(instance.horizon)
+            assert n_models == min(len(lengths), MODEL_LIMIT)
+        assert branched > 0 and len(lengths) == horizon
 
     def test_no_model_outlives_the_run(self, specs, market, week_series,
                                        monkeypatch):

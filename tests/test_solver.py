@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize_scalar
-from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus,
-                                           MatrixFormat, _Highs)
+from scipy.optimize._highspy._core import (HighsBasisStatus, HighsModelStatus,
+                                           HighsStatus, MatrixFormat, _Highs)
 from scipy.sparse import csc_array, csr_array
 
 from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
@@ -590,9 +590,10 @@ class TestRecycledModel:
 
 
 class TestModelSet:
-    def test_one_model_per_shape(self, specs, market, monkeypatch):
-        # windows of one template load one model per reg-up/down pattern; a
-        # shape seen before takes its costs and right-hand sides in place and
+    def test_one_model_per_template(self, specs, market, monkeypatch):
+        # windows of one template share one model, whatever their reg-up/down
+        # pattern, and a window of another length loads its own; a kept model
+        # takes its next window's costs and right-hand sides in place and
         # loses the last window's cuts, which leaves the LP a fresh load holds
         monkeypatch.setattr(solver_module, "_spare", [])
         rng = np.random.default_rng(21)
@@ -602,28 +603,28 @@ class TestModelSet:
             soc = SocState(tuple(rng.uniform(0.3, 0.8, len(specs)).tolist()))
             return build_problem(0, exog, soc, specs, market)
 
-        a, b, c = window(0, 1), window(1, 1), window(0, 1)
-        assert a.template is b.template is c.template
+        a, b, c = window(0, 1), window(1, 0), window(1, 1, 0)
+        assert a.template is b.template and c.template is not a.template
         with ModelSet() as models:
             first = CutPool(a, models)
             seeds = len(first.rows)
             hot = np.zeros(a.n_cols)
             hot[a.cols["pc"]] = 100.0
             assert first.cut(hot) and len(first.rows) > seeds
-            with CutPool(b, models) as second:
-                kept = [first._highs, second._highs]
+            with CutPool(c, models) as other:
+                kept = [first._highs, other._highs]
                 assert len(models) == 2 and kept[1] is not kept[0]
-            third = CutPool(c, models)
-            assert len(models) == 2 and third._highs is first._highs
-            assert third.rows == range(seeds)
-            with CutPool(c) as fresh:
-                got, want = held_rows(third._highs), held_rows(fresh._highs)
+            second = CutPool(b, models)
+            assert len(models) == 2 and second._highs is first._highs
+            assert second.rows == range(seeds)
+            with CutPool(b) as fresh:
+                got, want = held_rows(second._highs), held_rows(fresh._highs)
                 assert (got[0].toarray() == want[0].toarray()).all()
                 assert got[1].tobytes() == want[1].tobytes()
-                assert (np.asarray(third._highs.getLp().col_cost_).tobytes()
+                assert (np.asarray(second._highs.getLp().col_cost_).tobytes()
                         == np.asarray(fresh._highs.getLp().col_cost_).tobytes())
-                assert third.solve(c.lb, c.ub).objective == pytest.approx(
-                    fresh.solve(c.lb, c.ub).objective, rel=1e-9, abs=1e-9)
+                assert second.solve(b.lb, b.ub).objective == pytest.approx(
+                    fresh.solve(b.lb, b.ub).objective, rel=1e-9, abs=1e-9)
             # the set's models stay loaded until the set closes, also the
             # one of a pool closed as a context manager
             assert not any(h is s for h in kept for s in solver_module._spare)
@@ -634,15 +635,15 @@ class TestModelSet:
 
     def test_least_recently_used_model_released(self, specs, market,
                                                 monkeypatch):
-        # past MODEL_LIMIT shapes, the model of the one used longest ago is
-        # cleared back to the spares and the others stay loaded
+        # past MODEL_LIMIT templates, the model of the one used longest ago
+        # is cleared back to the spares and the others stay loaded
         monkeypatch.setattr(solver_module, "_spare", [])
         monkeypatch.setattr(solver_module, "MODEL_LIMIT", 2)
         rng = np.random.default_rng(4)
         soc = SocState((0.5, 0.5))
-        a, b, c = (build_problem(0, [replace(rand_slot(rng), reg_up_flag=u)
-                                     for u in flags], soc, specs, market)
-                   for flags in ((0, 0), (0, 1), (1, 1)))
+        a, b, c = (build_problem(0, [rand_slot(rng) for _ in range(horizon)],
+                                 soc, specs, market)
+                   for horizon in (1, 2, 3))
         with ModelSet() as models:
             model_a, model_b = CutPool(a, models)._highs, CutPool(b, models)._highs
             assert CutPool(a, models)._highs is model_a  # a is now the newest
@@ -652,6 +653,105 @@ class TestModelSet:
             assert CutPool(a, models)._highs is model_a
             assert CutPool(b, models)._highs is model_b  # reloaded, evicts c
             assert solver_module._spare == [model_c]
+
+
+class _BasisLog:
+    """HiGHS model proxy that logs its run, getBasis and setBasis calls, the
+    last with the row statuses it was given; setBasis answers `answer`
+    instead of HiGHS's own status when one is given."""
+
+    def __init__(self, highs, answer=None):
+        self._highs = highs
+        self.answer = answer
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self.calls.append(("run",))
+        return self._highs.run()
+
+    def getBasis(self):
+        self.calls.append(("getBasis",))
+        return self._highs.getBasis()
+
+    def setBasis(self, basis):
+        self.calls.append(("setBasis", list(basis.row_status)))
+        status = self._highs.setBasis(basis)
+        return status if self.answer is None else self.answer
+
+
+class TestParentBasis:
+    # The pools stay open, so their proxies never reach the spare models.
+
+    def test_restore_right_after_capture_sets_nothing(self, market):
+        inst = rand_instance(np.random.default_rng(1), n_ess=2, market=market)
+        pool = CutPool(inst)
+        pool._highs = log = _BasisLog(pool._highs)
+        pool.solve(inst.lb, inst.ub)
+        saved = pool.basis()
+        pool.restore(saved)
+        assert log.calls == [("run",), ("getBasis",)]
+        ub = inst.ub.copy()
+        ub[inst.binary_cols[0]] = 0.0
+        pool.solve(inst.lb, ub)
+        pool.restore(saved)
+        assert [c[0] for c in log.calls[2:]] == ["run", "setBasis"]
+        # the re-installed basis is optimal for the LP it was taken at
+        assert pool.solve(inst.lb, inst.ub).status == "optimal"
+        assert pool._highs.getInfoValue("simplex_iteration_count")[1] == 0
+
+    def test_rows_added_since_capture_are_basic(self, market):
+        inst = rand_instance(np.random.default_rng(1), n_ess=2, market=market)
+        pool = CutPool(inst)
+        pool._highs = log = _BasisLog(pool._highs)
+        pool.solve(inst.lb, inst.ub)
+        saved = pool.basis()
+        before = list(saved[0].row_status)
+        hot = np.zeros(inst.n_cols)
+        hot[inst.cols["pc"]] = 100.0
+        assert pool.cut(hot)
+        pool.solve(inst.lb, inst.ub)
+        pool.restore(saved)
+        (name, rows), = log.calls[3:]
+        assert name == "setBasis" and len(rows) == pool._highs.getNumRow()
+        assert rows[:len(before)] == before and len(rows) > len(before)
+        assert set(rows[len(before):]) == {HighsBasisStatus.kBasic}
+        assert saved[1] == len(rows)
+
+    def test_rejected_basis_raises(self, market):
+        inst = rand_instance(np.random.default_rng(1), n_ess=2, market=market)
+        pool = CutPool(inst)
+        pool._highs = _BasisLog(pool._highs, answer=HighsStatus.kWarning)
+        pool.solve(inst.lb, inst.ub)
+        saved = pool.basis()
+        pool.solve(inst.lb, inst.ub)
+        with pytest.raises(SolverError, match="rejected a saved basis"):
+            pool.restore(saved)
+
+    def test_nodes_start_from_their_parents_basis(self, market, monkeypatch):
+        # a branching window: children run right after their parent without
+        # a setBasis, the others after one, and the result is the one a
+        # pool without the proxy finds
+        inst = rand_instance(np.random.default_rng(6), n_ess=2, market=market)
+        reference = solve(inst)
+        logs = []
+
+        def logged():
+            logs.append(_BasisLog(_Highs()))
+            return logs[-1]
+
+        monkeypatch.setattr(solver_module, "_spare", [])
+        monkeypatch.setattr(solver_module, "_Highs", logged)
+        res = solve(inst)
+        assert res.node_count == reference.node_count > 3
+        assert res.x.tobytes() == reference.x.tobytes()
+        names = [c[0] for c in logs[0].calls]
+        pairs = list(zip(names, names[1:]))
+        assert ("getBasis", "run") in pairs and ("setBasis", "run") in pairs
+        # at most one setBasis per node after the root, and not at every one
+        assert 0 < names.count("setBasis") < res.node_count - 1
 
 
 class TestPolish:
@@ -854,16 +954,15 @@ def lp_bytes(highs):
 
 
 def zero_coeff_instance(rng, n_ess, horizon, market):
-    """A random instance with zero row coefficients: regulation up in the
-    first slot zeroes fr_c's flag term, and a segment with b = 0 gives the
-    seed tangent at the origin a zero gradient."""
+    """A random instance with zero row coefficients: no regulation minimum
+    zeroes fr_min's vfr term, and a segment with b = 0 gives the seed
+    tangent at the origin a zero gradient."""
     segments = SegmentSet(((1e-4, 0.0), (4e-6, 8e-6), (0.0, 1.2e-5)))
     specs = [make_spec(1 + i % 2, id=i + 1, aging_segments=segments)
              for i in range(n_ess)]
     slots = [rand_slot(rng) for _ in range(horizon)]
-    slots[0] = replace(slots[0], reg_up_flag=1)
     soc = SocState(tuple(float(rng.uniform(0.25, 0.85)) for _ in specs))
-    return build_problem(0, slots, soc, specs, market)
+    return build_problem(0, slots, soc, specs, replace(market, reg_min_power=0.0))
 
 
 class TestArrayPool:

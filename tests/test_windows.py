@@ -19,7 +19,15 @@ from essdispatch.solver import solve
 
 from record_windows import bundled_config
 
-CATALOGUE = json.loads((Path(__file__).parent / "data" / "windows_h6.json").read_text())
+DATA = Path(__file__).parent / "data"
+# (catalogue, window) pairs.  The H=6 windows, recorded first, keep their ids
+# t<slot>; the others are h<horizon>-t<slot>.
+WINDOWS = [pytest.param(catalogue, window, id=(
+               f"t{window['t']}" if catalogue["horizon"] == 6
+               else f"h{catalogue['horizon']}-t{window['t']}"))
+           for catalogue in (json.loads((DATA / f"windows_h{h}.json").read_text())
+                             for h in (6, 8))
+           for window in catalogue["windows"]]
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +35,12 @@ def bundled():
     return bundled_config(), generate_series()
 
 
-@pytest.mark.parametrize("window", CATALOGUE["windows"], ids=lambda w: f"t{w['t']}")
-def test_recorded_window_objective(bundled, window):
+@pytest.mark.parametrize("catalogue,window", WINDOWS)
+def test_recorded_window_objective(bundled, catalogue, window):
     (specs, market, config), week = bundled
-    horizon, t = CATALOGUE["horizon"], window["t"]
+    horizon, t = catalogue["horizon"], window["t"]
     result = solve(build_problem(t, week[t:t + horizon], SocState(tuple(window["soc"])),
                                  specs, market), config)
     assert result.status == "optimal"
     assert abs(result.objective - window["objective"]) <= (
-        CATALOGUE["gap_tol"] * max(1.0, abs(window["objective"])))
+        catalogue["gap_tol"] * max(1.0, abs(window["objective"])))
