@@ -47,9 +47,6 @@ class LinRow:
     rhs: float
     name: str = ""
 
-    def value(self, x: np.ndarray) -> float:
-        return sum(c * x[j] for j, c in self.coeffs.items())
-
 
 class LinRows(Sequence):
     """Linear rows  sum_k value[k]*x[index[k]] <= rhs[r]  over the entries
@@ -599,17 +596,20 @@ def objective_decomposition(result: SolveResult) -> dict[str, float]:
 
 def check_solution(instance: ProblemInstance, x: np.ndarray,
                    lin_tol: float = 1e-7, quad_tol: float = 1e-6) -> list[str]:
-    """All constraint violations of a primal point beyond the given tolerances."""
-    out = []
-    for j in range(instance.n_cols):
-        if x[j] < instance.lb[j] - lin_tol or x[j] > instance.ub[j] + lin_tol:
-            out.append(f"bound on {instance.names[j]}: {x[j]} outside "
-                       f"[{instance.lb[j]}, {instance.ub[j]}]")
-    for row in instance.rows:
-        scale = max(abs(c) for c in row.coeffs.values())
-        v = row.value(x) - row.rhs
-        if v > lin_tol * max(scale, 1.0):
-            out.append(f"row {row.name}: violated by {v}")
+    """All constraint violations of a primal point beyond the given tolerances:
+    bounds, linear rows and epigraph rows, each in index order.  A linear
+    row's tolerance is lin_tol times its max-abs coefficient, at least 1."""
+    lb, ub = instance.lb, instance.ub
+    out = [f"bound on {instance.names[j]}: {x[j]} outside [{lb[j]}, {ub[j]}]"
+           for j in np.flatnonzero((x < lb - lin_tol) | (x > ub + lin_tol)).tolist()]
+    rows = instance.rows
+    # bincount adds each row's products in entry order, as a scalar sum does.
+    excess = np.bincount(rows.row_of, rows.value * x[rows.index],
+                         minlength=len(rows)) - rows.rhs
+    row_scale = np.ones(len(rows))
+    np.maximum.at(row_scale, rows.row_of, np.abs(rows.value))
+    out += [f"row {rows.names[r]}: violated by {excess[r]}"
+            for r in np.flatnonzero(excess > lin_tol * row_scale).tolist()]
     for q in instance.quad_rows:
         scale = max(abs(q.row.quad_c), abs(q.row.lin_c),
                     abs(q.row.quad_d), abs(q.row.lin_d), 1.0)

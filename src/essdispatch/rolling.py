@@ -201,30 +201,30 @@ def run_simulation(true_series: Sequence[SlotExogenous],
 
     ledger: list[LedgerEntry] = []
     node_counts: list[int] = []
-    # One run's warm models: no basis outlives the run.
-    with ModelSet() as models:
-        for t in range(n_slots):
-            h_eff = min(horizon, n_slots - t)
-            window = [true_series[t]]
-            for h in range(1, h_eff):
-                if forecast is None:
-                    window.append(true_series[t + h])
-                else:
-                    window.append(perturb_forecast(true_series, t, h, forecast,
-                                                   rng, ranges))
-            instance = build_problem(t, window, soc, specs, market)
-            result = solve(instance, config, models)
-            if result.status != "optimal":
-                raise SimulationError(f"solver returned {result.status} at slot {t}")
-            node_counts.append(result.node_count)
-            committed = repair_dispatch(result.decisions[0], true_series[t], soc,
-                                        specs, market)
-            soc = soc_update(soc, committed, specs, market.slot_hours)
-            rev = realized_revenues(committed, true_series[t], specs, market)
-            net = (rev["r_sc"] + rev["r_fr"] + rev["r_sr"] + rev["r_br"]
-                   - rev["aging_cost"])
-            ledger.append(LedgerEntry(slot=t, net_profit=net, decision=committed,
-                                      soc=soc.soc, **rev))
+    # The run's warm model: local to the run, so no basis outlives it.
+    models = ModelSet()
+    for t in range(n_slots):
+        h_eff = min(horizon, n_slots - t)
+        window = [true_series[t]]
+        for h in range(1, h_eff):
+            if forecast is None:
+                window.append(true_series[t + h])
+            else:
+                window.append(perturb_forecast(true_series, t, h, forecast,
+                                               rng, ranges))
+        instance = build_problem(t, window, soc, specs, market)
+        result = solve(instance, config, models)
+        if result.status != "optimal":
+            raise SimulationError(f"solver returned {result.status} at slot {t}")
+        node_counts.append(result.node_count)
+        committed = repair_dispatch(result.decisions[0], true_series[t], soc,
+                                    specs, market)
+        soc = soc_update(soc, committed, specs, market.slot_hours)
+        rev = realized_revenues(committed, true_series[t], specs, market)
+        net = (rev["r_sc"] + rev["r_fr"] + rev["r_sr"] + rev["r_br"]
+               - rev["aging_cost"])
+        ledger.append(LedgerEntry(slot=t, net_profit=net, decision=committed,
+                                  soc=soc.soc, **rev))
 
     totals = {key: sum(getattr(e, key) for e in ledger)
               for key in ("r_sc", "r_fr", "r_sr", "r_br", "aging_cost", "net_profit")}

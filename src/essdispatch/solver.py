@@ -21,17 +21,14 @@ another column: the bundled week at H=8 then took three times the nodes.
 Presolve is off: a window's LP is a few dozen to a few hundred rows that
 presolve cannot shrink, and warm runs skip it anyway.  The primal
 feasibility tolerance is 1e-9, since the rows are scaled to max-abs
-coefficient 1.  A closed pool hands its model back, cleared but with its
-options, and the next window loads into it instead of constructing a new
-one; a cleared model gives the same runs as a fresh one with the same
-options.  This CutPool is the only LP path: solve, solve_relaxation and
-brute_force_oracle all run their LPs in one.
+coefficient 1.  This CutPool is the only LP path: solve, solve_relaxation
+and brute_force_oracle all run their LPs in one.
 
-A rolling run also keeps a ModelSet: a loaded model for each of its last few
-window templates.  Every row coefficient of a template is fixed, so the next
-window of that template changes only costs, bounds, right-hand sides and
-cuts, and its whole branch-and-bound runs in that model, the root from the
-root basis the last window left.
+A rolling run also keeps a ModelSet: the loaded model of its last window's
+template.  Every row coefficient of a template is fixed, so the next window
+of that template changes only costs, bounds, right-hand sides and cuts, and
+its whole branch-and-bound runs in that model, the root from the root basis
+the last window left.
 
 The integrality and cut tolerances and the cut-round limit are fixed module
 constants; SolverConfig carries the gap tolerance and the node limit.
@@ -78,8 +75,10 @@ class SolverConfig:
     node_limit: int = 100000
 
     def __post_init__(self):
-        if self.gap_tol <= 0:
-            raise ValueError("gap_tol must be > 0")
+        if not 0 < self.gap_tol < np.inf:
+            raise ValueError("gap_tol must be > 0 and finite")
+        if self.node_limit < 1:
+            raise ValueError("node_limit must be >= 1")
 
 
 @dataclass
@@ -172,72 +171,43 @@ def _seed_tangents(template: WindowTemplate):
     return csr
 
 
-# Models of closed pools, cleared, for the next pools to load into.
-_spare: list[_Highs] = []
-# Models a ModelSet keeps loaded at most.  A solved model keeps about 0.7 MB
-# of simplex workspace until it is destroyed (clearing it keeps that).  A run
-# uses one template per window length, the full horizon and then the shorter
-# windows at the end of the series, so only those ever evict a model.
-MODEL_LIMIT = 4
-
-
 def _model() -> _Highs:
-    """A spare model, or a new one with the pool's options."""
-    try:
-        return _spare.pop()
-    except IndexError:
-        highs = _Highs()
-        highs.setOptionValue("output_flag", False)
-        highs.setOptionValue("presolve", "off")
-        # Rows are scaled to max-abs 1, so the default 1e-7 would let
-        # fr_min (coefficient 100) fall 1e-5 kW short of the market minimum.
-        highs.setOptionValue("primal_feasibility_tolerance", 1e-9)
-        return highs
-
-
-def _release(highs: _Highs) -> None:
-    """Clear a model, keeping its options, for the next pool to load into."""
-    highs.clearModel()
-    _spare.append(highs)
+    """A new model with the pool's options."""
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    # Rows are scaled to max-abs 1, so the default 1e-7 would let
+    # fr_min (coefficient 100) fall 1e-5 kW short of the market minimum.
+    highs.setOptionValue("primal_feasibility_tolerance", 1e-9)
+    return highs
 
 
 class ModelSet:
-    """The loaded models of one rolling run, one per window template, each
-    with the scaled right-hand sides it holds.
+    """The loaded model of one rolling run: its last window's template, the
+    model and the scaled right-hand sides the model holds.
 
-    A CutPool made with the set loads a new template into a model that the
-    set keeps; for a template seen before it updates that model in place, and
-    its first LP starts from the basis the last window of that template left.
-    Past MODEL_LIMIT templates, the least recently used one's model is
-    cleared back to the spares.  Used as a context manager, the set clears
-    all its models back on exit, so no basis outlives it.
+    A CutPool made with the set takes the model if its instance has that
+    template, updates it in place, and its first LP starts from the basis the
+    last window left; an instance of another template drops the kept model
+    and loads a new one.  A run's window length never grows, so its windows
+    of one template form one block and no template comes back once another
+    has replaced it: the single slot loses no reuse.
     """
 
     def __init__(self) -> None:
-        # In order of last use, the most recent last.
-        self._models: dict[WindowTemplate, tuple[_Highs, np.ndarray]] = {}
-
-    def __len__(self) -> int:
-        return len(self._models)
-
-    def __enter__(self) -> ModelSet:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for highs, _ in self._models.values():
-            _release(highs)
-        self._models.clear()
+        self._kept: tuple[WindowTemplate, _Highs, np.ndarray] | None = None
 
     def take(self, template: WindowTemplate) -> tuple[_Highs, np.ndarray] | None:
-        """The model of a template and the right-hand sides it holds, if kept."""
-        return self._models.pop(template, None)
+        """The kept model and the right-hand sides it holds, if it is the
+        template's; either way the set holds no model after this."""
+        kept, self._kept = self._kept, None
+        if kept is None or kept[0] is not template:
+            return None
+        return kept[1:]
 
     def keep(self, template: WindowTemplate, highs: _Highs, rhs: np.ndarray) -> None:
-        """Keep a template's model, holding right-hand sides rhs, as the most
-        recently used."""
-        self._models[template] = (highs, rhs)
-        if len(self._models) > MODEL_LIMIT:
-            _release(self._models.pop(next(iter(self._models)))[0])
+        """Keep a template's model, holding right-hand sides rhs."""
+        self._kept = (template, highs, rhs)
 
 
 class CutPool:
@@ -248,17 +218,14 @@ class CutPool:
     the model's current basis, which basis and restore save and re-install;
     presolve is off, so the window's first run is a plain cold simplex as
     well.  cut adds tangent cuts, and rows numbers them (seed tangents
-    first): they are the model's last len(rows) rows, and rows keeps its
-    length once the pool is closed.  lp_calls, lp_iters and lp_restarts count
-    simplex runs, simplex iterations and cold restarts.
+    first): they are the model's last len(rows) rows.  lp_calls, lp_iters and
+    lp_restarts count simplex runs, simplex iterations and cold restarts.
 
-    The model is a closed pool's, recycled, or a new one.  Used as a context
-    manager, the pool hands its model back on exit and can solve no more; a
-    pool that is not closed keeps its model to itself.  A pool made with a
-    ModelSet takes its model from the set instead, and leaves it there (kept
-    says so): the model of the instance's template, with the last basis of
-    that template's previous window, or a new load.  The instance's rows must
-    then be its template's, as build_problem makes them.
+    The model is a new one, unless the pool is made with a ModelSet: then it
+    is the set's model of the instance's template, with the last basis of
+    that template's previous window, or a new load, and the pool leaves it
+    in the set (kept says so).  The instance's rows must then be its
+    template's, as build_problem makes them.
     """
 
     _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
@@ -296,14 +263,6 @@ class CutPool:
                 self._highs.deleteRows(cuts.size, cuts)
         if self.kept:
             models.keep(self._tpl, self._highs, base[3])
-
-    def __enter__(self) -> CutPool:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        highs, self._highs = self._highs, None
-        if not self.kept:
-            _release(highs)
 
     def _add_rows(self, starts, index, value, rhs) -> None:
         self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
@@ -411,8 +370,7 @@ def solve_relaxation(instance: ProblemInstance,
     passed in; newly generated cuts are appended to it.
     """
     if cut_pool is None:
-        with CutPool(instance) as pool:
-            return solve_relaxation(instance, fixed_binaries, pool)
+        cut_pool = CutPool(instance)
     lb, ub = _fixed_bounds(instance, fixed_binaries)
     for _ in range(CUT_ROUND_LIMIT):
         sol = cut_pool.solve(lb, ub)
@@ -479,10 +437,7 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
     that template; a branching window leaves its own root basis there for
     the next one.
     """
-    if models is not None:
-        return _branch_and_bound(instance, config, CutPool(instance, models))
-    with CutPool(instance) as cut_pool:
-        return _branch_and_bound(instance, config, cut_pool)
+    return _branch_and_bound(instance, config, CutPool(instance, models))
 
 
 def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
@@ -588,15 +543,15 @@ def brute_force_oracle(instance: ProblemInstance,
         raise ValueError(f"{k} binaries exceed the enumeration cap {max_binaries}")
     best_x = None
     best_obj = np.inf
-    with CutPool(instance) as cut_pool:
-        for bits in itertools.product((0, 1), repeat=k):
-            fixed = dict(zip(instance.binary_cols, bits))
-            sol = solve_relaxation(instance, fixed, cut_pool)
-            if sol.status != "optimal":
-                continue
-            x, obj = _polish(instance, sol.x)
-            if obj < best_obj:
-                best_x, best_obj = x, obj
+    cut_pool = CutPool(instance)
+    for bits in itertools.product((0, 1), repeat=k):
+        fixed = dict(zip(instance.binary_cols, bits))
+        sol = solve_relaxation(instance, fixed, cut_pool)
+        if sol.status != "optimal":
+            continue
+        x, obj = _polish(instance, sol.x)
+        if obj < best_obj:
+            best_x, best_obj = x, obj
     if best_x is None:
         return SolveResult("infeasible", np.inf, np.inf, None, 2 ** k, instance)
     result = SolveResult("optimal", best_obj, best_obj, best_x, 2 ** k, instance)

@@ -91,6 +91,8 @@ class TestMain:
         ("energy_capacity = 480", "energy_capacity = abc", "[ess.1] energy_capacity"),
         ("horizon = 4", "horizon = two", "[run] horizon"),
         ("[solver]\n", "[solver]\nnode_limit = lots\n", "[solver] node_limit"),
+        ("[solver]\n", "[solver]\nnode_limit = 0\n", "[solver] node_limit must be"),
+        ("gap_tol = 1e-6", "gap_tol = nan", "[solver] gap_tol must be"),
         ("horizon = 4", "horizon = 0", "must be >= 1"),
         ("initial_soc = 0.5", "initial_soc = 1.5", "initial_soc 1.5 outside")])
     def test_bad_config_value_exit_code(self, workdir, capsys, old, new, message):

@@ -242,6 +242,16 @@ class TestLoadConfig:
         with pytest.raises(DataError, match=r"\[solver\] gap_tol must be > 0"):
             load_config(config_path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("gap_tol", "nan", "gap_tol must be > 0 and finite"),
+        ("gap_tol", "inf", "gap_tol must be > 0 and finite"),
+        ("node_limit", "0", "node_limit must be >= 1"),
+        ("node_limit", "-5", "node_limit must be >= 1")])
+    def test_bad_solver_value_rejected(self, config_path, key, value, message):
+        set_key(config_path, "solver", key, value)
+        with pytest.raises(DataError, match=rf"\[solver\] {message}"):
+            load_config(config_path)
+
 
 @pytest.fixture(scope="module")
 def report(request):

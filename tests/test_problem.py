@@ -343,6 +343,56 @@ class TestSolutionInvariants:
                 assert floor - 1e-7 <= soc[i] <= spec.soc_max + 1e-7
 
 
+def scalar_check_solution(instance, x, lin_tol=1e-7, quad_tol=1e-6):
+    """The column-by-column, row-by-row loop that check_solution's array code
+    replaces."""
+    out = []
+    for j in range(instance.n_cols):
+        if x[j] < instance.lb[j] - lin_tol or x[j] > instance.ub[j] + lin_tol:
+            out.append(f"bound on {instance.names[j]}: {x[j]} outside "
+                       f"[{instance.lb[j]}, {instance.ub[j]}]")
+    for row in instance.rows:
+        scale = max(abs(c) for c in row.coeffs.values())
+        v = sum(c * x[j] for j, c in row.coeffs.items()) - row.rhs
+        if v > lin_tol * max(scale, 1.0):
+            out.append(f"row {row.name}: violated by {v}")
+    for q in instance.quad_rows:
+        scale = max(abs(q.row.quad_c), abs(q.row.lin_c),
+                    abs(q.row.quad_d), abs(q.row.lin_d), 1.0)
+        v = q.violation(x)
+        if v > quad_tol * scale:
+            out.append(f"epigraph ess {q.row.ess} slot {q.row.slot} "
+                       f"segment {q.row.segment}: violated by {v}")
+    return out
+
+
+class TestCheckSolution:
+    def test_matches_scalar_loop(self):
+        # optima and random points, nudged by steps around and far past the
+        # tolerances, give the same messages in the same order, at tolerances
+        # that put the thresholds of rows of every scale among the excesses
+        rng = np.random.default_rng(700)
+        kinds, sizes = set(), set()
+        for k in range(8):
+            inst = build_problem(0, *random_window(rng, 1 + k % 3, 1 + k % 4))
+            points = [solve(inst).x]
+            for _ in range(40):
+                x = random_point(inst, rng)
+                nudge = rng.uniform(size=inst.n_cols) < rng.uniform(0.0, 0.3)
+                x[nudge] += (rng.choice([-1.0, 1.0], int(nudge.sum()))
+                             * rng.choice([1e-9, 1e-7, 2e-7, 1e-6, 1.0, 50.0],
+                                          int(nudge.sum())))
+                points.append(x)
+            for x in points:
+                tols = 10.0 ** rng.uniform(-9, 1, 2)
+                want = scalar_check_solution(inst, x, *tols)
+                assert check_solution(inst, x, *tols) == want
+                sizes.add(len(want))
+                kinds.update(m.split(" ", 1)[0] for m in want)
+        assert 0 in sizes and len(sizes) > 10
+        assert kinds == {"bound", "row", "epigraph"}
+
+
 
 # The dict-of-rows builder, decoder and polish that the window templates
 # replace; instances must match them bit for bit.

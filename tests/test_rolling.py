@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import pickle
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from essdispatch.problem import build_problem, check_solution, decompose_at_poin
 from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel, no_ess_baseline,
                                  perturb_forecast, realized_revenues,
                                  repair_dispatch, run_simulation, signal_ranges)
-from essdispatch.solver import MODEL_LIMIT, brute_force_oracle, solve
+from essdispatch import solver
+from essdispatch.solver import brute_force_oracle, solve
 
 from conftest import make_spec
 from test_solver import rand_slot
@@ -332,7 +335,7 @@ class TestWarmRoots:
 
         def record(instance, config, models):
             result = solve(instance, config, models)
-            solved.append((instance, result, len(models)))
+            solved.append((instance, result, models._kept[0]))
             return result
 
         monkeypatch.setattr(rolling, "solve", record)
@@ -340,27 +343,52 @@ class TestWarmRoots:
         assert len(solved) == len(week_series)
         lengths = set()
         branched = 0
-        for instance, warm, n_models in solved:
+        for instance, warm, kept in solved:
             cold = solve(instance, config)
             assert warm.status == cold.status == "optimal"
             assert abs(warm.objective - cold.objective) <= \
                 config.gap_tol * max(1.0, abs(cold.objective))
             assert check_solution(instance, warm.x) == []
             branched += warm.node_count > 1
-            # one model per window length seen so far, up to the limit,
-            # whatever the windows' reg-up/down patterns
+            # the set keeps one model, the one of the window's template
+            assert kept is instance.template
             lengths.add(instance.horizon)
-            assert n_models == min(len(lengths), MODEL_LIMIT)
         assert branched > 0 and len(lengths) == horizon
+
+    @pytest.mark.parametrize("horizon", [1, 4, 6])
+    def test_one_model_per_window_length(self, specs, market, week_series,
+                                         monkeypatch, horizon):
+        # the window length never grows, so each template's windows form one
+        # block and a run loads one model per length: the set's single slot
+        # loses no reuse
+        templates, built = [], []
+        highs_class = solver._Highs
+
+        def record(instance, config, models):
+            templates.append(instance.template)
+            return solve(instance, config, models)
+
+        def counted():
+            built.append(None)
+            return highs_class()
+
+        monkeypatch.setattr(rolling, "solve", record)
+        monkeypatch.setattr(solver, "_Highs", counted)
+        run_simulation(week_series[:24], specs, market, horizon)
+        blocks = [t for t, _ in itertools.groupby(templates)]
+        assert len(blocks) == len(set(blocks)) == horizon
+        assert len(built) == horizon
 
     def test_no_model_outlives_the_run(self, specs, market, week_series,
                                        monkeypatch):
-        sets = []
+        models = []
+        highs_class = solver._Highs
 
-        def record(instance, config, models):
-            sets.append(models)
-            return solve(instance, config, models)
+        def tracked():
+            highs = highs_class()
+            models.append(weakref.ref(highs))
+            return highs
 
-        monkeypatch.setattr(rolling, "solve", record)
+        monkeypatch.setattr(solver, "_Highs", tracked)
         run_simulation(week_series[:12], specs, market, 2)
-        assert len(set(map(id, sets))) == 1 and len(sets[0]) == 0
+        assert len(models) == 2 and all(ref() is None for ref in models)

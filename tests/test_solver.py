@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,8 @@ from scipy.sparse import csc_array, csr_array
 
 from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
 from essdispatch.domain import SlotExogenous, SocState
-from essdispatch.fixture import generate_series, write_default_config
-from essdispatch.iofiles import load_config
 from essdispatch.problem import (LinRow, LinRows, SolveResult, build_problem,
                                  check_solution, recover_service_split)
-from essdispatch import rolling
 from essdispatch import solver as solver_module
 from essdispatch.solver import (CUT_TOL, INT_TOL, CutPool, LpSolution,
                                 ModelSet, SolverConfig, SolverError, brute_force_oracle,
@@ -252,10 +250,13 @@ class TestSolve:
             assert res.bound <= res.objective + 1e-9
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(gap_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(gap_tol=-1e-9)
+        for gap_tol in (0.0, -1e-9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="gap_tol must be > 0 and finite"):
+                SolverConfig(gap_tol=gap_tol)
+        for node_limit in (0, -3):
+            with pytest.raises(ValueError, match="node_limit must be >= 1"):
+                SolverConfig(node_limit=node_limit)
+        assert SolverConfig(gap_tol=1e-12, node_limit=1).node_limit == 1
 
 
 def mode_point(inst, rng, specs, vc):
@@ -371,26 +372,24 @@ class TestCuts:
 class TestRowCount:
     def test_rows_counts_the_cuts_the_model_holds(self, market):
         # a benchmark tracer reads len(pool.rows) after construction and again
-        # after the solve has closed the pool, and takes the difference as the
-        # number of cuts added
+        # after the solve, and takes the difference as the number of cuts added
         inst = rand_instance(np.random.default_rng(11), n_ess=2, market=market)
-        with CutPool(inst) as pool:
-            seeds = len(pool.rows)
-            assert seeds == 9 * len(inst.quad_rows)
-            assert pool._highs.getLp().num_row_ == len(inst.rows) + seeds
-            rounds = []
-            while True:
-                x = pool.solve(inst.lb, inst.ub).x
-                hit = pool._violations(x)[0]
-                before = len(pool.rows)
-                assert pool.cut(x) == bool(hit.size)
-                assert len(pool.rows) == before + len(hit)
-                assert pool._highs.getLp().num_row_ == len(inst.rows) + len(pool.rows)
-                if not hit.size:
-                    break
-                rounds.append(len(hit))
-            assert rounds  # cut rounds ran
-        assert pool._highs is None
+        pool = CutPool(inst)
+        seeds = len(pool.rows)
+        assert seeds == 9 * len(inst.quad_rows)
+        assert pool._highs.getLp().num_row_ == len(inst.rows) + seeds
+        rounds = []
+        while True:
+            x = pool.solve(inst.lb, inst.ub).x
+            hit = pool._violations(x)[0]
+            before = len(pool.rows)
+            assert pool.cut(x) == bool(hit.size)
+            assert len(pool.rows) == before + len(hit)
+            assert pool._highs.getLp().num_row_ == len(inst.rows) + len(pool.rows)
+            if not hit.size:
+                break
+            rounds.append(len(hit))
+        assert rounds  # cut rounds ran
         assert len(pool.rows) == seeds + sum(rounds)
 
 
@@ -468,8 +467,6 @@ class TestPersistentLp:
         rng = np.random.default_rng(5)
         inst = rand_instance(rng, n_ess=2, market=market)
         reference = solve(inst)
-        # no spare model, so the pool constructs the proxy
-        monkeypatch.setattr(solver_module, "_spare", [])
         monkeypatch.setattr(solver_module, "_Highs",
                             lambda: _Undecided(_Highs(), 1))
         res = solve(inst)
@@ -525,77 +522,12 @@ class TestPersistentLp:
         assert res.lp_restarts == 0
 
 
-class _NoSpare(list):
-    """A spare-model list that keeps nothing, so every pool gets a new model."""
-
-    def append(self, highs):
-        pass
-
-
-def week_windows(tmp_path, monkeypatch, horizon, slots=36):
-    """The windows of a rolling run over the first slots of the bundled week."""
-    write_default_config(tmp_path / "config.ini")
-    specs, market, config, forecast, _ = load_config(tmp_path / "config.ini")
-    windows = []
-
-    def record(*args):
-        windows.append(build_problem(*args))
-        return windows[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(rolling, "build_problem", record)
-        rolling.run_simulation(generate_series()[:slots], specs, market, horizon,
-                               forecast, config)
-    return windows, config
-
-
-class TestRecycledModel:
-    @pytest.mark.parametrize("horizon", [1, 4])
-    def test_recycled_model_matches_fresh(self, tmp_path, monkeypatch, horizon):
-        # every window solved in a model that held the previous window gives
-        # the same runs, byte for byte, as in a newly constructed model
-        windows, config = week_windows(tmp_path, monkeypatch, horizon)
-
-        def outcomes(spare):
-            monkeypatch.setattr(solver_module, "_spare", spare)
-            return [(r.status, r.node_count, r.lp_calls, r.lp_iters,
-                     r.lp_restarts, r.objective, r.bound, r.x.tobytes())
-                    for r in (solve(inst, config) for inst in windows)]
-
-        spare = []
-        recycled = outcomes(spare)
-        assert len(spare) == 1  # one model served every window
-        fresh = outcomes(_NoSpare())
-        assert recycled == fresh
-        assert sum(r[1] for r in recycled) > len(windows)  # some branching
-
-    def test_only_closed_pools_share_their_model(self, market, monkeypatch):
-        monkeypatch.setattr(solver_module, "_spare", [])
-        rng = np.random.default_rng(8)
-        a, b = (rand_instance(rng, market=market) for _ in range(2))
-        open_pool = CutPool(a)
-        with CutPool(b) as closed:
-            closed_model = closed._highs
-            assert closed_model is not open_pool._highs
-        assert closed._highs is None
-        # the next pool loads into the closed pool's model, which kept its
-        # options and lost the previous window
-        with CutPool(a) as pool:
-            assert pool._highs is closed_model
-            assert pool._highs.getOptionValue("presolve")[1] == "off"
-            assert pool._highs.getLp().num_row_ == open_pool._highs.getLp().num_row_
-            assert (pool.solve(a.lb, a.ub).objective
-                    == open_pool.solve(a.lb, a.ub).objective)
-        assert open_pool._highs is not closed_model
-
-
 class TestModelSet:
-    def test_one_model_per_template(self, specs, market, monkeypatch):
+    def test_one_model_per_template(self, specs, market):
         # windows of one template share one model, whatever their reg-up/down
-        # pattern, and a window of another length loads its own; a kept model
-        # takes its next window's costs and right-hand sides in place and
-        # loses the last window's cuts, which leaves the LP a fresh load holds
-        monkeypatch.setattr(solver_module, "_spare", [])
+        # pattern; a kept model takes its next window's costs and right-hand
+        # sides in place and loses the last window's cuts, which leaves the
+        # LP a fresh load holds
         rng = np.random.default_rng(21)
 
         def window(*flags):
@@ -603,56 +535,45 @@ class TestModelSet:
             soc = SocState(tuple(rng.uniform(0.3, 0.8, len(specs)).tolist()))
             return build_problem(0, exog, soc, specs, market)
 
-        a, b, c = window(0, 1), window(1, 0), window(1, 1, 0)
-        assert a.template is b.template and c.template is not a.template
-        with ModelSet() as models:
-            first = CutPool(a, models)
-            seeds = len(first.rows)
-            hot = np.zeros(a.n_cols)
-            hot[a.cols["pc"]] = 100.0
-            assert first.cut(hot) and len(first.rows) > seeds
-            with CutPool(c, models) as other:
-                kept = [first._highs, other._highs]
-                assert len(models) == 2 and kept[1] is not kept[0]
-            second = CutPool(b, models)
-            assert len(models) == 2 and second._highs is first._highs
-            assert second.rows == range(seeds)
-            with CutPool(b) as fresh:
-                got, want = held_rows(second._highs), held_rows(fresh._highs)
-                assert (got[0].toarray() == want[0].toarray()).all()
-                assert got[1].tobytes() == want[1].tobytes()
-                assert (np.asarray(second._highs.getLp().col_cost_).tobytes()
-                        == np.asarray(fresh._highs.getLp().col_cost_).tobytes())
-                assert second.solve(b.lb, b.ub).objective == pytest.approx(
-                    fresh.solve(b.lb, b.ub).objective, rel=1e-9, abs=1e-9)
-            # the set's models stay loaded until the set closes, also the
-            # one of a pool closed as a context manager
-            assert not any(h is s for h in kept for s in solver_module._spare)
-            assert all(h.getNumRow() > 0 for h in kept)
-        assert len(models) == 0
-        assert all(any(h is s for s in solver_module._spare) for h in kept)
-        assert all(h.getNumRow() == 0 for h in kept)
+        a, b = window(0, 1), window(1, 0)
+        assert a.template is b.template
+        models = ModelSet()
+        first = CutPool(a, models)
+        seeds = len(first.rows)
+        hot = np.zeros(a.n_cols)
+        hot[a.cols["pc"]] = 100.0
+        assert first.cut(hot) and len(first.rows) > seeds
+        second = CutPool(b, models)
+        assert second._highs is first._highs and second.kept
+        assert second.rows == range(seeds)
+        fresh = CutPool(b)
+        assert not fresh.kept
+        got, want = held_rows(second._highs), held_rows(fresh._highs)
+        assert (got[0].toarray() == want[0].toarray()).all()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert (np.asarray(second._highs.getLp().col_cost_).tobytes()
+                == np.asarray(fresh._highs.getLp().col_cost_).tobytes())
+        assert second.solve(b.lb, b.ub).objective == pytest.approx(
+            fresh.solve(b.lb, b.ub).objective, rel=1e-9, abs=1e-9)
 
-    def test_least_recently_used_model_released(self, specs, market,
-                                                monkeypatch):
-        # past MODEL_LIMIT templates, the model of the one used longest ago
-        # is cleared back to the spares and the others stay loaded
-        monkeypatch.setattr(solver_module, "_spare", [])
-        monkeypatch.setattr(solver_module, "MODEL_LIMIT", 2)
+    def test_other_template_replaces_the_model(self, specs, market):
+        # a window of another length drops the kept model, which is then
+        # destroyed, and loads a new one that holds what a fresh load holds
         rng = np.random.default_rng(4)
         soc = SocState((0.5, 0.5))
-        a, b, c = (build_problem(0, [rand_slot(rng) for _ in range(horizon)],
-                                 soc, specs, market)
-                   for horizon in (1, 2, 3))
-        with ModelSet() as models:
-            model_a, model_b = CutPool(a, models)._highs, CutPool(b, models)._highs
-            assert CutPool(a, models)._highs is model_a  # a is now the newest
-            model_c = CutPool(c, models)._highs
-            assert len(models) == 2 and solver_module._spare == [model_b]
-            assert model_b.getNumRow() == 0
-            assert CutPool(a, models)._highs is model_a
-            assert CutPool(b, models)._highs is model_b  # reloaded, evicts c
-            assert solver_module._spare == [model_c]
+        a, b = (build_problem(0, [rand_slot(rng) for _ in range(horizon)],
+                              soc, specs, market)
+                for horizon in (2, 1))
+        models = ModelSet()
+        gone = weakref.ref(CutPool(a, models)._highs)
+        assert gone() is not None  # the set keeps it
+        pool = CutPool(b, models)
+        assert gone() is None
+        assert CutPool(b, models)._highs is pool._highs
+        fresh = CutPool(b)
+        assert lp_bytes(pool._highs) == lp_bytes(fresh._highs)
+        assert (pool.solve(b.lb, b.ub).x.tobytes()
+                == fresh.solve(b.lb, b.ub).x.tobytes())
 
 
 class _BasisLog:
@@ -683,8 +604,6 @@ class _BasisLog:
 
 
 class TestParentBasis:
-    # The pools stay open, so their proxies never reach the spare models.
-
     def test_restore_right_after_capture_sets_nothing(self, market):
         inst = rand_instance(np.random.default_rng(1), n_ess=2, market=market)
         pool = CutPool(inst)
@@ -742,7 +661,6 @@ class TestParentBasis:
             logs.append(_BasisLog(_Highs()))
             return logs[-1]
 
-        monkeypatch.setattr(solver_module, "_spare", [])
         monkeypatch.setattr(solver_module, "_Highs", logged)
         res = solve(inst)
         assert res.node_count == reference.node_count > 3
@@ -978,7 +896,6 @@ class TestArrayPool:
     def test_lp_matches_scalar_assembly(self, market, seed, monkeypatch):
         # HiGHS gets the same addRows batches, byte for byte, and holds the
         # same LP, right after construction and after each set of cut rounds
-        monkeypatch.setattr(solver_module, "_spare", [])
         monkeypatch.setattr(solver_module, "_Highs", RecordingHighs)
         rng = np.random.default_rng(310 + seed)
         inst = zero_coeff_instance(rng, 1 + seed % 2, 1 + seed % 3, market)
