@@ -14,95 +14,70 @@ import json
 import sys
 from pathlib import Path
 
-from .iofiles import (EXPERIMENTS, DataError, RunConfig, emit_report,
-                      load_config, load_timeseries_csv, summary_dict, _fmt)
+from .iofiles import (EXPERIMENTS, SWEEPS, DataError, RunConfig, emit_report,
+                      load_config, load_timeseries_csv, _fmt)
 from .rolling import ForecastModel, run_simulation
 from .solver import SolverConfig
-
-
-def _simulate(series, specs, market, horizon, forecast, solver, run: RunConfig):
-    return run_simulation(series, specs, market, horizon, forecast=forecast,
-                          config=solver, initial_soc=run.initial_soc)
-
-
-def _out_dir(series, run: RunConfig, key: str, horizons) -> Path:
-    """Create the output directory once the series covers every horizon."""
-    longest = max(horizons)
-    if len(series) < longest:
-        raise DataError(f"[run] {key} {longest} longer than the {len(series)} "
-                        f"slots of {run.series_path}")
-    out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def run_experiment(series, specs, market, solver: SolverConfig,
                    forecast: ForecastModel, run: RunConfig) -> Path:
     """Run the selected experiment and write its report files; returns out dir.
 
+    A sweep runs once per point of its grid (iofiles.SWEEPS).  Capital-cost
+    and horizon points run on perfect forecasts; the forecast study's seed
+    points run on the forecast model, against a perfect-forecast run in
+    perfect/.
     A series shorter than a horizon the experiment runs raises DataError
     before anything is written.
     """
-    if run.experiment == "single":
-        out = _out_dir(series, run, "horizon", [run.horizon])
-        report = _simulate(series, specs, market, run.horizon, None, solver, run)
-        emit_report(report, out)
+    sweep = SWEEPS.get(run.experiment)
+    key = "horizon_grid" if sweep and sweep.grid == "horizon_grid" else "horizon"
+    longest = max(run.horizon_grid) if key == "horizon_grid" else run.horizon
+    if len(series) < longest:
+        raise DataError(f"[run] {key} {longest} longer than the {len(series)} "
+                        f"slots of {run.series_path}")
+    out = Path(run.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    perfect = None
+    if sweep is None or sweep.grid == "seeds":
+        perfect = run_simulation(series, specs, market, run.horizon,
+                                 config=solver, initial_soc=run.initial_soc)
+        emit_report(perfect, out if sweep is None else out / "perfect")
+    if sweep is None:
         return out
 
-    if run.experiment == "alpha-sweep":
-        out = _out_dir(series, run, "horizon", [run.horizon])
-        rows = []
-        for alpha in run.alpha_grid:
-            scaled = [s.with_capital_cost(alpha) for s in specs]
-            report = _simulate(series, scaled, market, run.horizon, None,
-                               solver, run)
-            emit_report(report, out / f"alpha_{alpha:g}")
-            rows.append((alpha, report.net_profit, report.ess_attributable_profit))
-        with (out / "alpha_sweep.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "net_profit", "ess_attributable_profit"])
-            for alpha, profit, attr in rows:
-                writer.writerow([_fmt(alpha), _fmt(profit), _fmt(attr)])
-        return out
-
-    if run.experiment == "horizon-sweep":
-        out = _out_dir(series, run, "horizon_grid", run.horizon_grid)
-        rows = []
-        for h in run.horizon_grid:
-            report = _simulate(series, specs, market, h, None, solver, run)
-            emit_report(report, out / f"h_{h}")
-            rows.append((h, report.net_profit, report.ess_attributable_profit))
-        with (out / "horizon_sweep.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["horizon", "net_profit", "ess_attributable_profit"])
-            for h, profit, attr in rows:
-                writer.writerow([h, _fmt(profit), _fmt(attr)])
-        return out
-
-    # forecast-study: RunConfig admits no other experiment
-    out = _out_dir(series, run, "horizon", [run.horizon])
-    perfect = _simulate(series, specs, market, run.horizon, None, solver, run)
-    emit_report(perfect, out / "perfect")
     rows = []
-    for seed in run.seeds:
-        model = dataclasses.replace(forecast, seed=seed)
-        report = _simulate(series, specs, market, run.horizon, model,
-                           solver, run)
-        emit_report(report, out / f"seed_{seed}")
-        rows.append((seed, report.net_profit,
-                     report.net_profit - perfect.net_profit))
-    with (out / "forecast_study.csv").open("w", newline="") as fh:
+    for point in getattr(run, sweep.grid):
+        point_specs, horizon, model = specs, run.horizon, None
+        if sweep.grid == "alpha_grid":
+            point_specs = [s.with_capital_cost(point) for s in specs]
+        elif sweep.grid == "horizon_grid":
+            horizon = point
+        else:
+            model = dataclasses.replace(forecast, seed=point)
+        report = run_simulation(series, point_specs, market, horizon,
+                                forecast=model, config=solver,
+                                initial_soc=run.initial_soc)
+        name, cell = sweep.labels(point)
+        emit_report(report, out / name)
+        last = (report.ess_attributable_profit if perfect is None
+                else report.net_profit - perfect.net_profit)
+        rows.append((cell, report.net_profit, last))
+    table = out / f"{run.experiment.replace('-', '_')}.csv"
+    with table.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", "net_profit", "profit_difference"])
-        for seed, profit, diff in rows:
-            writer.writerow([seed, _fmt(profit), _fmt(diff)])
-    with (out / "forecast_summary.json").open("w") as fh:
-        diffs = [d for _, _, d in rows]
-        json.dump({"perfect_profit": float(_fmt(perfect.net_profit)),
-                   "mean_difference": float(_fmt(sum(diffs) / len(diffs))),
-                   "differences": [float(_fmt(d)) for d in diffs]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        writer.writerow([sweep.column, "net_profit", sweep.last])
+        for cell, profit, last in rows:
+            writer.writerow([cell, _fmt(profit), _fmt(last)])
+    if perfect is not None:
+        with (out / "forecast_summary.json").open("w") as fh:
+            diffs = [last for _, _, last in rows]
+            json.dump({"perfect_profit": float(_fmt(perfect.net_profit)),
+                       "mean_difference": float(_fmt(sum(diffs) / len(diffs))),
+                       "differences": [float(_fmt(d)) for d in diffs]},
+                      fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return out
 
 

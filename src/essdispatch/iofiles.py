@@ -16,8 +16,9 @@ from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from .aging import SegmentSet
-from .domain import EssSpec, MarketSpec, SlotExogenous, validate_inputs
-from .rolling import ForecastModel, SimulationReport
+from .domain import (REVENUE_TERMS, EssSpec, MarketSpec, SlotExogenous,
+                     validate_inputs)
+from .rolling import LEDGER_TOTALS, ForecastModel, SimulationReport
 from .solver import SolverConfig
 
 CSV_COLUMNS = ("slot", "demand_kw", "pv_kw", "price_purchase", "price_sale",
@@ -34,7 +35,33 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-EXPERIMENTS = ("single", "alpha-sweep", "horizon-sweep", "forecast-study")
+@dataclass(frozen=True)
+class Sweep:
+    """An experiment run once per point of the RunConfig field grid.  Each
+    point writes its report to a directory <prefix><label> and one row,
+    column, net_profit and last, to the experiment's table.  formats are
+    the format specs of a point's directory label and table cell."""
+
+    grid: str
+    column: str
+    prefix: str
+    last: str
+    formats: tuple[str, str] = ("", "")
+
+    def labels(self, point) -> tuple[str, str]:
+        """(directory name, table cell) of one point."""
+        return (self.prefix + format(point, self.formats[0]),
+                format(point, self.formats[1]))
+
+
+SWEEPS = {
+    "alpha-sweep": Sweep("alpha_grid", "alpha", "alpha_",
+                         "ess_attributable_profit", ("g", ".9g")),
+    "horizon-sweep": Sweep("horizon_grid", "horizon", "h_",
+                           "ess_attributable_profit"),
+    "forecast-study": Sweep("seeds", "seed", "seed_", "profit_difference"),
+}
+EXPERIMENTS = ("single", *SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -52,10 +79,8 @@ class RunConfig:
         if self.experiment not in EXPERIMENTS:
             raise DataError(f"experiment {self.experiment!r} is not one of "
                             f"{', '.join(EXPERIMENTS)}")
-        grids = {"alpha-sweep": self.alpha_grid, "horizon-sweep": self.horizon_grid,
-                 "forecast-study": self.seeds}
-        grid = grids.get(self.experiment)
-        if grid is not None and len(grid) == 0:
+        sweep = SWEEPS.get(self.experiment)
+        if sweep is not None and len(getattr(self, sweep.grid)) == 0:
             raise DataError(f"empty grid for experiment {self.experiment}")
         if min((self.horizon, *self.horizon_grid)) < 1:
             raise DataError(f"horizon {self.horizon} and horizon_grid "
@@ -65,6 +90,13 @@ class RunConfig:
                             "finite and >= 0")
         if min(self.seeds, default=0) < 0:
             raise DataError(f"seeds {self.seeds} must be >= 0")
+        for sweep in SWEEPS.values():
+            grid = getattr(self, sweep.grid)
+            dirs = [sweep.labels(point)[0] for point in grid]
+            shared = [name for name in dirs if dirs.count(name) > 1]
+            if shared:
+                raise DataError(f"{sweep.grid} {grid} has points that share "
+                                f"the directory {shared[0]}")
 
 
 def load_timeseries_csv(path: str | Path,
@@ -212,8 +244,7 @@ def load_config(path: str | Path, strict: bool = False):
 
 def summary_dict(report: SimulationReport) -> dict:
     return {
-        "R_sc": report.totals["r_sc"], "R_fr": report.totals["r_fr"],
-        "R_sr": report.totals["r_sr"], "R_br": report.totals["r_br"],
+        **{stream.capitalize(): report.totals[stream] for stream in REVENUE_TERMS},
         "aging_cost": report.totals["aging_cost"],
         "net_profit": report.totals["net_profit"],
         "baseline_profit": report.baseline_profit,
@@ -231,16 +262,14 @@ def emit_report(report: SimulationReport, out_dir: str | Path) -> None:
     n = len(report.initial_soc)
     with (out / "ledger.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["slot", "r_sc", "r_fr", "r_sr", "r_br", "aging_cost",
-                  "net_profit", "renewable_selfuse", "renewable_export",
-                  "reg_participate", "reserve_participate"]
+        header = ["slot", *LEDGER_TOTALS, "renewable_selfuse",
+                  "renewable_export", "reg_participate", "reserve_participate"]
         for i in range(n):
             header += [f"charge_kw_{i}", f"discharge_kw_{i}", f"reserve_kw_{i}",
                        f"soc_{i}"]
         writer.writerow(header)
         for e in report.ledger:
-            row = [e.slot, _fmt(e.r_sc), _fmt(e.r_fr), _fmt(e.r_sr),
-                   _fmt(e.r_br), _fmt(e.aging_cost), _fmt(e.net_profit),
+            row = [e.slot, *(_fmt(getattr(e, key)) for key in LEDGER_TOTALS),
                    _fmt(e.decision.renewable_selfuse),
                    _fmt(e.decision.renewable_export),
                    e.decision.reg_participate, e.decision.reserve_participate]

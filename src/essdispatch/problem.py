@@ -48,14 +48,12 @@ class LinRow:
     name: str = ""
 
 
-class LinRows(Sequence):
+class LinRows:
     """Linear rows  sum_k value[k]*x[index[k]] <= rhs[r]  over the entries
     k in [ptr[r], ptr[r+1]), as CSR arrays with zero coefficients kept;
     row_of[k] is the row of entry k.
 
-    Reading a row builds its LinRow, coefficients in entry order.  append
-    replaces the arrays instead of writing them, so arrays shared with other
-    windows stay intact.
+    Iterating builds each row's LinRow, coefficients in entry order.
     """
 
     def __init__(self, ptr: np.ndarray, row_of: np.ndarray, index: np.ndarray,
@@ -86,22 +84,11 @@ class LinRows(Sequence):
     def __len__(self) -> int:
         return len(self.rhs)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[r] for r in range(len(self))[i]]
-        r = range(len(self))[i]
-        a, b = self.ptr[r], self.ptr[r + 1]
-        return LinRow(dict(zip(self.index[a:b].tolist(), self.value[a:b].tolist())),
-                      float(self.rhs[r]), self.names[r])
-
     def __iter__(self):
         index, value, ptr = self.index.tolist(), self.value.tolist(), self.ptr.tolist()
         for r, (rhs, name) in enumerate(zip(self.rhs.tolist(), self.names)):
             a, b = ptr[r], ptr[r + 1]
             yield LinRow(dict(zip(index[a:b], value[a:b])), rhs, name)
-
-    def append(self, row: LinRow) -> None:
-        vars(self).update(vars(LinRows.of([*self, row])))
 
 
 @dataclass(frozen=True)
@@ -170,7 +157,7 @@ class ProblemInstance:
     lb, ub, objective and rows are this window's own arrays.  template is
     shared read-only with every window of the same specs, market and horizon
     length: names, cols, binary_cols, quad_rows, specs, market, n_ess and
-    horizon are read from it.  rows may be given as LinRow objects.
+    horizon are read from it.
     """
 
     t: int
@@ -181,10 +168,6 @@ class ProblemInstance:
     exog: tuple[SlotExogenous, ...]
     soc0: tuple[float, ...]
     template: WindowTemplate
-
-    def __post_init__(self):
-        if not isinstance(self.rows, LinRows):
-            self.rows = LinRows.of(self.rows)
 
     @property
     def n_ess(self) -> int:

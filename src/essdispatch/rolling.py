@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .aging import aging_cost_eval
-from .domain import (DispatchDecision, EssSpec, MarketSpec, SlotExogenous,
-                     SocState, slot_revenues, soc_update, validate_inputs)
+from .domain import (REVENUE_TERMS, DispatchDecision, EssSpec, MarketSpec,
+                     SlotExogenous, SocState, slot_revenues, soc_update,
+                     validate_inputs)
 from .problem import build_problem
 from .solver import ModelSet, SolverConfig, solve
 
@@ -47,6 +48,10 @@ class ForecastModel:
 
 
 PERFECT_FORECAST = ForecastModel(kappa_step=0.0, kappa_cap=0.0)
+
+
+# The LedgerEntry fields a run totals, in ledger column order.
+LEDGER_TOTALS = (*REVENUE_TERMS, "aging_cost", "net_profit")
 
 
 @dataclass(frozen=True)
@@ -221,13 +226,11 @@ def run_simulation(true_series: Sequence[SlotExogenous],
                                     specs, market)
         soc = soc_update(soc, committed, specs, market.slot_hours)
         rev = realized_revenues(committed, true_series[t], specs, market)
-        net = (rev["r_sc"] + rev["r_fr"] + rev["r_sr"] + rev["r_br"]
-               - rev["aging_cost"])
+        net = sum(rev[stream] for stream in REVENUE_TERMS) - rev["aging_cost"]
         ledger.append(LedgerEntry(slot=t, net_profit=net, decision=committed,
                                   soc=soc.soc, **rev))
 
-    totals = {key: sum(getattr(e, key) for e in ledger)
-              for key in ("r_sc", "r_fr", "r_sr", "r_br", "aging_cost", "net_profit")}
+    totals = {key: sum(getattr(e, key) for e in ledger) for key in LEDGER_TOTALS}
     baseline = no_ess_baseline(true_series, market)
     return SimulationReport(ledger=ledger, totals=totals, baseline_profit=baseline,
                             initial_soc=init, node_counts=node_counts)

@@ -80,6 +80,51 @@ class TestMain:
         assert (out / "perfect" / "ledger.csv").exists()
         assert (out / "seed_1" / "ledger.csv").exists()
 
+    def test_sweep_points_use_perfect_forecasts(self, tmp_path):
+        # a point at the config's own capital cost or horizon, and the
+        # forecast study's perfect/ run, write the single run's bytes
+        write_default_config(tmp_path / "config.ini")
+        specs, market, solver, forecast, run = load_config(tmp_path / "config.ini")
+        assert {s.unit_capital_cost for s in specs} == {100.0}
+        run = replace(run, horizon=3, alpha_grid=(100.0,), horizon_grid=(3,),
+                      seeds=(1,))
+        series = generate_series()[:24]
+        outs = {experiment: run_experiment(
+                    series, specs, market, solver, forecast,
+                    replace(run, experiment=experiment,
+                            out_dir=str(tmp_path / experiment)))
+                for experiment in ("single", "alpha-sweep", "horizon-sweep",
+                                   "forecast-study")}
+        points = [outs["alpha-sweep"] / "alpha_100", outs["horizon-sweep"] / "h_3",
+                  outs["forecast-study"] / "perfect"]
+        for name in ("ledger.csv", "summary.json"):
+            single = (outs["single"] / name).read_bytes()
+            assert [(point / name).read_bytes() for point in points] == [single] * 3
+            # the seed point runs on forecasts, so its ledger differs
+            seeded = outs["forecast-study"] / "seed_1" / name
+            assert seeded.read_bytes() != single
+
+    @pytest.mark.parametrize("experiment,grid,name,header,cells", [
+        ("horizon-sweep", {"horizon_grid": (1, 2)}, "h_2",
+         "horizon,net_profit,ess_attributable_profit", ["1", "2"]),
+        ("forecast-study", {"seeds": (1234567,)}, "seed_1234567",
+         "seed,net_profit,profit_difference", ["1234567"]),
+        ("alpha-sweep", {"alpha_grid": (123.4567891,)}, "alpha_123.457",
+         "alpha,net_profit,ess_attributable_profit", ["123.456789"])])
+    def test_point_labels(self, tmp_path, experiment, grid, name, header, cells):
+        # a point's directory and table cell: no exponent for a large seed,
+        # six significant digits in a directory and nine in a table
+        write_default_config(tmp_path / "config.ini")
+        specs, market, solver, forecast, run = load_config(tmp_path / "config.ini")
+        out = run_experiment(generate_series(4), specs, market, solver, forecast,
+                             replace(run, experiment=experiment, horizon=1,
+                                     out_dir=str(tmp_path / "out"), **grid))
+        lines = (out / f"{experiment.replace('-', '_')}.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert [line.split(",")[0] for line in lines[1:]] == cells
+        assert (out / name / "ledger.csv").exists()
+        assert (out / name / "summary.json").exists()
+
     def test_bad_config_exit_code(self, workdir, capsys):
         config = workdir / "config.ini"
         config.write_text(config.read_text().replace("soc_min = 0.2",
@@ -105,7 +150,11 @@ class TestMain:
     @pytest.mark.parametrize("line,experiment,key", [
         ("alpha_grid = -50, 100", "alpha-sweep", "alpha_grid"),
         ("alpha_grid = nan", "alpha-sweep", "alpha_grid"),
-        ("seeds = -1", "forecast-study", "seeds")])
+        ("seeds = -1", "forecast-study", "seeds"),
+        # points that would write the same directory
+        ("alpha_grid = 50, 50.0000001", "alpha-sweep", "alpha_grid"),
+        ("seeds = 1, 1", "forecast-study", "seeds"),
+        ("horizon_grid = 2, 2", "horizon-sweep", "horizon_grid")])
     def test_bad_grid_exit_code(self, workdir, capsys, line, experiment, key):
         config = workdir / "config.ini"
         config.write_text(config.read_text() + line + "\n")

@@ -9,7 +9,7 @@ from essdispatch import aging
 from essdispatch import solver as solver_module
 from essdispatch.aging import SegmentSet, segment_max
 from essdispatch.domain import DispatchDecision, MarketSpec, SlotExogenous, SocState
-from essdispatch.problem import (ESS_VARS, SLOT_VARS, LinRow, QuadRow,
+from essdispatch.problem import (ESS_VARS, SLOT_VARS, LinRow, LinRows, QuadRow,
                                  build_problem, check_solution,
                                  decompose_at_point,
                                  mccormick_rows, objective_decomposition,
@@ -143,7 +143,7 @@ class TestMcCormick:
                                 pd_col: 1.0, psr_col: 1.0 - vc},
                                 rhs=(1 - vc) * spec1.discharge_rate_max)
                         variant_rows.append(row)
-                    variant = dataclasses.replace(inst, rows=variant_rows)
+                    variant = dataclasses.replace(inst, rows=LinRows.of(variant_rows))
                     variant.ub = inst.ub.copy()
                     variant.ub[inst.col("z", 0, 0)] = 0.0
                     fixed = {inst.col("vc", 0, 0): vc,
@@ -710,8 +710,9 @@ class TestWindowTemplate:
         slots, soc, specs, market = window = random_window(rng, n_ess, horizon)
         inst = build_problem(7, *window)
         ref = reference_build_problem(7, *window, gate="rows")
-        gated = ProblemInstance(7, ref.lb, ref.ub, ref.rows, ref.objective,
-                                tuple(slots), soc.soc, inst.template)
+        gated = ProblemInstance(7, ref.lb, ref.ub, LinRows.of(ref.rows),
+                                ref.objective, tuple(slots), soc.soc,
+                                inst.template)
         assert gated.ub.tobytes() != inst.ub.tobytes()
         got, want = solve_relaxation(inst), solve_relaxation(gated)
         assert got.status == want.status == "optimal"
@@ -739,8 +740,6 @@ class TestWindowTemplate:
         a.ub[a.col("pc", 0, 0)] = 0.0
         a.objective[:] = 1.0
         a.rows.value[:] = 2.0
-        a.rows.append(LinRow({a.col("pc", 0, 0): -1.0}, -1.0, "extra"))
-        assert len(a.rows) == len(b.rows) + 1 and a.rows[-1].name == "extra"
         assert [arr.tobytes() for arr in (b.lb, b.ub, b.objective)] == b_bytes
         assert list(b.rows) == b_rows
         again = build_problem(1, window_b, SocState((0.3, 0.8)), specs, market)

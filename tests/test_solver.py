@@ -227,7 +227,8 @@ class TestSolve:
         inst = build_problem(0, [rand_slot(np.random.default_rng(2))],
                              SocState((0.5,)), [spec1], market)
         pc = inst.col("pc", 0, 0)
-        inst.rows.append(LinRow({pc: -1.0}, -1.0, "force_pc_ge_1"))
+        inst = replace(inst, rows=LinRows.of(
+            [*inst.rows, LinRow({pc: -1.0}, -1.0, "force_pc_ge_1")]))
         inst.ub[pc] = 0.0
         res = solve(inst)
         assert res.status == "infeasible"
