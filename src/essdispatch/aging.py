@@ -87,6 +87,18 @@ def segment_value(spec: "EssSpec", k: int, p_charge: float, p_discharge: float) 
             + wd * (RATE_QUAD_SCALE * a * p_discharge ** 2 + n * b * p_discharge))
 
 
+def segment_factors(spec: "EssSpec"
+                    ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
+    """The factors of segment_value: the axis weights wc and wd, and per
+    segment k the pair (RATE_QUAD_SCALE*a_k, n*b_k).  With (q, m) that pair,
+    wc*(q*p_charge**2 + m*p_charge) + wd*(q*p_discharge**2 + m*p_discharge)
+    is segment_value's f_k, operation for operation."""
+    wc, wd = _axis_weights(spec)
+    n = spec.module_count
+    return wc, wd, tuple((RATE_QUAD_SCALE * a, n * b)
+                         for a, b in spec.aging_segments.segments)
+
+
 def segment_max(spec: "EssSpec", p_charge: float, p_discharge: float) -> float:
     """max_k f_k(p_charge, p_discharge), the optimal epigraph value zeta*."""
     return max(segment_value(spec, k, p_charge, p_discharge)

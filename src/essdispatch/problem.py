@@ -9,9 +9,10 @@ terms, so no extra state columns exist.
 
 Everything that depends only on the ESS specs, the market and H (columns,
 row structure, every row coefficient, epigraph rows) is built once per such
-shape into a read-only WindowTemplate; build_problem copies the template's
-numbers and writes the entries that depend on the slot data and the initial
-SOC: bounds, costs and right-hand sides.
+shape into a read-only WindowTemplate.  Every window of a template shares its
+row coefficient arrays; build_problem copies only the template's bounds,
+costs and right-hand sides and writes the entries that depend on the slot
+data and the initial SOC.
 """
 
 from __future__ import annotations
@@ -109,14 +110,14 @@ class WindowTemplate:
     """What every window with the same specs, market and horizon length
     shares; built once by window_template, and every array is read-only.
 
-    numbers holds, back to back, the window-independent values of lb, ub,
-    objective, the row right-hand sides and the row coefficients (the last
-    two laid out as ptr, row_of, index and row_names say).  A window writes
-    numbers[fill_dst] = w[fill_src], where w lists its own values in
-    build_problem's order.  The quad-row arrays have one column per entry
-    of quad_rows: its (pc, pd, zeta) columns (qcols); the column of the
-    charge-mode flag vc of its ESS and slot (qvc); twice the quadratic, the
-    linear and the quadratic
+    The row coefficients, laid out as ptr, row_of, index and row_names say,
+    are value, which every window's rows share.  numbers holds, back to
+    back, the window-independent values of lb, ub, objective and the row
+    right-hand sides; a window writes numbers[fill_dst] = w[fill_src] in its
+    own copy, where w lists its own values in build_problem's order.  The
+    quad-row arrays have one column per entry of quad_rows: its (pc, pd,
+    zeta) columns (qcols); the column of the charge-mode flag vc of its ESS
+    and slot (qvc); twice the quadratic, the linear and the quadratic
     coefficients of f, charge side first (qcoef[0], [1] and [2]); and the
     (charge, discharge) rate maxima of its ESS (rate_max).
     """
@@ -134,6 +135,7 @@ class WindowTemplate:
     row_of: np.ndarray
     index: np.ndarray
     row_names: tuple[str, ...]
+    value: np.ndarray
     numbers: np.ndarray
     fill_dst: np.ndarray
     fill_src: np.ndarray
@@ -143,10 +145,9 @@ class WindowTemplate:
     rate_max: np.ndarray
 
     def split(self, numbers: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views of lb, ub, objective, rhs and coefficients in numbers."""
-        n, m = len(self.names), len(self.row_names)
-        return (numbers[:n], numbers[n:2 * n], numbers[2 * n:3 * n],
-                numbers[3 * n:3 * n + m], numbers[3 * n + m:])
+        """Views of lb, ub, objective and rhs in numbers."""
+        n = len(self.names)
+        return numbers[:n], numbers[n:2 * n], numbers[2 * n:3 * n], numbers[3 * n:]
 
 
 @dataclass
@@ -154,10 +155,11 @@ class ProblemInstance:
     """One window's problem: minimize objective.x over lb <= x <= ub, the
     linear rows and the epigraph rows quad_rows.
 
-    lb, ub, objective and rows are this window's own arrays.  template is
-    shared read-only with every window of the same specs, market and horizon
-    length: names, cols, binary_cols, quad_rows, specs, market, n_ess and
-    horizon are read from it.
+    lb, ub, objective and the rows' rhs are this window's own arrays.  template
+    is shared read-only with every window of the same specs, market and
+    horizon length: names, cols, binary_cols, quad_rows, specs, market, n_ess
+    and horizon are read from it, and build_problem's rows hold its ptr,
+    row_of, index and value arrays.
     """
 
     t: int
@@ -420,8 +422,8 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
         ub[c] = 1.0
 
     csr = LinRows.of(rows)
-    numbers = np.concatenate([lb, ub, obj, csr.rhs, csr.value])
-    if not np.isfinite(numbers).all():
+    numbers = np.concatenate([lb, ub, obj, csr.rhs])
+    if not (np.isfinite(numbers).all() and np.isfinite(csr.value).all()):
         raise ValueError("non-finite ESS spec or market value: "
                          + "; ".join(validate_inputs(specs, market, ()).violations))
     fill = ([(n_cols + c, s) for c, s in ub_fill]
@@ -445,7 +447,8 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
         binary_cols=_read_only(np.array(binary_cols, dtype=int)),
         quad_rows=tuple(quad_rows), ptr=_read_only(csr.ptr),
         row_of=_read_only(csr.row_of), index=_read_only(csr.index),
-        row_names=csr.names, numbers=_read_only(numbers),
+        row_names=csr.names, value=_read_only(csr.value),
+        numbers=_read_only(numbers),
         fill_dst=_read_only(fill_dst.copy()), fill_src=_read_only(fill_src.copy()),
         qcols=_read_only(qcols), qvc=_read_only(np.array(quad_vc, dtype=np.int32)),
         qcoef=_read_only(np.stack([2.0 * quad, lin, quad])),
@@ -486,15 +489,35 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
 
     numbers = template.numbers.copy()
     numbers[template.fill_dst] = w[template.fill_src]
-    lb, ub, objective, rhs, value = template.split(numbers)
+    lb, ub, objective, rhs = template.split(numbers)
     # Each objective entry is one term summed onto 0.0, so -0.0 reads 0.0.
     objective += 0.0
     return ProblemInstance(
         t=t, lb=lb, ub=ub,
-        rows=LinRows(template.ptr, template.row_of, template.index, value, rhs,
-                     template.row_names),
+        rows=LinRows(template.ptr, template.row_of, template.index, template.value,
+                     rhs, template.row_names),
         objective=objective, exog=tuple(horizon), soc0=tuple(state.soc),
         template=template)
+
+
+@functools.lru_cache(maxsize=128)
+def _decode_plan(template: WindowTemplate):
+    """What recover_service_split reads of every window of a template: the
+    columns of pc, prec, pfrc, pd, pfrd and psr, one block per variable,
+    each slot-major over (slot, ESS); the vc columns in the same order; the
+    columns of presc, pres, vfr and vsr, one block each over the slots; the
+    ESS count and the horizon."""
+    cols = template.cols
+    flows = np.concatenate([cols[var].T.ravel() for var in ESS_VARS[:6]])
+    own = np.concatenate([cols[var] for var in ("presc", "pres", "vfr", "vsr")])
+    return (flows.tolist(), cols["vc"].T.ravel().tolist(), own.tolist(),
+            len(template.specs), template.horizon)
+
+
+def _tuples(values: list, n: int, count: int) -> list[tuple]:
+    """values cut into count consecutive n-tuples, which are empty if n is 0."""
+    it = iter(values)
+    return list(zip(*[it] * n)) if n else [()] * count
 
 
 def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
@@ -507,39 +530,35 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
     """
     if result.status != "optimal":
         raise ValueError(f"cannot decode decisions from status {result.status}")
-    template = result.instance.template
-    # Per variable, slot and ESS, with LP noise below the zero bound clipped.
-    ess = result.x[template.ess_cols].transpose(0, 2, 1)
-    clipped = np.where(ess[:6] > 0.0, ess[:6], 0.0)
-    pc, prec, pfrc, pd, pfrd = clipped[:5]
-    split = np.stack([pc - prec - pfrc, pd - pfrd])
-    negative = np.argwhere((split < -1e-9).any(axis=0))
-    if negative.size:
-        tau, i = negative[0]
-        raise ValueError(f"negative recovered split at ess {i}, slot {tau}: "
-                         f"fs={split[0, tau, i]}, br={split[1, tau, i]} (solver bug)")
-    rates, (future, bill) = (np.where(a > ZERO_KW, a, 0.0).tolist()
-                             for a in (clipped, split))
-    modes = ess[-1].tolist()
-    own = result.x[template.slot_cols]
-    renewable_selfuse, renewable_export = np.where(own[:2] > ZERO_KW, own[:2],
-                                                   0.0).tolist()
-    vfr, vsr = own[2:].tolist()
-    decisions = []
-    for tau in range(template.horizon):
-        pc, prec, pfrc, pd, pfrd, psr = (tuple(rate[tau]) for rate in rates)
-        decisions.append(DispatchDecision(
-            charge_total=pc, discharge_total=pd, charge_from_renewable=prec,
-            charge_for_regulation=pfrc, discharge_for_regulation=pfrd,
-            reserve_commit=psr, charge_future=tuple(future[tau]),
-            discharge_bill=tuple(bill[tau]),
-            mode_flag=tuple(int(round(v)) for v in modes[tau]),
-            renewable_selfuse=renewable_selfuse[tau],
-            renewable_export=renewable_export[tau],
-            reg_participate=int(round(vfr[tau])),
-            reserve_participate=int(round(vsr[tau])),
-        ))
-    return decisions
+    flows, modes, own, n, H = _decode_plan(result.instance.template)
+    x = result.x.tolist()
+    m = n * H
+    # LP noise below the zero bound clipped, in blocks of m as flows lists them.
+    c = [v if v > 0.0 else 0.0 for v in map(x.__getitem__, flows)]
+    future = [pc - prec - pfrc
+              for pc, prec, pfrc in zip(c[:m], c[m:2 * m], c[2 * m:3 * m])]
+    bill = [pd - pfrd for pd, pfrd in zip(c[3 * m:4 * m], c[4 * m:5 * m])]
+    for k, (fs, br) in enumerate(zip(future, bill)):
+        if fs < -1e-9 or br < -1e-9:
+            tau, i = divmod(k, n)
+            raise ValueError(f"negative recovered split at ess {i}, slot {tau}: "
+                             f"fs={fs}, br={br} (solver bug)")
+    c += future
+    c += bill
+    # One n-tuple per block and slot: pc's H tuples first, then prec's, ...
+    rates = _tuples([v if v > ZERO_KW else 0.0 for v in c], n, 8 * H)
+    flags = _tuples([round(x[col]) for col in modes], n, H)
+    presc, pres, vfr, vsr = (own[k * H:(k + 1) * H] for k in range(4))
+    return [DispatchDecision(
+        charge_total=rates[tau], discharge_total=rates[3 * H + tau],
+        charge_from_renewable=rates[H + tau], charge_for_regulation=rates[2 * H + tau],
+        discharge_for_regulation=rates[4 * H + tau], reserve_commit=rates[5 * H + tau],
+        charge_future=rates[6 * H + tau], discharge_bill=rates[7 * H + tau],
+        mode_flag=flags[tau],
+        renewable_selfuse=x[presc[tau]] if x[presc[tau]] > ZERO_KW else 0.0,
+        renewable_export=x[pres[tau]] if x[pres[tau]] > ZERO_KW else 0.0,
+        reg_participate=round(x[vfr[tau]]), reserve_participate=round(x[vsr[tau]]))
+        for tau in range(H)]
 
 
 def decompose_at_point(instance: ProblemInstance, x: np.ndarray) -> dict[str, float]:

@@ -30,6 +30,15 @@ of that template changes only costs, bounds, right-hand sides and cuts, and
 its whole branch-and-bound runs in that model, the root from the root basis
 the last window left.
 
+What is the same in every window of a template is computed once per
+template, on its first window, and kept read-only: the column list, the
+scaled base rows with their row scales (used for rows that hold the
+template's coefficient arrays, as build_problem's do), the seed tangents,
+and the index lists and aging factors that _polish reads
+(recover_service_split keeps its own).  A window computes only its own
+numbers: costs, bounds, right-hand sides divided by the template's row
+scales, cuts, and the values it polishes and decodes.
+
 The integrality and cut tolerances and the cut-round limit are fixed module
 constants; SolverConfig carries the gap tolerance and the node limit.
 """
@@ -92,18 +101,46 @@ class SolverError(RuntimeError):
     """Numerical failure or limit breach inside the solver."""
 
 
-def _scaled_csr(rows: LinRows):
-    """CSR arrays (starts, index, value) and rhs of the rows, every row
-    normalized to max-abs coefficient 1 and its zero coefficients dropped."""
-    value = rows.value
+def _scaled_rows(ptr: np.ndarray, row_of: np.ndarray, index: np.ndarray,
+                 value: np.ndarray):
+    """CSR arrays (starts, index, value) of the rows that ptr, row_of, index
+    and value describe (as in LinRows), every row normalized to max-abs
+    coefficient 1 and its zero coefficients dropped, and each row's scale."""
     # An empty row keeps scale 1e-12.
-    scale = np.full(len(rows.rhs), 1e-12)
-    np.maximum.at(scale, rows.row_of, np.abs(value))
+    scale = np.full(len(ptr) - 1, 1e-12)
+    np.maximum.at(scale, row_of, np.abs(value))
     keep = value != 0.0
     kept = np.zeros(len(value) + 1, dtype=np.int32)
     np.cumsum(keep, out=kept[1:])
-    return (kept[rows.ptr[:-1]], rows.index[keep],
-            value[keep] / scale[rows.row_of[keep]], rows.rhs / scale)
+    return kept[ptr[:-1]], index[keep], value[keep] / scale[row_of[keep]], scale
+
+
+def _scaled_csr(rows: LinRows):
+    """CSR arrays (starts, index, value) and rhs of the rows, every row
+    normalized to max-abs coefficient 1 and its zero coefficients dropped."""
+    *csr, scale = _scaled_rows(rows.ptr, rows.row_of, rows.index, rows.value)
+    return (*csr, rows.rhs / scale)
+
+
+@functools.lru_cache(maxsize=128)
+def _template_lp(template: WindowTemplate):
+    """What the LP of every window of a template shares, read-only: the
+    column list 0..n-1 that costs and bounds are set over, and the
+    template's rows as _scaled_csr scales them (CSR starts, index and value,
+    and each row's scale)."""
+    arrays = (np.arange(len(template.names), dtype=np.int32),
+              *_scaled_rows(template.ptr, template.row_of, template.index,
+                            template.value))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _holds_template_rows(instance: ProblemInstance) -> bool:
+    """Whether the instance's rows hold its template's coefficient arrays,
+    as build_problem makes every window's."""
+    rows, tpl = instance.rows, instance.template
+    return rows.value is tpl.value and rows.index is tpl.index and rows.ptr is tpl.ptr
 
 
 def _tangent_terms(coef: np.ndarray, p: np.ndarray):
@@ -221,11 +258,12 @@ class CutPool:
     first): they are the model's last len(rows) rows.  lp_calls, lp_iters and
     lp_restarts count simplex runs, simplex iterations and cold restarts.
 
-    The model is a new one, unless the pool is made with a ModelSet: then it
+    The model is a new one, unless the pool is made with a ModelSet and the
+    instance's rows are its template's, as build_problem makes them: then it
     is the set's model of the instance's template, with the last basis of
     that template's previous window, or a new load, and the pool leaves it
-    in the set (kept says so).  The instance's rows must then be its
-    template's, as build_problem makes them.
+    in the set (kept says so).  Base rows that hold the template's
+    coefficients take its scaling; others are scaled whole.
     """
 
     _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
@@ -234,12 +272,15 @@ class CutPool:
     def __init__(self, instance: ProblemInstance, models: ModelSet | None = None):
         self.lp_calls = self.lp_iters = self.lp_restarts = 0
         n = instance.n_cols
-        self._cols = np.arange(n, dtype=np.int32)
         self._tpl = instance.template
-        base = _scaled_csr(instance.rows)
+        self._cols, starts, index, value, scale = _template_lp(self._tpl)
+        shared = _holds_template_rows(instance)
+        base = ((starts, index, value, instance.rows.rhs / scale) if shared
+                else _scaled_csr(instance.rows))
         seeds = _seed_tangents(self._tpl) if instance.quad_rows else None
         self.rows = range(0 if seeds is None else len(seeds[3]))
-        self.kept = models is not None
+        # The set's models hold their templates' rows.
+        self.kept = models is not None and shared
         loaded = models.take(self._tpl) if self.kept else None
         if loaded is None:
             self._highs = _model()
@@ -255,12 +296,12 @@ class CutPool:
             self._highs, held = loaded
             self._highs.changeColsCost(n, self._cols, instance.objective)
             rhs = base[3]
-            for r in np.flatnonzero(rhs != held).tolist():
+            for r in (rhs != held).nonzero()[0].tolist():
                 self._highs.changeRowBounds(r, -np.inf, rhs[r])
-            cuts = np.arange(len(rhs) + len(self.rows), self._highs.getNumRow(),
-                             dtype=np.int32)
-            if cuts.size:
-                self._highs.deleteRows(cuts.size, cuts)
+            first, end = len(rhs) + len(self.rows), self._highs.getNumRow()
+            if end > first:
+                self._highs.deleteRows(end - first,
+                                       np.arange(first, end, dtype=np.int32))
         if self.kept:
             models.keep(self._tpl, self._highs, base[3])
 
@@ -279,7 +320,7 @@ class CutPool:
         f += f2[1]
         f += f1[1]
         f -= at[2]
-        return np.flatnonzero(f > CUT_TOL * scale), grad, scale, f2
+        return (f > CUT_TOL * scale).nonzero()[0], grad, scale, f2
 
     def cut(self, x: np.ndarray) -> bool:
         """Add, as one batch, the tangent at x of every quad row that x
@@ -382,27 +423,48 @@ def solve_relaxation(instance: ProblemInstance,
                       "(check CUT_TOL vs. LP tolerance)")
 
 
+@functools.lru_cache(maxsize=128)
+def _polish_plan(template: WindowTemplate):
+    """What _polish reads of every window of a template: the binary
+    columns, and per ESS and slot the column of its mode flag vc, the flows
+    charge mode closes (pd, pfrd) and those discharge mode closes (pc, prec,
+    pfrc), its pc, pd and zeta columns and its aging.segment_factors."""
+    cols = {var: a.tolist() for var, a in template.cols.items()}
+    units = []
+    for i, spec in enumerate(template.specs):
+        factors = aging.segment_factors(spec)
+        for tau in range(template.horizon):
+            vc, pc, prec, pfrc, pd, pfrd, zeta = (
+                cols[var][i][tau]
+                for var in ("vc", "pc", "prec", "pfrc", "pd", "pfrd", "zeta"))
+            units.append((vc, (pd, pfrd), (pc, prec, pfrc), pc, pd, zeta, *factors))
+    return template.binary_cols.tolist(), units
+
+
 def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Make an integral relaxation point exactly feasible and re-price it.
 
     The LP honours the mode links and the quadratic rows only to tolerance,
     so this rounds the binaries, zeroes the flows of the side each mode flag
     closes (pc, prec, pfrc in discharge mode, pd, pfrd in charge mode) and
-    lifts the epigraph variables to their pointwise maxima.
+    lifts the epigraph variables to their pointwise maxima, aging.segment_max.
     """
-    x = x.copy()
-    cols = instance.cols
-    x[instance.binary_cols] = np.round(x[instance.binary_cols])
-    charging = x[cols["vc"]] == 1.0
-    for var in ("pc", "prec", "pfrc"):
-        x[cols[var][~charging]] = 0.0
-    for var in ("pd", "pfrd"):
-        x[cols[var][charging]] = 0.0
-    pc, pd = x[cols["pc"]], x[cols["pd"]]
-    for i, spec in enumerate(instance.specs):
-        for tau, zeta in enumerate(cols["zeta"][i].tolist()):
-            val = aging.segment_max(spec, max(0.0, pc[i, tau]), max(0.0, pd[i, tau]))
-            x[zeta] = max(x[zeta], val)
+    binary, units = _polish_plan(instance.template)
+    x = x.tolist()
+    for col in binary:
+        x[col] = round(x[col])
+    for vc, charge_closes, discharge_closes, pc, pd, zeta, wc, wd, segments in units:
+        for col in charge_closes if x[vc] == 1.0 else discharge_closes:
+            x[col] = 0.0
+        p_c = x[pc] if x[pc] > 0.0 else 0.0
+        p_d = x[pd] if x[pd] > 0.0 else 0.0
+        # segment_value's ** 2: the product p * p differs in the last bit for
+        # some p.
+        val = max([wc * (q * p_c ** 2 + m * p_c) + wd * (q * p_d ** 2 + m * p_d)
+                   for q, m in segments])
+        if val > x[zeta]:
+            x[zeta] = val
+    x = np.array(x)
     return x, float(instance.objective @ x)
 
 
@@ -413,14 +475,14 @@ def _fractional(x: np.ndarray, binary_cols: np.ndarray, tol: float) -> int | Non
     so the scalar scan runs over those alone.
     """
     v = x[binary_cols]
+    values = v.tolist()
     best = None
     best_frac = tol
-    for k in np.flatnonzero(np.abs(v - np.round(v)) > tol + 1e-15).tolist():
-        col = binary_cols[k]
-        frac = abs(x[col] - round(x[col]))
+    for k in (np.abs(v - np.rint(v)) > tol + 1e-15).nonzero()[0].tolist():
+        frac = abs(values[k] - round(values[k]))
         if frac > best_frac + 1e-15:
-            best, best_frac = col, frac
-    return best
+            best, best_frac = k, frac
+    return None if best is None else binary_cols[best]
 
 
 def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),

@@ -9,8 +9,8 @@ from essdispatch import aging
 from essdispatch import solver as solver_module
 from essdispatch.aging import SegmentSet, segment_max
 from essdispatch.domain import DispatchDecision, MarketSpec, SlotExogenous, SocState
-from essdispatch.problem import (ESS_VARS, SLOT_VARS, LinRow, LinRows, QuadRow,
-                                 build_problem, check_solution,
+from essdispatch.problem import (ESS_VARS, SLOT_VARS, ZERO_KW, LinRow, LinRows,
+                                 QuadRow, build_problem, check_solution,
                                  decompose_at_point,
                                  mccormick_rows, objective_decomposition,
                                  recover_service_split)
@@ -18,6 +18,7 @@ from essdispatch.problem import ProblemInstance, SolveResult
 from essdispatch.solver import SolverConfig, solve, solve_relaxation
 
 from conftest import make_spec
+from record_windows import bundled_config
 from test_solver import rand_slot
 
 
@@ -320,6 +321,19 @@ class TestRecoverServiceSplit:
         assert d.charge_total == (0.0, 40.0) and d.charge_future == (0.0, 0.0)
         assert d.reserve_commit == (0.0, 0.0)
         assert d.renewable_selfuse == 0.0 and d.renewable_export == 2e-9
+
+    @pytest.mark.parametrize("horizon", [1, 4, 6])
+    def test_solved_windows_match_reference(self, horizon, week_series):
+        # optima of the bundled week, whose LP noise sits around ZERO_KW
+        specs, market, config = bundled_config()
+        rng = np.random.default_rng(horizon)
+        for t in range(0, len(week_series) - horizon, 12):
+            soc = SocState(tuple(float(rng.uniform(s.soc_min, s.soc_max))
+                                 for s in specs))
+            res = solve(build_problem(t, week_series[t:t + horizon], soc, specs,
+                                      market), config)
+            want = reference_recover_service_split(res)
+            assert res.decisions == want and repr(res.decisions) == repr(want)
 
 
 class TestSolutionInvariants:
@@ -653,6 +667,49 @@ def random_window(rng, n_ess, horizon):
     return slots, soc, specs, market
 
 
+# Powers at and just past the zero bound and ZERO_KW, and binaries at 0.5 and
+# 1.5, where round-half-even applies, or LP noise around 0 and 1.
+EDGE_KW = [0.0, -0.0, ZERO_KW, -ZERO_KW, np.nextafter(ZERO_KW, 1.0),
+           np.nextafter(ZERO_KW, 0.0), np.nextafter(-ZERO_KW, -1.0)]
+EDGE_BINARY = [0.5, 1.5, np.nextafter(0.5, 1.0), 0.0, 1.0, -1e-12, 1.0 + 1e-12]
+
+
+def edge_points(inst, rng):
+    """Points with powers at EDGE_KW and binaries at EDGE_BINARY: one whose
+    splits all decode (prec, pfrc and pfrd 0), one with every flow at those
+    values, and one whose charge split is negative."""
+    c = inst.cols
+    flows = ("pc", "prec", "pfrc", "pd", "pfrd", "psr", "presc", "pres")
+    points = []
+    for edged in (("pc", "pd", "psr", "presc", "pres"), flows):
+        x = random_point(inst, rng)
+        x[inst.binary_cols] = rng.choice(EDGE_BINARY, len(inst.binary_cols))
+        for var in ("prec", "pfrc", "pfrd"):
+            x[c[var]] = 0.0
+        for var in edged:
+            x[c[var]] = rng.choice(EDGE_KW, c[var].shape)
+        points.append(x)
+    x = random_point(inst, rng)
+    i, tau = rng.integers(inst.n_ess), rng.integers(inst.horizon)
+    x[c["pfrc"][i, tau]] = x[c["pc"][i, tau]] + 1.0
+    return points + [x]
+
+
+def same_decode(result) -> bool:
+    """Assert recover_service_split returns what the reference returns, or
+    raises the ValueError it raises, with the same text; True if it decoded."""
+    try:
+        want = reference_recover_service_split(result)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            recover_service_split(result)
+        assert str(got.value) == str(exc)
+        return False
+    got = recover_service_split(result)
+    assert got == want and repr(got) == repr(want)
+    return True
+
+
 def same_floats(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -692,14 +749,13 @@ class TestWindowTemplate:
             assert same_floats(row.rhs, want.rhs)
             assert row.name == want.name
         assert list(inst.quad_rows) == ref.quad_rows
-        for _ in range(3):
-            x = random_point(inst, rng)
+        points = [random_point(inst, rng) for _ in range(3)] + edge_points(inst, rng)
+        decoded = []
+        for x in points:
             got, want = solver_module._polish(inst, x), reference_polish(inst, x)
             assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
-            result = SolveResult("optimal", 0.0, 0.0, x, 1, inst)
-            got = recover_service_split(result)
-            want = reference_recover_service_split(result)
-            assert got == want and repr(got) == repr(want)
+            decoded.append(same_decode(SolveResult("optimal", 0.0, 0.0, x, 1, inst)))
+        assert decoded[:4] == [True] * 4 and not decoded[-1]
 
     @pytest.mark.parametrize("seed", range(24))
     def test_bound_gating_is_exact(self, seed):
@@ -739,16 +795,21 @@ class TestWindowTemplate:
         # writing one window's own arrays leaves the others alone
         a.ub[a.col("pc", 0, 0)] = 0.0
         a.objective[:] = 1.0
-        a.rows.value[:] = 2.0
+        a.rows.rhs[:] = 2.0
         assert [arr.tobytes() for arr in (b.lb, b.ub, b.objective)] == b_bytes
         assert list(b.rows) == b_rows
         again = build_problem(1, window_b, SocState((0.3, 0.8)), specs, market)
         assert [arr.tobytes() for arr in (again.lb, again.ub, again.objective)] == b_bytes
         assert list(again.rows) == b_rows
-        assert again.rows.value.tobytes() == b.rows.value.tobytes()
+        # every window's rows hold the template's coefficient arrays
+        tpl = a.template
+        for rows in (a.rows, b.rows, again.rows):
+            assert all(got is want for got, want in zip(
+                (rows.ptr, rows.row_of, rows.index, rows.value),
+                (tpl.ptr, tpl.row_of, tpl.index, tpl.value)))
         # the shared arrays refuse writes
         for shared in (a.template.numbers, a.template.index, a.template.ptr,
-                       a.binary_cols, a.cols["pc"], a.template.qcoef):
+                       a.rows.value, a.binary_cols, a.cols["pc"], a.template.qcoef):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
 

@@ -15,8 +15,9 @@ from scipy.sparse import csc_array, csr_array
 
 from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
 from essdispatch.domain import SlotExogenous, SocState
-from essdispatch.problem import (LinRow, LinRows, SolveResult, build_problem,
-                                 check_solution, recover_service_split)
+from essdispatch.problem import (LinRow, LinRows, ProblemInstance, SolveResult,
+                                 build_problem, check_solution,
+                                 recover_service_split)
 from essdispatch import solver as solver_module
 from essdispatch.solver import (CUT_TOL, INT_TOL, CutPool, LpSolution,
                                 ModelSet, SolverConfig, SolverError, brute_force_oracle,
@@ -892,6 +893,40 @@ class TestArrayPool:
         got = solver_module._scaled_csr(LinRows.of(rows))
         want = scalar_scaled_csr(rows)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_rows_of_their_own_keep_their_scaling(self, specs, market):
+        # an instance with a template but rows of its own, as
+        # test_bound_gating_is_exact builds, loads its own rows scaled, not
+        # the template's scaling, whether or not a window of the template has
+        # run in a ModelSet before; with that set, it loads a model of its
+        # own and leaves the set's model to the template's next window
+        rng = np.random.default_rng(33)
+        slots = [rand_slot(rng) for _ in range(2)]
+        soc = SocState((0.5, 0.5))
+        built = build_problem(0, slots, soc, specs, market)
+        rows = LinRows.of(LinRow({j: c * (1.0 + 0.25 * (j % 3))
+                                  for j, c in row.coeffs.items()}, row.rhs, row.name)
+                          for row in built.rows)
+        own = ProblemInstance(0, built.lb, built.ub, rows, built.objective,
+                              tuple(slots), soc.soc, built.template)
+        starts, index, value, rhs = solver_module._scaled_csr(rows)
+        want = csr_array((value, index, np.append(starts, len(index))),
+                         shape=(len(rhs), own.n_cols)).toarray()
+
+        def base_rows(pool):
+            a, b = held_rows(pool._highs)
+            return a.toarray()[:len(rhs)].tobytes(), b[:len(rhs)].tobytes()
+
+        solver_module._template_lp.cache_clear()
+        fresh = base_rows(CutPool(own))
+        models = ModelSet()
+        first = CutPool(built, models)
+        assert base_rows(first)[0] != want.tobytes()
+        in_set = CutPool(own, models)
+        assert not in_set.kept and in_set._highs is not first._highs
+        assert (fresh == base_rows(CutPool(own)) == base_rows(in_set)
+                == (want.tobytes(), rhs.tobytes()))
+        assert CutPool(built, models)._highs is first._highs
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lp_matches_scalar_assembly(self, market, seed, monkeypatch):
