@@ -78,21 +78,12 @@ def cost_scale(spec: "EssSpec", slot_hours: float) -> float:
     return spec.unit_capital_cost * slot_hours / (USABLE_CAPACITY_FRACTION * spec.energy_capacity)
 
 
-def segment_value(spec: "EssSpec", k: int, p_charge: float, p_discharge: float) -> float:
-    """Unscaled segment function f_k at the given rates."""
-    a, b = spec.aging_segments.segments[k]
-    wc, wd = _axis_weights(spec)
-    n = spec.module_count
-    return (wc * (RATE_QUAD_SCALE * a * p_charge ** 2 + n * b * p_charge)
-            + wd * (RATE_QUAD_SCALE * a * p_discharge ** 2 + n * b * p_discharge))
-
-
 def segment_factors(spec: "EssSpec"
                     ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """The factors of segment_value: the axis weights wc and wd, and per
-    segment k the pair (RATE_QUAD_SCALE*a_k, n*b_k).  With (q, m) that pair,
-    wc*(q*p_charge**2 + m*p_charge) + wd*(q*p_discharge**2 + m*p_discharge)
-    is segment_value's f_k, operation for operation."""
+    """The factors of the unscaled segment functions: the axis weights wc
+    and wd, and per segment k the pair (RATE_QUAD_SCALE*a_k, n*b_k).  With
+    (q, m) that pair, f_k is
+    wc*(q*p_charge**2 + m*p_charge) + wd*(q*p_discharge**2 + m*p_discharge)."""
     wc, wd = _axis_weights(spec)
     n = spec.module_count
     return wc, wd, tuple((RATE_QUAD_SCALE * a, n * b)
@@ -101,8 +92,10 @@ def segment_factors(spec: "EssSpec"
 
 def segment_max(spec: "EssSpec", p_charge: float, p_discharge: float) -> float:
     """max_k f_k(p_charge, p_discharge), the optimal epigraph value zeta*."""
-    return max(segment_value(spec, k, p_charge, p_discharge)
-               for k in range(len(spec.aging_segments)))
+    wc, wd, segments = segment_factors(spec)
+    return max(wc * (q * p_charge ** 2 + m * p_charge)
+               + wd * (q * p_discharge ** 2 + m * p_discharge)
+               for q, m in segments)
 
 
 def aging_cost_eval(spec: "EssSpec", p_charge: float, p_discharge: float,

@@ -203,6 +203,14 @@ def _record(parser: configparser.ConfigParser, name: str, cls, strict: bool,
         raise DataError(f"{path}: [{name}] {exc}") from None
 
 
+def _unit_number(path, section: str) -> int:
+    """N of an [ess.N] section; units are numbered in the order of N."""
+    try:
+        return int(section.removeprefix("ess."))
+    except ValueError:
+        raise DataError(f"{path}: [{section}] N of [ess.N] must be an integer") from None
+
+
 def load_config(path: str | Path, strict: bool = False):
     """Parse the sectioned config into the five typed records.
 
@@ -218,7 +226,8 @@ def load_config(path: str | Path, strict: bool = False):
     except configparser.Error as exc:
         raise DataError(f"{path}: {exc}") from None
 
-    ess_sections = sorted(s for s in parser.sections() if s.startswith("ess."))
+    ess_sections = sorted((s for s in parser.sections() if s.startswith("ess.")),
+                          key=lambda name: _unit_number(path, name))
     specs = [_record(parser, name, EssSpec, strict, path, _ESS_DEFAULTS, id=idx)
              for idx, name in enumerate(ess_sections, start=1)]
     market = _record(parser, "market", MarketSpec, strict, path)

@@ -110,11 +110,11 @@ class WindowTemplate:
     """What every window with the same specs, market and horizon length
     shares; built once by window_template, and every array is read-only.
 
-    The row coefficients, laid out as ptr, row_of, index and row_names say,
-    are value, which every window's rows share.  numbers holds, back to
-    back, the window-independent values of lb, ub, objective and the row
-    right-hand sides; a window writes numbers[fill_dst] = w[fill_src] in its
-    own copy, where w lists its own values in build_problem's order.  The
+    rows are the linear rows of every window, whose right-hand sides are the
+    window's own.  numbers holds, back to back, the window-independent
+    values of lb, ub, objective and the row right-hand sides; a window
+    writes numbers[fill_dst] = w[fill_src] in its own copy, where w lists
+    its own values in build_problem's order.  The
     quad-row arrays have one column per entry of quad_rows: its (pc, pd,
     zeta) columns (qcols); the column of the charge-mode flag vc of its ESS
     and slot (qvc); twice the quadratic, the linear and the quadratic
@@ -131,11 +131,7 @@ class WindowTemplate:
     slot_cols: np.ndarray   # the cols of SLOT_VARS, vfr and vsr, stacked
     binary_cols: np.ndarray
     quad_rows: tuple[QuadRow, ...]
-    ptr: np.ndarray
-    row_of: np.ndarray
-    index: np.ndarray
-    row_names: tuple[str, ...]
-    value: np.ndarray
+    rows: LinRows
     numbers: np.ndarray
     fill_dst: np.ndarray
     fill_src: np.ndarray
@@ -155,21 +151,27 @@ class ProblemInstance:
     """One window's problem: minimize objective.x over lb <= x <= ub, the
     linear rows and the epigraph rows quad_rows.
 
-    lb, ub, objective and the rows' rhs are this window's own arrays.  template
-    is shared read-only with every window of the same specs, market and
-    horizon length: names, cols, binary_cols, quad_rows, specs, market, n_ess
-    and horizon are read from it, and build_problem's rows hold its ptr,
-    row_of, index and value arrays.
+    lb, ub, objective and the rows' right-hand sides rhs are this window's
+    own arrays.  template is shared read-only with every window of the same
+    specs, market and horizon length: names, cols, binary_cols, quad_rows,
+    specs, market, n_ess, horizon and the rows' coefficients are read from it.
     """
 
     t: int
     lb: np.ndarray
     ub: np.ndarray
-    rows: LinRows
+    rhs: np.ndarray
     objective: np.ndarray
     exog: tuple[SlotExogenous, ...]
     soc0: tuple[float, ...]
     template: WindowTemplate
+
+    @property
+    def rows(self) -> LinRows:
+        """The template's rows with this window's right-hand sides."""
+        rows = self.template.rows
+        return LinRows(rows.ptr, rows.row_of, rows.index, rows.value, self.rhs,
+                       rows.names)
 
     @property
     def n_ess(self) -> int:
@@ -235,9 +237,10 @@ def mccormick_rows(z: int, v: int, reserve: int, discharge_rate_max: float,
 
     Four rows; with v fixed to 0 or 1 they pin z to 0 or reserve exactly, and
     for fractional v they describe the McCormick envelope of the product.
+    At p_max = 0 they pin z = reserve = 0.
     """
-    if discharge_rate_max <= 0:
-        raise ValueError("discharge_rate_max must be > 0")
+    if discharge_rate_max < 0:
+        raise ValueError("discharge_rate_max must be >= 0")
     p = discharge_rate_max
     return [
         LinRow({z: 1.0, v: -p}, 0.0, f"mcc_ub_v{tag}"),
@@ -439,16 +442,14 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
                     dtype=float).reshape(-1, 2).T.copy()
     lin = np.array([(q.row.lin_c, q.row.lin_d) for q in quad_rows],
                    dtype=float).reshape(-1, 2).T.copy()
-    for a in cols.values():
+    for a in (*cols.values(), csr.ptr, csr.row_of, csr.index,
+              csr.value, csr.rhs):
         _read_only(a)
     return WindowTemplate(
         specs=specs, market=market, horizon=H, names=tuple(names), cols=cols,
         ess_cols=_read_only(ess_cols), slot_cols=_read_only(slot_cols),
         binary_cols=_read_only(np.array(binary_cols, dtype=int)),
-        quad_rows=tuple(quad_rows), ptr=_read_only(csr.ptr),
-        row_of=_read_only(csr.row_of), index=_read_only(csr.index),
-        row_names=csr.names, value=_read_only(csr.value),
-        numbers=_read_only(numbers),
+        quad_rows=tuple(quad_rows), rows=csr, numbers=_read_only(numbers),
         fill_dst=_read_only(fill_dst.copy()), fill_src=_read_only(fill_src.copy()),
         qcols=_read_only(qcols), qvc=_read_only(np.array(quad_vc, dtype=np.int32)),
         qcoef=_read_only(np.stack([2.0 * quad, lin, quad])),
@@ -492,12 +493,9 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
     lb, ub, objective, rhs = template.split(numbers)
     # Each objective entry is one term summed onto 0.0, so -0.0 reads 0.0.
     objective += 0.0
-    return ProblemInstance(
-        t=t, lb=lb, ub=ub,
-        rows=LinRows(template.ptr, template.row_of, template.index, template.value,
-                     rhs, template.row_names),
-        objective=objective, exog=tuple(horizon), soc0=tuple(state.soc),
-        template=template)
+    return ProblemInstance(t=t, lb=lb, ub=ub, rhs=rhs, objective=objective,
+                           exog=tuple(horizon), soc0=tuple(state.soc),
+                           template=template)
 
 
 @functools.lru_cache(maxsize=128)

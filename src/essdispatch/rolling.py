@@ -42,6 +42,15 @@ class ForecastModel:
     clamp_high: float = 1.2
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("kappa_step", "kappa_cap"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
+        if not (np.isfinite(self.clamp_low) and np.isfinite(self.clamp_high)):
+            raise ValueError("clamp_low and clamp_high must be finite")
+        if self.clamp_low > self.clamp_high:
+            raise ValueError("clamp_low must be <= clamp_high")
+
     def error_schedule(self, h: int) -> float:
         """Forecast-error proportionality, growing with the lookahead step."""
         return min(self.kappa_step * h, self.kappa_cap)

@@ -32,12 +32,11 @@ the last window left.
 
 What is the same in every window of a template is computed once per
 template, on its first window, and kept read-only: the column list, the
-scaled base rows with their row scales (used for rows that hold the
-template's coefficient arrays, as build_problem's do), the seed tangents,
-and the index lists and aging factors that _polish reads
-(recover_service_split keeps its own).  A window computes only its own
-numbers: costs, bounds, right-hand sides divided by the template's row
-scales, cuts, and the values it polishes and decodes.
+scaled base rows with their row scales, the seed tangents, and the index
+lists and aging factors that _polish reads (recover_service_split keeps its
+own).  A window computes only its own numbers: costs, bounds, right-hand
+sides divided by the template's row scales, cuts, and the values it
+polishes and decodes.
 
 The integrality and cut tolerances and the cut-round limit are fixed module
 constants; SolverConfig carries the gap tolerance and the node limit.
@@ -101,46 +100,32 @@ class SolverError(RuntimeError):
     """Numerical failure or limit breach inside the solver."""
 
 
-def _scaled_rows(ptr: np.ndarray, row_of: np.ndarray, index: np.ndarray,
-                 value: np.ndarray):
-    """CSR arrays (starts, index, value) of the rows that ptr, row_of, index
-    and value describe (as in LinRows), every row normalized to max-abs
-    coefficient 1 and its zero coefficients dropped, and each row's scale."""
+def _scaled_rows(rows: LinRows):
+    """CSR arrays (starts, index, value) of the rows, every row normalized
+    to max-abs coefficient 1 and its zero coefficients dropped, and each
+    row's scale, which its right-hand side is divided by."""
+    value, row_of = rows.value, rows.row_of
     # An empty row keeps scale 1e-12.
-    scale = np.full(len(ptr) - 1, 1e-12)
+    scale = np.full(len(rows), 1e-12)
     np.maximum.at(scale, row_of, np.abs(value))
     keep = value != 0.0
     kept = np.zeros(len(value) + 1, dtype=np.int32)
     np.cumsum(keep, out=kept[1:])
-    return kept[ptr[:-1]], index[keep], value[keep] / scale[row_of[keep]], scale
-
-
-def _scaled_csr(rows: LinRows):
-    """CSR arrays (starts, index, value) and rhs of the rows, every row
-    normalized to max-abs coefficient 1 and its zero coefficients dropped."""
-    *csr, scale = _scaled_rows(rows.ptr, rows.row_of, rows.index, rows.value)
-    return (*csr, rows.rhs / scale)
+    return (kept[rows.ptr[:-1]], rows.index[keep], value[keep] / scale[row_of[keep]],
+            scale)
 
 
 @functools.lru_cache(maxsize=128)
 def _template_lp(template: WindowTemplate):
     """What the LP of every window of a template shares, read-only: the
     column list 0..n-1 that costs and bounds are set over, and the
-    template's rows as _scaled_csr scales them (CSR starts, index and value,
-    and each row's scale)."""
+    template's rows as _scaled_rows scales them (CSR starts, index and
+    value, and each row's scale)."""
     arrays = (np.arange(len(template.names), dtype=np.int32),
-              *_scaled_rows(template.ptr, template.row_of, template.index,
-                            template.value))
+              *_scaled_rows(template.rows))
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def _holds_template_rows(instance: ProblemInstance) -> bool:
-    """Whether the instance's rows hold its template's coefficient arrays,
-    as build_problem makes every window's."""
-    rows, tpl = instance.rows, instance.template
-    return rows.value is tpl.value and rows.index is tpl.index and rows.ptr is tpl.ptr
 
 
 def _tangent_terms(coef: np.ndarray, p: np.ndarray):
@@ -161,7 +146,7 @@ def _tangent_rows(index: np.ndarray, grad: np.ndarray, scale: np.ndarray,
     """CSR rows grad.x - zeta <= rhs over the columns index (w, k): the last
     is each row's zeta and the others take the coefficients grad (w - 1, k).
     Each row is divided by its cut scale, the max-abs coefficient, and its
-    zero coefficients are dropped, as _scaled_csr does."""
+    zero coefficients are dropped, as _scaled_rows does."""
     width, k = index.shape
     value = np.empty((k, width))
     np.divide(grad, scale, out=value[:, :-1].T)
@@ -258,12 +243,11 @@ class CutPool:
     first): they are the model's last len(rows) rows.  lp_calls, lp_iters and
     lp_restarts count simplex runs, simplex iterations and cold restarts.
 
-    The model is a new one, unless the pool is made with a ModelSet and the
-    instance's rows are its template's, as build_problem makes them: then it
-    is the set's model of the instance's template, with the last basis of
-    that template's previous window, or a new load, and the pool leaves it
-    in the set (kept says so).  Base rows that hold the template's
-    coefficients take its scaling; others are scaled whole.
+    The base rows are the template's, scaled once per template, with the
+    instance's right-hand sides.  The model is a new one, unless the pool is
+    made with a ModelSet: then it is the set's model of the instance's
+    template, with the last basis of that template's previous window, or a
+    new load, and the pool leaves it in the set (kept says so).
     """
 
     _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
@@ -274,20 +258,17 @@ class CutPool:
         n = instance.n_cols
         self._tpl = instance.template
         self._cols, starts, index, value, scale = _template_lp(self._tpl)
-        shared = _holds_template_rows(instance)
-        base = ((starts, index, value, instance.rows.rhs / scale) if shared
-                else _scaled_csr(instance.rows))
+        rhs = instance.rhs / scale
         seeds = _seed_tangents(self._tpl) if instance.quad_rows else None
         self.rows = range(0 if seeds is None else len(seeds[3]))
-        # The set's models hold their templates' rows.
-        self.kept = models is not None and shared
+        self.kept = models is not None
         loaded = models.take(self._tpl) if self.kept else None
         if loaded is None:
             self._highs = _model()
             self._highs.addVars(n, instance.lb, instance.ub)
             self._highs.changeColsCost(n, self._cols, instance.objective)
-            if len(base[3]):
-                self._add_rows(*base)
+            if len(rhs):
+                self._add_rows(starts, index, value, rhs)
             if seeds is not None:
                 self._add_rows(*seeds)
         else:
@@ -295,7 +276,6 @@ class CutPool:
             # last window's cuts deleted; column bounds are set by every solve.
             self._highs, held = loaded
             self._highs.changeColsCost(n, self._cols, instance.objective)
-            rhs = base[3]
             for r in (rhs != held).nonzero()[0].tolist():
                 self._highs.changeRowBounds(r, -np.inf, rhs[r])
             first, end = len(rhs) + len(self.rows), self._highs.getNumRow()
@@ -303,7 +283,7 @@ class CutPool:
                 self._highs.deleteRows(end - first,
                                        np.arange(first, end, dtype=np.int32))
         if self.kept:
-            models.keep(self._tpl, self._highs, base[3])
+            models.keep(self._tpl, self._highs, rhs)
 
     def _add_rows(self, starts, index, value, rhs) -> None:
         self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
@@ -458,7 +438,7 @@ def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float
             x[col] = 0.0
         p_c = x[pc] if x[pc] > 0.0 else 0.0
         p_d = x[pd] if x[pd] > 0.0 else 0.0
-        # segment_value's ** 2: the product p * p differs in the last bit for
+        # segment_max's ** 2: the product p * p differs in the last bit for
         # some p.
         val = max([wc * (q * p_c ** 2 + m * p_c) + wd * (q * p_d ** 2 + m * p_d)
                    for q, m in segments])
@@ -494,18 +474,13 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
     loop runs at the root and at integral nodes, where the bound feeds the
     incumbent and the final gap.
 
-    With a run's ModelSet, the window is solved in the model the set keeps
-    for its template, its root from the root basis of the last window of
-    that template; a branching window leaves its own root basis there for
-    the next one.
+    Every node's LP runs in one CutPool, from the basis its parent's last
+    LP left.  With a run's ModelSet, that is the model the set keeps for the
+    window's template, and the root starts from the root basis of the last
+    window of that template; a branching window leaves its own root basis
+    there for the next one.
     """
-    return _branch_and_bound(instance, config, CutPool(instance, models))
-
-
-def _branch_and_bound(instance: ProblemInstance, config: SolverConfig,
-                      cut_pool: CutPool) -> SolveResult:
-    """Branch-and-bound in cut_pool from its converged root relaxation, each
-    node's LP from the basis its parent's last LP left."""
+    cut_pool = CutPool(instance, models)
     incumbent_x = None
     incumbent_obj = np.inf
     counter = itertools.count()

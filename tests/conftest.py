@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from essdispatch.domain import EssSpec, MarketSpec
@@ -16,6 +18,14 @@ def make_spec(i: int = 1, **overrides) -> EssSpec:
     }[i]
     base.update(overrides)
     return EssSpec(**base)
+
+
+def with_rows(inst, rows, **fields):
+    """inst with linear rows other than build_problem's: on a copy of its
+    template that holds rows, with their right-hand sides, and with fields
+    replaced."""
+    template = dataclasses.replace(inst.template, rows=rows)
+    return dataclasses.replace(inst, template=template, rhs=rows.rhs, **fields)
 
 
 @pytest.fixture

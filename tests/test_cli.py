@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -138,6 +139,7 @@ class TestMain:
         ("[solver]\n", "[solver]\nnode_limit = lots\n", "[solver] node_limit"),
         ("[solver]\n", "[solver]\nnode_limit = 0\n", "[solver] node_limit must be"),
         ("gap_tol = 1e-6", "gap_tol = nan", "[solver] gap_tol must be"),
+        ("kappa_step = 0.1", "kappa_step = nan", "[forecast] kappa_step must be"),
         ("horizon = 4", "horizon = 0", "must be >= 1"),
         ("initial_soc = 0.5", "initial_soc = 1.5", "initial_soc 1.5 outside")])
     def test_bad_config_value_exit_code(self, workdir, capsys, old, new, message):
@@ -197,6 +199,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "[run] experiment 'bogus'" in err
         assert not out.exists()
+
+    def test_zero_discharge_rate_runs(self, workdir):
+        # a unit that cannot discharge: its McCormick rows pin z and its
+        # reserve to 0, so it neither discharges nor commits reserve
+        config = workdir / "config.ini"
+        config.write_text(config.read_text().replace(
+            "discharge_rate_max = 74", "discharge_rate_max = 0", 1))
+        out = workdir / "out"
+        assert run_cli(workdir, "--strict", "--out", str(out)) == 0
+        with (out / "ledger.csv").open(newline="") as fh:
+            ledger = list(csv.DictReader(fh))
+        assert len(ledger) == 10
+        assert all(float(row[col]) == 0.0 for row in ledger
+                   for col in ("discharge_kw_0", "reserve_kw_0"))
 
     def test_bad_series_exit_code(self, workdir, capsys):
         (workdir / "series.csv").write_text("slot,demand_kw\n0,1\n")

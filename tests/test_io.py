@@ -252,6 +252,33 @@ class TestLoadConfig:
         with pytest.raises(DataError, match=rf"\[solver\] {message}"):
             load_config(config_path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("kappa_step", "nan", "kappa_step must be >= 0 and finite"),
+        ("kappa_step", "-0.1", "kappa_step must be >= 0 and finite"),
+        ("kappa_cap", "inf", "kappa_cap must be >= 0 and finite"),
+        ("kappa_cap", "-1", "kappa_cap must be >= 0 and finite"),
+        ("clamp_low", "nan", "clamp_low and clamp_high must be finite"),
+        ("clamp_high", "inf", "clamp_low and clamp_high must be finite"),
+        ("clamp_low", "1.5", "clamp_low must be <= clamp_high")])
+    def test_bad_forecast_value_rejected(self, config_path, key, value, message):
+        set_key(config_path, "forecast", key, value)
+        with pytest.raises(DataError, match=rf"\[forecast\] {message}"):
+            load_config(config_path)
+
+    def test_units_in_the_order_of_n(self, tmp_path):
+        unit = ("charge_rate_max = 102\ndischarge_rate_max = 74\neff_charge = 0.82\n"
+                "eff_discharge = 0.88\nunit_capital_cost = 100\n")
+        p = tmp_path / "c.ini"
+        p.write_text(f"[ess.10]\nenergy_capacity = 720\n{unit}"
+                     f"[ess.9]\nenergy_capacity = 480\n{unit}")
+        specs = load_config(p, strict=True)[0]
+        assert [(s.id, s.energy_capacity) for s in specs] == [(1, 480.0), (2, 720.0)]
+
+    def test_non_integer_unit_number_rejected(self, config_path):
+        config_path.write_text(config_path.read_text().replace("[ess.2]", "[ess.b]"))
+        with pytest.raises(DataError, match=r"\[ess\.b\] N of \[ess\.N\] must be an integer"):
+            load_config(config_path)
+
 
 @pytest.fixture(scope="module")
 def report(request):

@@ -14,10 +14,10 @@ from essdispatch.problem import (ESS_VARS, SLOT_VARS, ZERO_KW, LinRow, LinRows,
                                  decompose_at_point,
                                  mccormick_rows, objective_decomposition,
                                  recover_service_split)
-from essdispatch.problem import ProblemInstance, SolveResult
+from essdispatch.problem import SolveResult
 from essdispatch.solver import SolverConfig, solve, solve_relaxation
 
-from conftest import make_spec
+from conftest import make_spec, with_rows
 from record_windows import bundled_config
 from test_solver import rand_slot
 
@@ -108,9 +108,9 @@ class TestMcCormick:
         assert lo == pytest.approx(13.0)
         assert hi == pytest.approx(37.0)
 
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            mccormick_rows(0, 1, 2, 0.0)
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match="discharge_rate_max must be >= 0"):
+            mccormick_rows(0, 1, 2, -1.0)
 
     def test_exact_at_binary_optimum(self, specs, market):
         inst = build_problem(0, [slot(reserve=0.02), slot(reserve=0.02)],
@@ -144,8 +144,8 @@ class TestMcCormick:
                                 pd_col: 1.0, psr_col: 1.0 - vc},
                                 rhs=(1 - vc) * spec1.discharge_rate_max)
                         variant_rows.append(row)
-                    variant = dataclasses.replace(inst, rows=LinRows.of(variant_rows))
-                    variant.ub = inst.ub.copy()
+                    variant = with_rows(inst, LinRows.of(variant_rows),
+                                        ub=inst.ub.copy())
                     variant.ub[inst.col("z", 0, 0)] = 0.0
                     fixed = {inst.col("vc", 0, 0): vc,
                              inst.col("vfr", 0): vfr, inst.col("vsr", 0): vsr}
@@ -766,9 +766,8 @@ class TestWindowTemplate:
         slots, soc, specs, market = window = random_window(rng, n_ess, horizon)
         inst = build_problem(7, *window)
         ref = reference_build_problem(7, *window, gate="rows")
-        gated = ProblemInstance(7, ref.lb, ref.ub, LinRows.of(ref.rows),
-                                ref.objective, tuple(slots), soc.soc,
-                                inst.template)
+        gated = with_rows(inst, LinRows.of(ref.rows), lb=ref.lb, ub=ref.ub,
+                          objective=ref.objective)
         assert gated.ub.tobytes() != inst.ub.tobytes()
         got, want = solve_relaxation(inst), solve_relaxation(gated)
         assert got.status == want.status == "optimal"
@@ -802,13 +801,13 @@ class TestWindowTemplate:
         assert [arr.tobytes() for arr in (again.lb, again.ub, again.objective)] == b_bytes
         assert list(again.rows) == b_rows
         # every window's rows hold the template's coefficient arrays
-        tpl = a.template
+        tpl = a.template.rows
         for rows in (a.rows, b.rows, again.rows):
             assert all(got is want for got, want in zip(
                 (rows.ptr, rows.row_of, rows.index, rows.value),
                 (tpl.ptr, tpl.row_of, tpl.index, tpl.value)))
         # the shared arrays refuse writes
-        for shared in (a.template.numbers, a.template.index, a.template.ptr,
+        for shared in (a.template.numbers, tpl.index, tpl.ptr, tpl.rhs,
                        a.rows.value, a.binary_cols, a.cols["pc"], a.template.qcoef):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0

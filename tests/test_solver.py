@@ -15,7 +15,7 @@ from scipy.sparse import csc_array, csr_array
 
 from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
 from essdispatch.domain import SlotExogenous, SocState
-from essdispatch.problem import (LinRow, LinRows, ProblemInstance, SolveResult,
+from essdispatch.problem import (LinRow, LinRows, SolveResult,
                                  build_problem, check_solution,
                                  recover_service_split)
 from essdispatch import solver as solver_module
@@ -23,7 +23,7 @@ from essdispatch.solver import (CUT_TOL, INT_TOL, CutPool, LpSolution,
                                 ModelSet, SolverConfig, SolverError, brute_force_oracle,
                                 solve, solve_relaxation)
 
-from conftest import make_spec
+from conftest import make_spec, with_rows
 
 
 def cold_lp(a, b, lb, ub, objective) -> LpSolution:
@@ -47,7 +47,9 @@ def solve_lp(rows, lb, ub, objective) -> LpSolution:
     """cold_lp over LinRow rows, each scaled as CutPool scales its base rows."""
     a = b = None
     if rows:
-        starts, index, value, b = solver_module._scaled_csr(LinRows.of(rows))
+        rows = LinRows.of(rows)
+        starts, index, value, scale = solver_module._scaled_rows(rows)
+        b = rows.rhs / scale
         a = csr_array((value, index, np.append(starts, len(index))),
                       shape=(len(rows), len(objective)))
     return cold_lp(a, b, lb, ub, objective)
@@ -228,7 +230,7 @@ class TestSolve:
         inst = build_problem(0, [rand_slot(np.random.default_rng(2))],
                              SocState((0.5,)), [spec1], market)
         pc = inst.col("pc", 0, 0)
-        inst = replace(inst, rows=LinRows.of(
+        inst = with_rows(inst, LinRows.of(
             [*inst.rows, LinRow({pc: -1.0}, -1.0, "force_pc_ge_1")]))
         inst.ub[pc] = 0.0
         res = solve(inst)
@@ -890,16 +892,19 @@ class TestArrayPool:
         rows = [LinRow({3: 2.0, 0: -0.0, 1: -8.0}, 4.0), LinRow({}, 1.0),
                 LinRow({2: 0.0}, -3.0), LinRow({1: 1e-14}, 0.0),
                 LinRow({0: 5, 2: 0.25}, 7)]
-        got = solver_module._scaled_csr(LinRows.of(rows))
+        lin = LinRows.of(rows)
+        *csr, scale = solver_module._scaled_rows(lin)
+        got = (*csr, lin.rhs / scale)
         want = scalar_scaled_csr(rows)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_rows_of_their_own_keep_their_scaling(self, specs, market):
-        # an instance with a template but rows of its own, as
-        # test_bound_gating_is_exact builds, loads its own rows scaled, not
-        # the template's scaling, whether or not a window of the template has
-        # run in a ModelSet before; with that set, it loads a model of its
-        # own and leaves the set's model to the template's next window
+        # an instance on a template that holds rows other than
+        # build_problem's, as test_bound_gating_is_exact builds, loads those
+        # rows with their own scaling, whether or not a window of the
+        # build_problem template has run in a ModelSet before; the set never
+        # serves it that window's model, and the build_problem template's
+        # next window then loads its own rows again
         rng = np.random.default_rng(33)
         slots = [rand_slot(rng) for _ in range(2)]
         soc = SocState((0.5, 0.5))
@@ -907,9 +912,9 @@ class TestArrayPool:
         rows = LinRows.of(LinRow({j: c * (1.0 + 0.25 * (j % 3))
                                   for j, c in row.coeffs.items()}, row.rhs, row.name)
                           for row in built.rows)
-        own = ProblemInstance(0, built.lb, built.ub, rows, built.objective,
-                              tuple(slots), soc.soc, built.template)
-        starts, index, value, rhs = solver_module._scaled_csr(rows)
+        own = with_rows(built, rows)
+        starts, index, value, scale = solver_module._scaled_rows(rows)
+        rhs = rows.rhs / scale
         want = csr_array((value, index, np.append(starts, len(index))),
                          shape=(len(rhs), own.n_cols)).toarray()
 
@@ -923,10 +928,12 @@ class TestArrayPool:
         first = CutPool(built, models)
         assert base_rows(first)[0] != want.tobytes()
         in_set = CutPool(own, models)
-        assert not in_set.kept and in_set._highs is not first._highs
+        assert in_set.kept and in_set._highs is not first._highs
         assert (fresh == base_rows(CutPool(own)) == base_rows(in_set)
                 == (want.tobytes(), rhs.tobytes()))
-        assert CutPool(built, models)._highs is first._highs
+        again = CutPool(built, models)
+        assert again._highs is not first._highs and again._highs is not in_set._highs
+        assert base_rows(again) == base_rows(first)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lp_matches_scalar_assembly(self, market, seed, monkeypatch):
