@@ -1,7 +1,7 @@
 """Rolling-horizon dispatch and economic assessment of customer-sited
 multi-use battery storage."""
 
-from .aging import SegmentSet, aging_cost_eval, epigraph_rows
+from .aging import SegmentSet, aging_cost_eval
 from .domain import (DispatchDecision, EssSpec, MarketSpec, SlotExogenous,
                      SocState, soc_update, validate_inputs)
 from .iofiles import load_config, load_timeseries_csv
@@ -12,7 +12,7 @@ from .rolling import (ForecastModel, LedgerEntry, SimulationReport,
 from .solver import SolverConfig, brute_force_oracle, solve, solve_relaxation
 
 __all__ = [
-    "SegmentSet", "aging_cost_eval", "epigraph_rows",
+    "SegmentSet", "aging_cost_eval",
     "DispatchDecision", "EssSpec", "MarketSpec", "SlotExogenous", "SocState",
     "soc_update", "validate_inputs",
     "load_config", "load_timeseries_csv",

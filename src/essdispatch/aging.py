@@ -3,8 +3,10 @@
 The cost of charging at rate p_c and discharging at rate p_d for one slot is a
 convex piecewise function: the pointwise maximum over a set of segments, each
 segment quadratic-plus-linear in the rates, scaled by capital cost per usable
-capacity.  The same segments appear twice: as a closed-form evaluator used for
-accounting, and as epigraph rows handed to the optimizer.
+capacity.  The closed-form evaluator here prices a slot for accounting;
+segment_coefficients gives the coefficients of each segment's epigraph row
+f_k(p_c, p_d) - zeta <= 0, which the window template stores in its arrays
+for the optimizer.
 """
 
 from __future__ import annotations
@@ -44,26 +46,6 @@ class SegmentSet:
 # capital cost and stops being worthwhile somewhere around 300 currency/kWh,
 # with the quadratic segment binding at high rates.
 DEFAULT_SEGMENTS = SegmentSet(((1e-5, 4e-6), (4e-6, 8e-6), (0.0, 1.2e-5)))
-
-
-@dataclass(frozen=True)
-class EpigraphRow:
-    """One segment's constraint  f_k(p_c, p_d) - zeta <= 0  for one (ess, slot).
-
-    f_k = quad_c*p_c^2 + lin_c*p_c + quad_d*p_d^2 + lin_d*p_d.
-    """
-
-    ess: int
-    slot: int
-    segment: int
-    quad_c: float
-    lin_c: float
-    quad_d: float
-    lin_d: float
-
-    def value(self, p_charge: float, p_discharge: float) -> float:
-        return (self.quad_c * p_charge * p_charge + self.lin_c * p_charge
-                + self.quad_d * p_discharge * p_discharge + self.lin_d * p_discharge)
 
 
 def _axis_weights(spec: "EssSpec") -> tuple[float, float]:
@@ -110,18 +92,15 @@ def aging_cost_eval(spec: "EssSpec", p_charge: float, p_discharge: float,
     return cost_scale(spec, slot_hours) * segment_max(spec, p_charge, p_discharge)
 
 
-def epigraph_rows(spec: "EssSpec", slot: int) -> list[EpigraphRow]:
-    """One EpigraphRow per segment for the given ESS and slot index."""
+def segment_coefficients(spec: "EssSpec"
+                         ) -> list[tuple[float, float, float, float]]:
+    """Per segment k, the coefficients (quad_c, lin_c, quad_d, lin_d) of
+    f_k = quad_c*p_c**2 + lin_c*p_c + quad_d*p_d**2 + lin_d*p_d."""
     wc, wd = _axis_weights(spec)
     n = spec.module_count
-    rows = []
-    for k, (a, b) in enumerate(spec.aging_segments.segments):
-        rows.append(EpigraphRow(
-            ess=spec.id, slot=slot, segment=k,
-            quad_c=wc * RATE_QUAD_SCALE * a, lin_c=wc * n * b,
-            quad_d=wd * RATE_QUAD_SCALE * a, lin_d=wd * n * b,
-        ))
-    return rows
+    return [(wc * RATE_QUAD_SCALE * a, wc * n * b,
+             wd * RATE_QUAD_SCALE * a, wd * n * b)
+            for a, b in spec.aging_segments.segments]
 
 
 def _axis_extrema(quad: float, lin: float, p_max: float) -> tuple[float, float]:
@@ -139,9 +118,9 @@ def zeta_bounds(spec: "EssSpec") -> tuple[float, float]:
     """Finite bounds for the auxiliary epigraph variable over the rate box."""
     lo = 0.0
     hi = 0.0
-    for row in epigraph_rows(spec, 0):
-        lo_c, hi_c = _axis_extrema(row.quad_c, row.lin_c, spec.charge_rate_max)
-        lo_d, hi_d = _axis_extrema(row.quad_d, row.lin_d, spec.discharge_rate_max)
+    for quad_c, lin_c, quad_d, lin_d in segment_coefficients(spec):
+        lo_c, hi_c = _axis_extrema(quad_c, lin_c, spec.charge_rate_max)
+        lo_d, hi_d = _axis_extrema(quad_d, lin_d, spec.discharge_rate_max)
         lo = min(lo, lo_c + lo_d)
         hi = max(hi, hi_c + hi_d)
     return lo, hi

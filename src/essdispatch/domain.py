@@ -32,12 +32,11 @@ class EssSpec:
     eff_discharge: float
     unit_capital_cost: float      # currency per kWh
     charge_cost_fraction: float = 0.5
-    module_count: float | None = None
     aging_segments: SegmentSet = DEFAULT_SEGMENTS
 
-    def __post_init__(self):
-        if self.module_count is None:
-            object.__setattr__(self, "module_count", self.energy_capacity / MODULE_CAPACITY)
+    @property
+    def module_count(self) -> float:
+        return self.energy_capacity / MODULE_CAPACITY
 
     def with_capital_cost(self, alpha: float) -> "EssSpec":
         return replace(self, unit_capital_cost=alpha)
@@ -218,10 +217,6 @@ def _check_spec(spec: EssSpec, out: list[str]) -> None:
             out.append(f"{tag}: {name} must be >= 0")
     if not (0.0 <= spec.charge_cost_fraction <= 1.0):
         out.append(f"{tag}: charge_cost_fraction {spec.charge_cost_fraction} outside [0,1]")
-    expected = spec.energy_capacity / MODULE_CAPACITY
-    if expected > 0 and abs(spec.module_count - expected) > 1e-9 * expected:
-        out.append(f"{tag}: module_count {spec.module_count} != "
-                   f"energy_capacity/{MODULE_CAPACITY}")
     if len(spec.aging_segments) == 0:
         out.append(f"{tag}: empty aging segment set")
 

@@ -103,36 +103,40 @@ def load_timeseries_csv(path: str | Path,
                         sale_price_ratio: float = 0.6) -> list[SlotExogenous]:
     """Parse the slot series; derives price_sale when the column is absent."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CSV_COLUMNS
-                   if c not in header and c not in OPTIONAL_COLUMNS]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        series = []
-        for rownum, rec in enumerate(reader):
-            def num(col: str) -> float:
-                try:
-                    return float(rec[col])
-                except (TypeError, ValueError):
-                    raise DataError(
-                        f"{path}: non-numeric value {rec.get(col)!r} "
-                        f"in column {col}, row {rownum}") from None
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read series file: {exc}") from None
+    reader = csv.DictReader(lines)
+    header = reader.fieldnames or []
+    missing = [c for c in CSV_COLUMNS
+               if c not in header and c not in OPTIONAL_COLUMNS]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    series = []
+    for rownum, rec in enumerate(reader):
+        def num(col: str) -> float:
+            try:
+                return float(rec[col])
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"{path}: non-numeric value {rec.get(col)!r} "
+                    f"in column {col}, row {rownum}") from None
 
-            flag = num("reg_up_flag")
-            if flag not in (0.0, 1.0):
-                raise DataError(f"{path}: reg_up_flag {rec['reg_up_flag']!r} "
-                                f"not binary at row {rownum}")
-            purchase = num("price_purchase")
-            sale = (num("price_sale") if "price_sale" in header
-                    else sale_price_ratio * purchase)
-            series.append(SlotExogenous(
-                demand=num("demand_kw"), renewable=num("pv_kw"),
-                price_purchase=purchase, price_sale=sale,
-                price_rmccp=num("rmccp"), price_rmpcp=num("rmpcp"),
-                perf_score=num("perf_score"), mileage_ratio=num("mileage_ratio"),
-                reg_up_flag=int(flag), price_reserve=num("sr_price")))
+        flag = num("reg_up_flag")
+        if flag not in (0.0, 1.0):
+            raise DataError(f"{path}: reg_up_flag {rec['reg_up_flag']!r} "
+                            f"not binary at row {rownum}")
+        purchase = num("price_purchase")
+        sale = (num("price_sale") if "price_sale" in header
+                else sale_price_ratio * purchase)
+        series.append(SlotExogenous(
+            demand=num("demand_kw"), renewable=num("pv_kw"),
+            price_purchase=purchase, price_sale=sale,
+            price_rmccp=num("rmccp"), price_rmpcp=num("rmpcp"),
+            perf_score=num("perf_score"), mileage_ratio=num("mileage_ratio"),
+            reg_up_flag=int(flag), price_reserve=num("sr_price")))
     report = validate_inputs([], MarketSpec(), series)
     if not report.ok:
         raise DataError(f"{path}: " + "; ".join(report.violations))
@@ -164,8 +168,7 @@ def parse_segments(text: str) -> SegmentSet:
     return SegmentSet(tuple(segments))
 
 
-# The parser of each field type a config key can have; fields of other types
-# (EssSpec.module_count) are not keys.
+# The parser of each field type a config key can have.
 _PARSERS = {
     float: float, int: int, str: str, SegmentSet: parse_segments,
     tuple[float, ...]: lambda text: tuple(float(v) for v in text.split(",")),
@@ -176,10 +179,10 @@ _PARSERS = {
 def _record(parser: configparser.ConfigParser, name: str, cls, strict: bool,
             path, defaults: dict | None = None, **given):
     """cls built from section [name].  Every field of cls that given leaves
-    out and _PARSERS can read is a key, parsed by the field's type; a missing
-    key takes defaults, else the field's own default."""
+    out is a key, parsed by the field's type; a missing key takes defaults,
+    else the field's own default."""
     keys = {key: _PARSERS[kind] for key, kind in get_type_hints(cls).items()
-            if key not in given and kind in _PARSERS}
+            if key not in given}
     try:
         sec = dict(parser.items(name)) if parser.has_section(name) else {}
     except configparser.Error as exc:
@@ -221,8 +224,10 @@ def load_config(path: str | Path, strict: bool = False):
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        if not parser.read(path):
-            raise DataError(f"{path}: cannot read config file")
+        with path.open(encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read config file: {exc}") from None
     except configparser.Error as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -232,7 +237,8 @@ def load_config(path: str | Path, strict: bool = False):
              for idx, name in enumerate(ess_sections, start=1)]
     market = _record(parser, "market", MarketSpec, strict, path)
     solver = _record(parser, "solver", SolverConfig, strict, path)
-    forecast = _record(parser, "forecast", ForecastModel, strict, path)
+    # Forecast errors are seeded by each point of [run] seeds, never by a key.
+    forecast = _record(parser, "forecast", ForecastModel, strict, path, seed=0)
     run = _record(parser, "run", RunConfig, strict, path)
 
     if strict:

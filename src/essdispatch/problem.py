@@ -8,11 +8,11 @@ slot's SOC is written as the initial SOC plus cumulative charge/discharge
 terms, so no extra state columns exist.
 
 Everything that depends only on the ESS specs, the market and H (columns,
-row structure, every row coefficient, epigraph rows) is built once per such
-shape into a read-only WindowTemplate.  Every window of a template shares its
-row coefficient arrays; build_problem copies only the template's bounds,
-costs and right-hand sides and writes the entries that depend on the slot
-data and the initial SOC.
+row structure, every row coefficient, the epigraph rows' columns and
+coefficients) is built once per such shape into a read-only WindowTemplate.
+Every window of a template shares its row coefficient arrays; build_problem
+copies only the template's bounds, costs and right-hand sides and writes the
+entries that depend on the slot data and the initial SOC.
 """
 
 from __future__ import annotations
@@ -92,19 +92,6 @@ class LinRows:
             yield LinRow(dict(zip(index[a:b], value[a:b])), rhs, name)
 
 
-@dataclass(frozen=True)
-class QuadRow:
-    """An aging epigraph row bound to instance columns: f(pc, pd) - zeta <= 0."""
-
-    row: aging.EpigraphRow
-    pc: int
-    pd: int
-    zeta: int
-
-    def violation(self, x: np.ndarray) -> float:
-        return self.row.value(x[self.pc], x[self.pd]) - x[self.zeta]
-
-
 @dataclass(frozen=True, eq=False)
 class WindowTemplate:
     """What every window with the same specs, market and horizon length
@@ -114,12 +101,16 @@ class WindowTemplate:
     window's own.  numbers holds, back to back, the window-independent
     values of lb, ub, objective and the row right-hand sides; a window
     writes numbers[fill_dst] = w[fill_src] in its own copy, where w lists
-    its own values in build_problem's order.  The
-    quad-row arrays have one column per entry of quad_rows: its (pc, pd,
-    zeta) columns (qcols); the column of the charge-mode flag vc of its ESS
-    and slot (qvc); twice the quadratic, the linear and the quadratic
-    coefficients of f, charge side first (qcoef[0], [1] and [2]); and the
-    (charge, discharge) rate maxima of its ESS (rate_max).
+    its own values in build_problem's order.
+
+    The quad-row arrays are the only store of the aging epigraph rows
+    f(pc, pd) - zeta <= 0, one per ESS, slot and segment, and have one
+    column per row: its (pc, pd, zeta) columns (qcols); the column of the
+    charge-mode flag vc of its ESS and slot (qvc); twice the quadratic, the
+    linear and the quadratic coefficients of f, charge side first (qcoef[0],
+    [1] and [2]); and the (charge, discharge) rate maxima of its ESS
+    (rate_max).  quad_names names them aging[i,tau,k], as rows.names names
+    the linear rows.
     """
 
     specs: tuple[EssSpec, ...]
@@ -130,7 +121,6 @@ class WindowTemplate:
     ess_cols: np.ndarray    # the cols of ESS_VARS and vc, stacked
     slot_cols: np.ndarray   # the cols of SLOT_VARS, vfr and vsr, stacked
     binary_cols: np.ndarray
-    quad_rows: tuple[QuadRow, ...]
     rows: LinRows
     numbers: np.ndarray
     fill_dst: np.ndarray
@@ -139,6 +129,7 @@ class WindowTemplate:
     qvc: np.ndarray
     qcoef: np.ndarray
     rate_max: np.ndarray
+    quad_names: tuple[str, ...]
 
     def split(self, numbers: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of lb, ub, objective and rhs in numbers."""
@@ -149,12 +140,13 @@ class WindowTemplate:
 @dataclass
 class ProblemInstance:
     """One window's problem: minimize objective.x over lb <= x <= ub, the
-    linear rows and the epigraph rows quad_rows.
+    linear rows and the template's epigraph rows.
 
     lb, ub, objective and the rows' right-hand sides rhs are this window's
     own arrays.  template is shared read-only with every window of the same
-    specs, market and horizon length: names, cols, binary_cols, quad_rows,
-    specs, market, n_ess, horizon and the rows' coefficients are read from it.
+    specs, market and horizon length: names, cols, binary_cols, specs,
+    market, n_ess, horizon, the rows' coefficients and the epigraph rows'
+    arrays are read from it.
     """
 
     t: int
@@ -200,10 +192,6 @@ class ProblemInstance:
     @property
     def binary_cols(self) -> np.ndarray:
         return self.template.binary_cols
-
-    @property
-    def quad_rows(self) -> tuple[QuadRow, ...]:
-        return self.template.quad_rows
 
     @property
     def n_cols(self) -> int:
@@ -323,8 +311,13 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
     ub = np.zeros(n_cols)
     obj = np.zeros(n_cols)
     rows: list[LinRow] = []
-    quad_rows: list[QuadRow] = []
-    quad_vc: list[int] = []
+    # Per epigraph row: its (pc, pd, zeta) columns, vc column,
+    # (quad_c, lin_c, quad_d, lin_d), rate box and name.
+    qcols: list[tuple[int, int, int]] = []
+    qvc: list[int] = []
+    qcoef: list[tuple[float, float, float, float]] = []
+    rate_max: list[tuple[float, float]] = []
+    quad_names: list[str] = []
     # Window-dependent entries: (column, source) for bounds and objective,
     # (row, source) for right-hand sides.  Their template values are
     # placeholders.
@@ -394,9 +387,12 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
                     market.reserve_min_duration / spec.energy_capacity
             add_row(LinRow(lo, 0.0, f"soc_lo{tag}"), n + i)
 
-            for epi in aging.epigraph_rows(spec, tau):
-                quad_rows.append(QuadRow(epi, int(pc), int(pd), int(zeta)))
-                quad_vc.append(int(vc))
+            for k, coef in enumerate(aging.segment_coefficients(spec)):
+                qcols.append((pc, pd, zeta))
+                qvc.append(vc)
+                qcoef.append(coef)
+                rate_max.append((spec.charge_rate_max, spec.discharge_rate_max))
+                quad_names.append(f"aging[{i},{tau},{k}]")
 
             obj[zeta] += aging.cost_scale(spec, ts)
             obj_fill += [(cols[var][i, tau], src(tau, k))
@@ -434,14 +430,12 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
             + [(3 * n_cols + r, s) for r, s in rhs_fill])
     fill_dst, fill_src = np.array(fill, dtype=np.intp).reshape(-1, 2).T
 
-    # A quad row's rate box is that of the first spec with its ess id.
-    spec_of = {s.id: s for s in reversed(specs)}
-    qcols = np.array([(q.pc, q.pd, q.zeta) for q in quad_rows],
-                     dtype=np.int32).reshape(-1, 3).T.copy()
-    quad = np.array([(q.row.quad_c, q.row.quad_d) for q in quad_rows],
-                    dtype=float).reshape(-1, 2).T.copy()
-    lin = np.array([(q.row.lin_c, q.row.lin_d) for q in quad_rows],
-                   dtype=float).reshape(-1, 2).T.copy()
+    def by_row(values: list[tuple], width: int, dtype) -> np.ndarray:
+        """One row per tuple entry, one column per epigraph row."""
+        return np.array(values, dtype=dtype).reshape(-1, width).T.copy()
+
+    coef = by_row(qcoef, 4, float)
+    quad, lin = coef[0::2], coef[1::2]
     for a in (*cols.values(), csr.ptr, csr.row_of, csr.index,
               csr.value, csr.rhs):
         _read_only(a)
@@ -449,13 +443,12 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
         specs=specs, market=market, horizon=H, names=tuple(names), cols=cols,
         ess_cols=_read_only(ess_cols), slot_cols=_read_only(slot_cols),
         binary_cols=_read_only(np.array(binary_cols, dtype=int)),
-        quad_rows=tuple(quad_rows), rows=csr, numbers=_read_only(numbers),
+        rows=csr, numbers=_read_only(numbers),
         fill_dst=_read_only(fill_dst.copy()), fill_src=_read_only(fill_src.copy()),
-        qcols=_read_only(qcols), qvc=_read_only(np.array(quad_vc, dtype=np.int32)),
+        qcols=_read_only(by_row(qcols, 3, np.int32)),
+        qvc=_read_only(np.array(qvc, dtype=np.int32)),
         qcoef=_read_only(np.stack([2.0 * quad, lin, quad])),
-        rate_max=_read_only(np.array(
-            [(spec_of[q.row.ess].charge_rate_max, spec_of[q.row.ess].discharge_rate_max)
-             for q in quad_rows], dtype=float).reshape(-1, 2).T.copy()))
+        rate_max=_read_only(by_row(rate_max, 2, float)), quad_names=tuple(quad_names))
 
 
 def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
@@ -610,11 +603,14 @@ def check_solution(instance: ProblemInstance, x: np.ndarray,
     np.maximum.at(row_scale, rows.row_of, np.abs(rows.value))
     out += [f"row {rows.names[r]}: violated by {excess[r]}"
             for r in np.flatnonzero(excess > lin_tol * row_scale).tolist()]
-    for q in instance.quad_rows:
-        scale = max(abs(q.row.quad_c), abs(q.row.lin_c),
-                    abs(q.row.quad_d), abs(q.row.lin_d), 1.0)
-        v = q.violation(x)
-        if v > quad_tol * scale:
-            out.append(f"epigraph ess {q.row.ess} slot {q.row.slot} "
-                       f"segment {q.row.segment}: violated by {v}")
+    # Each epigraph row's f(pc, pd) - zeta, summed in the order of its terms;
+    # its tolerance is quad_tol times its max-abs coefficient, at least 1.
+    tpl = instance.template
+    p = x[tpl.qcols[:2]]
+    f2 = tpl.qcoef[2] * p * p
+    f1 = tpl.qcoef[1] * p
+    v = f2[0] + f1[0] + f2[1] + f1[1] - x[tpl.qcols[2]]
+    quad_scale = np.abs(tpl.qcoef[1:]).max(axis=(0, 1), initial=1.0)
+    out += [f"epigraph {tpl.quad_names[k]}: violated by {v[k]}"
+            for k in np.flatnonzero(v > quad_tol * quad_scale).tolist()]
     return out

@@ -133,8 +133,9 @@ def _tangent_terms(coef: np.ndarray, p: np.ndarray):
     quad rows with coefficients coef (2*quad, lin and quad; each (2, k)).
 
     The cut scale is the tangent's max-abs coefficient, since zeta's is -1.
-    Same operation order as EpigraphRow.value and the scalar tangent, so
-    cuts and the violation test match the per-row rules bit for bit.
+    Same operation order as the scalar tangent and check_solution's
+    f(pc, pd), so cuts and the violation test match the per-row rules bit
+    for bit.
     """
     grad = coef[0] * p + coef[1]
     a = np.abs(grad)
@@ -181,7 +182,7 @@ def _seed_tangents(template: WindowTemplate):
     Returns their CSR rows, read-only.
     """
     t = np.linspace(0.0, 1.0, 9)
-    q = np.repeat(np.arange(len(template.quad_rows)), len(t))
+    q = np.repeat(np.arange(len(template.qvc)), len(t))
     p = (template.rate_max[:, :, None] * t).reshape(2, -1)
     grad, scale, f2 = _tangent_terms(np.take(template.qcoef, q, axis=2), p)
     lift = f2[1] - f2[0]
@@ -259,7 +260,7 @@ class CutPool:
         self._tpl = instance.template
         self._cols, starts, index, value, scale = _template_lp(self._tpl)
         rhs = instance.rhs / scale
-        seeds = _seed_tangents(self._tpl) if instance.quad_rows else None
+        seeds = _seed_tangents(self._tpl) if len(self._tpl.qvc) else None
         self.rows = range(0 if seeds is None else len(seeds[3]))
         self.kept = models is not None
         loaded = models.take(self._tpl) if self.kept else None

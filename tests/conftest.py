@@ -1,4 +1,5 @@
 import dataclasses
+from typing import NamedTuple
 
 import pytest
 
@@ -26,6 +27,35 @@ def with_rows(inst, rows, **fields):
     replaced."""
     template = dataclasses.replace(inst.template, rows=rows)
     return dataclasses.replace(inst, template=template, rhs=rows.rhs, **fields)
+
+
+class EpiRow(NamedTuple):
+    """One aging epigraph row f(pc, pd) - zeta <= 0 of a template, as
+    scalars read off its arrays."""
+
+    pc: int
+    pd: int
+    zeta: int
+    quad_c: float
+    lin_c: float
+    quad_d: float
+    lin_d: float
+    name: str
+
+    def f(self, p_charge, p_discharge):
+        return (self.quad_c * p_charge * p_charge + self.lin_c * p_charge
+                + self.quad_d * p_discharge * p_discharge + self.lin_d * p_discharge)
+
+    def violation(self, x):
+        return self.f(x[self.pc], x[self.pd]) - x[self.zeta]
+
+
+def epi_rows(template) -> list[EpiRow]:
+    """The template's epigraph rows, in array order."""
+    (lin_c, lin_d), (quad_c, quad_d) = template.qcoef[1], template.qcoef[2]
+    return [EpiRow(*row) for row in zip(
+        *template.qcols.tolist(), quad_c.tolist(), lin_c.tolist(),
+        quad_d.tolist(), lin_d.tolist(), template.quad_names)]
 
 
 @pytest.fixture

@@ -3,17 +3,25 @@ import pytest
 from scipy.optimize import linprog
 
 from essdispatch.aging import (SegmentSet, aging_cost_eval, cost_scale,
-                               epigraph_rows, segment_max, zeta_bounds)
+                               segment_coefficients, segment_max, zeta_bounds)
+from essdispatch.problem import window_template
 
 from conftest import make_spec
 
 TWO_SEGMENTS = SegmentSet(((1e-6, 0.01), (0.0, 0.02)))
 
 
+def f(coef, p_charge, p_discharge):
+    """One segment's f_k at the given rates, from its segment_coefficients."""
+    quad_c, lin_c, quad_d, lin_d = coef
+    return (quad_c * p_charge * p_charge + lin_c * p_charge
+            + quad_d * p_discharge * p_discharge + lin_d * p_discharge)
+
+
 def aging_cost_lp(spec, p_charge, p_discharge, slot_hours):
     """Independent oracle: solve min zeta s.t. zeta >= f_k as an explicit LP."""
-    consts = [row.value(p_charge, p_discharge)
-              for row in epigraph_rows(spec, 0)]
+    consts = [f(coef, p_charge, p_discharge)
+              for coef in segment_coefficients(spec)]
     # one variable, one row per segment: -zeta <= -f_k
     res = linprog([1.0], A_ub=-np.ones((len(consts), 1)),
                   b_ub=[-c for c in consts], bounds=[(None, None)],
@@ -78,26 +86,32 @@ class TestAgingCostEval:
 
 
 class TestEpigraphRows:
-    def test_one_row_per_segment(self, spec1):
-        rows = epigraph_rows(spec1, 5)
+    def test_one_row_per_segment(self, spec1, market):
+        assert len(segment_coefficients(spec1)) == len(spec1.aging_segments)
+        # the template's rows of unit 0 at slot 5 are one per segment, on
+        # that unit's and slot's columns
+        tpl = window_template((spec1,), market, 6)
+        rows = [k for k, name in enumerate(tpl.quad_names)
+                if name.startswith("aging[0,5,")]
         assert len(rows) == len(spec1.aging_segments)
-        assert all(r.slot == 5 and r.ess == spec1.id for r in rows)
+        assert tpl.qcols[:, rows].T.tolist() == [
+            [tpl.cols[var][0, 5] for var in ("pc", "pd", "zeta")]] * len(rows)
 
     def test_linear_segments_have_zero_quadratics(self):
         spec = make_spec(1, aging_segments=SegmentSet(((0.0, 0.01), (0.0, 0.02))))
-        for row in epigraph_rows(spec, 0):
-            assert row.quad_c == 0.0 and row.quad_d == 0.0
+        for quad_c, _, quad_d, _ in segment_coefficients(spec):
+            assert quad_c == 0.0 and quad_d == 0.0
 
     @pytest.mark.parametrize("ess_type", [1, 2])
     def test_rows_consistent_with_evaluator(self, ess_type):
         # max over row values must equal the evaluator up to its cost scale.
         spec = make_spec(ess_type)
-        rows = epigraph_rows(spec, 0)
+        coefs = segment_coefficients(spec)
         rng = np.random.default_rng(7)
         for _ in range(400):
             pc = rng.uniform(0, spec.charge_rate_max)
             pd = rng.uniform(0, spec.discharge_rate_max)
-            row_max = max(r.value(pc, pd) for r in rows)
+            row_max = max(f(coef, pc, pd) for coef in coefs)
             assert row_max == pytest.approx(
                 aging_cost_eval(spec, pc, pd, 1.0) / cost_scale(spec, 1.0),
                 rel=1e-12)

@@ -219,6 +219,27 @@ class TestMain:
         assert run_cli(workdir) == 2
         assert "missing columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["absent-series", "series-directory",
+                                      "latin-1-series", "latin-1-config"])
+    def test_unreadable_file_exit_code(self, workdir, capsys, case):
+        # each names the file it cannot read, exits 2 and writes nothing
+        config, series = workdir / "config.ini", workdir / "series.csv"
+        if case == "absent-series":
+            series = workdir / "absent.csv"
+        elif case == "series-directory":
+            series = workdir
+        elif case == "latin-1-series":
+            series.write_bytes(series.read_bytes().replace(b"slot,", b"sl\xf6t,", 1))
+        else:
+            config.write_bytes(b"# caf\xe9\n" + config.read_bytes())
+        out = workdir / "out"
+        assert main(["--config", str(config), "--series", str(series),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        bad = config if case == "latin-1-config" else series
+        assert err.startswith(f"error: {bad}: cannot read")
+        assert not out.exists()
+
     def test_missing_series_argument(self, workdir, tmp_path):
         cfg = tmp_path / "noseries.ini"
         text = (workdir / "config.ini").read_text().replace(

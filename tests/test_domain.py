@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from essdispatch.aging import SegmentSet
-from essdispatch.domain import (MarketSpec, SlotExogenous, SocState,
-                                idle_decision, soc_update, validate_inputs)
+from essdispatch.domain import (MODULE_CAPACITY, MarketSpec, SlotExogenous,
+                                SocState, idle_decision, soc_update,
+                                validate_inputs)
+from essdispatch.rolling import run_simulation
 
 from conftest import make_spec
 
@@ -106,7 +108,7 @@ class TestValidateInputs:
     @pytest.mark.parametrize("field", [
         "energy_capacity", "soc_min", "soc_max", "charge_rate_max",
         "discharge_rate_max", "eff_charge", "eff_discharge",
-        "unit_capital_cost", "charge_cost_fraction", "module_count"])
+        "unit_capital_cost", "charge_cost_fraction"])
     def test_non_finite_spec_field(self, market, field, value):
         report = validate_inputs([make_spec(1, **{field: value})], market, [])
         assert f"ess 1: {field} {value} is not finite" in report.violations
@@ -131,6 +133,10 @@ class TestValidateInputs:
 
     def test_module_count_derived(self, spec1):
         assert spec1.module_count == pytest.approx(480.0 / 0.0081, rel=1e-12)
-        bad = make_spec(1, module_count=123.0)
-        report = validate_inputs([bad], MarketSpec(), [])
-        assert any("module_count" in v for v in report.violations)
+
+    def test_replaced_capacity_validates_and_runs(self, spec1, market, short_series):
+        spec = dataclasses.replace(spec1, energy_capacity=720.0)
+        assert spec.module_count == 720.0 / MODULE_CAPACITY
+        assert validate_inputs([spec], market, short_series).ok
+        report = run_simulation(short_series[:3], [spec], market, 2)
+        assert len(report.ledger) == 3

@@ -186,7 +186,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section,key,value", [
         ("ess.1", "energy_capacity", "abc"), ("run", "horizon", "two"),
         ("solver", "node_limit", "lots"), ("run", "horizon_grid", "1, x"),
-        ("ess.1", "aging_segments", "0.1:y"), ("forecast", "seed", "1.5")])
+        ("ess.1", "aging_segments", "0.1:y"), ("forecast", "kappa_cap", "1/2")])
     def test_malformed_value_names_section_and_key(self, config_path, section,
                                                    key, value):
         set_key(config_path, section, key, value)
@@ -264,6 +264,13 @@ class TestLoadConfig:
         set_key(config_path, "forecast", key, value)
         with pytest.raises(DataError, match=rf"\[forecast\] {message}"):
             load_config(config_path)
+
+    def test_forecast_seed_is_not_a_key(self, config_path):
+        # forecast errors are seeded by each point of [run] seeds
+        set_key(config_path, "forecast", "seed", "12345")
+        assert load_config(config_path)[3].seed == 0
+        with pytest.raises(DataError, match=r"unknown keys \['seed'\] in \[forecast\]"):
+            load_config(config_path, strict=True)
 
     def test_units_in_the_order_of_n(self, tmp_path):
         unit = ("charge_rate_max = 102\ndischarge_rate_max = 74\neff_charge = 0.82\n"

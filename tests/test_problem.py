@@ -8,16 +8,17 @@ import pytest
 from essdispatch import aging
 from essdispatch import solver as solver_module
 from essdispatch.aging import SegmentSet, segment_max
-from essdispatch.domain import DispatchDecision, MarketSpec, SlotExogenous, SocState
+from essdispatch.domain import (MODULE_CAPACITY, DispatchDecision, MarketSpec,
+                               SlotExogenous, SocState)
 from essdispatch.problem import (ESS_VARS, SLOT_VARS, ZERO_KW, LinRow, LinRows,
-                                 QuadRow, build_problem, check_solution,
+                                 build_problem, check_solution,
                                  decompose_at_point,
                                  mccormick_rows, objective_decomposition,
                                  recover_service_split)
 from essdispatch.problem import SolveResult
 from essdispatch.solver import SolverConfig, solve, solve_relaxation
 
-from conftest import make_spec, with_rows
+from conftest import epi_rows, make_spec, with_rows
 from record_windows import bundled_config
 from test_solver import rand_slot
 
@@ -43,7 +44,7 @@ class TestBuildProblem:
         used = set(np.nonzero(inst.objective)[0])
         for row in inst.rows:
             used.update(row.coeffs)
-        for q in inst.quad_rows:
+        for q in epi_rows(inst.template):
             used.update((q.pc, q.pd, q.zeta))
         assert used == set(range(inst.n_cols))
 
@@ -370,13 +371,11 @@ def scalar_check_solution(instance, x, lin_tol=1e-7, quad_tol=1e-6):
         v = sum(c * x[j] for j, c in row.coeffs.items()) - row.rhs
         if v > lin_tol * max(scale, 1.0):
             out.append(f"row {row.name}: violated by {v}")
-    for q in instance.quad_rows:
-        scale = max(abs(q.row.quad_c), abs(q.row.lin_c),
-                    abs(q.row.quad_d), abs(q.row.lin_d), 1.0)
+    for q in epi_rows(instance.template):
+        scale = max(abs(q.quad_c), abs(q.lin_c), abs(q.quad_d), abs(q.lin_d), 1.0)
         v = q.violation(x)
         if v > quad_tol * scale:
-            out.append(f"epigraph ess {q.row.ess} slot {q.row.slot} "
-                       f"segment {q.row.segment}: violated by {v}")
+            out.append(f"epigraph {q.name}: violated by {v}")
     return out
 
 
@@ -464,7 +463,10 @@ def reference_build_problem(t, horizon, state, specs, market, gate="bounds"):
     ub = np.zeros(n_cols)
     obj = np.zeros(n_cols)
     rows: list[LinRow] = []
-    quad_rows: list[QuadRow] = []
+    # per epigraph row: (pc, pd, zeta), vc, (2*qc, 2*qd), (lc, ld), (qc, qd),
+    # rate box and name
+    quad: dict[str, list] = {key: [] for key in ("qcols", "qvc", "twice", "lin",
+                                                 "quad", "rate_max", "names")}
 
     for tau, slot in enumerate(horizon):
         price_reg = slot.perf_score * (slot.price_rmccp
@@ -526,8 +528,18 @@ def reference_build_problem(t, horizon, state, specs, market, gate="bounds"):
                     market.reserve_min_duration / spec.energy_capacity
             rows.append(LinRow(lo, state.soc[i] - spec.soc_min, f"soc_lo{tag}"))
 
-            for epi in aging.epigraph_rows(spec, tau):
-                quad_rows.append(QuadRow(epi, int(pc), int(pd), int(zeta)))
+            wc = spec.charge_cost_fraction * spec.eff_charge
+            wd = (1.0 - spec.charge_cost_fraction) / spec.eff_discharge
+            modules = spec.energy_capacity / MODULE_CAPACITY
+            for k, (a, b) in enumerate(spec.aging_segments.segments):
+                qc, qd = wc * aging.RATE_QUAD_SCALE * a, wd * aging.RATE_QUAD_SCALE * a
+                quad["qcols"].append((pc, pd, zeta))
+                quad["qvc"].append(vc)
+                quad["twice"].append((2.0 * qc, 2.0 * qd))
+                quad["lin"].append((wc * modules * b, wd * modules * b))
+                quad["quad"].append((qc, qd))
+                quad["rate_max"].append((spec.charge_rate_max, spec.discharge_rate_max))
+                quad["names"].append(f"aging[{i},{tau},{k}]")
 
             obj[pc] += ts * slot.price_purchase
             obj[prec] += -2.0 * ts * slot.price_purchase
@@ -559,9 +571,15 @@ def reference_build_problem(t, horizon, state, specs, market, gate="bounds"):
     for c in binary_cols:
         ub[c] = 1.0
 
-    return SimpleNamespace(names=names, lb=lb, ub=ub, binary_cols=binary_cols,
-                           rows=rows, quad_rows=quad_rows, objective=obj,
-                           cols=cols)
+    def by_row(key, width, dtype=float):
+        return np.array(quad[key], dtype=dtype).reshape(-1, width).T
+
+    return SimpleNamespace(
+        names=names, lb=lb, ub=ub, binary_cols=binary_cols, rows=rows,
+        objective=obj, cols=cols, qcols=by_row("qcols", 3, np.int32),
+        qvc=np.array(quad["qvc"], dtype=np.int32),
+        qcoef=np.stack([by_row("twice", 2), by_row("lin", 2), by_row("quad", 2)]),
+        rate_max=by_row("rate_max", 2), quad_names=tuple(quad["names"]))
 
 
 def reference_recover_service_split(result):
@@ -748,7 +766,12 @@ class TestWindowTemplate:
             assert same_floats(list(row.coeffs.values()), list(want.coeffs.values()))
             assert same_floats(row.rhs, want.rhs)
             assert row.name == want.name
-        assert list(inst.quad_rows) == ref.quad_rows
+        tpl = inst.template
+        for key in ("qcols", "qvc", "qcoef", "rate_max"):
+            got, want = getattr(tpl, key), getattr(ref, key)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert tpl.quad_names == ref.quad_names
         points = [random_point(inst, rng) for _ in range(3)] + edge_points(inst, rng)
         decoded = []
         for x in points:

@@ -23,7 +23,7 @@ from essdispatch.solver import (CUT_TOL, INT_TOL, CutPool, LpSolution,
                                 ModelSet, SolverConfig, SolverError, brute_force_oracle,
                                 solve, solve_relaxation)
 
-from conftest import make_spec, with_rows
+from conftest import epi_rows, make_spec, with_rows
 
 
 def cold_lp(a, b, lb, ub, objective) -> LpSolution:
@@ -312,8 +312,8 @@ class TestSeedTangents:
                              SocState((0.5, 0.5)), specs, market)
         a, rhs = unscaled_seeds(inst)
         tpl = inst.template
-        k = np.repeat(np.arange(len(inst.quad_rows)), 9)
-        t = np.tile(np.linspace(0.0, 1.0, 9), len(inst.quad_rows))
+        k = np.repeat(np.arange(len(tpl.qvc)), 9)
+        t = np.tile(np.linspace(0.0, 1.0, 9), len(tpl.qvc))
         at = tpl.rate_max[:, k] * t
         half = tpl.qcoef[2][:, k] * at * at  # qc*a^2, qd*b^2
         grad = tpl.qcoef[0][:, k] * at + tpl.qcoef[1][:, k]
@@ -327,6 +327,31 @@ class TestSeedTangents:
         np.testing.assert_allclose(rhs, half[1], rtol=1e-12, atol=1e-12)
         assert (half[0] + half[1] - (rhs - 0.5 * lift) > 0.0).any()
 
+    def test_each_unit_seeds_on_its_own_rate_box(self, market):
+        # two units that share an id: each unit's rows take its own rate
+        # box, and their seeds are tangents at t*(Pc, Pd) of that box
+        specs = [make_spec(1), make_spec(2, id=1)]
+        inst = build_problem(0, [rand_slot(np.random.default_rng(14))],
+                             SocState((0.5, 0.5)), specs, market)
+        tpl = inst.template
+        a, rhs = unscaled_seeds(inst)
+        t = np.linspace(0.0, 1.0, 9)
+        for i, spec in enumerate(specs):
+            own = np.flatnonzero(tpl.qcols[0] == inst.col("pc", i, 0))
+            assert len(own) == len(spec.aging_segments)
+            assert tpl.rate_max[:, own].T.tolist() == [
+                [spec.charge_rate_max, spec.discharge_rate_max]] * len(own)
+            seeds = (9 * own[:, None] + np.arange(9)).ravel()
+            (lc, ld), (qc, qd) = (np.repeat(c, 9, axis=1)
+                                  for c in tpl.qcoef[1:, :, own])
+            at_c = np.tile(t * spec.charge_rate_max, len(own))
+            at_d = np.tile(t * spec.discharge_rate_max, len(own))
+            np.testing.assert_allclose(a[seeds, inst.col("pc", i, 0)],
+                                       2.0 * qc * at_c + lc, rtol=1e-12)
+            np.testing.assert_allclose(a[seeds, inst.col("pd", i, 0)],
+                                       2.0 * qd * at_d + ld, rtol=1e-12)
+            np.testing.assert_allclose(rhs[seeds], qd * at_d * at_d, rtol=1e-12)
+
 
 class TestCuts:
     def test_pool_cuts_valid_on_feasible_points(self, spec1, market):
@@ -336,7 +361,7 @@ class TestCuts:
                              SocState((0.5,)), [spec1], market)
         pool = CutPool(inst)
         solve_relaxation(inst, None, pool)
-        assert len(pool.rows) > len(inst.quad_rows) * 3 - 1  # seeds plus extras
+        assert len(pool.rows) > len(inst.template.qvc) * 3 - 1  # seeds plus extras
         # the cuts are the model's last rows; undo each row's scaling, which
         # divided zeta's coefficient -1 by the cut scale
         a, b = held_rows(pool._highs)
@@ -355,7 +380,7 @@ class TestCuts:
         sol = solve_relaxation(inst, {c: 0 for c in inst.binary_cols
                                       if "vc" not in inst.names[c]})
         assert sol.status == "optimal"
-        for q in inst.quad_rows:
+        for q in epi_rows(inst.template):
             assert q.violation(sol.x) <= 1e-6
 
     def test_cut_round_limit_raises(self, market, monkeypatch):
@@ -380,7 +405,7 @@ class TestRowCount:
         inst = rand_instance(np.random.default_rng(11), n_ess=2, market=market)
         pool = CutPool(inst)
         seeds = len(pool.rows)
-        assert seeds == 9 * len(inst.quad_rows)
+        assert seeds == 9 * len(inst.template.qvc)
         assert pool._highs.getLp().num_row_ == len(inst.rows) + seeds
         rounds = []
         while True:
@@ -455,13 +480,13 @@ class TestPersistentLp:
                                                        rel=1e-9, abs=1e-9)
             # a point where quad row k lies below its function, so cut adds
             # its tangent there
-            k = rng.integers(len(inst.quad_rows))
-            q = inst.quad_rows[k]
-            spec = next(s for s in inst.specs if s.id == q.row.ess)
+            rows = epi_rows(inst.template)
+            k = rng.integers(len(rows))
+            q = rows[k]
             x = np.zeros(inst.n_cols)
-            x[q.pc] = rng.uniform(0, spec.charge_rate_max)
-            x[q.pd] = rng.uniform(0, spec.discharge_rate_max)
-            x[q.zeta] = q.row.value(x[q.pc], x[q.pd]) - 1.0
+            x[q.pc] = rng.uniform(0, inst.ub[q.pc])
+            x[q.pd] = rng.uniform(0, inst.ub[q.pd])
+            x[q.zeta] = q.f(x[q.pc], x[q.pd]) - 1.0
             assert k in pool._violations(x)[0]
             assert pool.cut(x)
         assert "optimal" in statuses
@@ -778,28 +803,24 @@ def scalar_scaled_csr(rows):
 
 
 def scalar_tangent_cut(q, x_c, x_d):
-    r = q.row
-    gc = 2.0 * r.quad_c * x_c + r.lin_c
-    gd = 2.0 * r.quad_d * x_d + r.lin_d
-    rhs = r.quad_c * x_c * x_c + r.quad_d * x_d * x_d
-    return LinRow({q.pc: gc, q.pd: gd, q.zeta: -1.0}, rhs,
-                  f"cut[{r.ess},{r.slot},{r.segment}]")
+    gc = 2.0 * q.quad_c * x_c + q.lin_c
+    gd = 2.0 * q.quad_d * x_d + q.lin_d
+    rhs = q.quad_c * x_c * x_c + q.quad_d * x_d * x_d
+    return LinRow({q.pc: gc, q.pd: gd, q.zeta: -1.0}, rhs, f"cut {q.name}")
 
 
 def scalar_seed_cut(q, vc, x_c, x_d):
     """The tangent at (x_c, x_d) lifted with the mode column vc."""
-    r = q.row
-    gc = 2.0 * r.quad_c * x_c + r.lin_c
-    gd = 2.0 * r.quad_d * x_d + r.lin_d
-    lift = r.quad_d * x_d * x_d - r.quad_c * x_c * x_c
+    gc = 2.0 * q.quad_c * x_c + q.lin_c
+    gd = 2.0 * q.quad_d * x_d + q.lin_d
+    lift = q.quad_d * x_d * x_d - q.quad_c * x_c * x_c
     return LinRow({q.pc: gc, q.pd: gd, vc: lift, q.zeta: -1.0},
-                  r.quad_d * x_d * x_d, f"seed[{r.ess},{r.slot},{r.segment}]")
+                  q.quad_d * x_d * x_d, f"seed {q.name}")
 
 
 def scalar_cut_scale(q, x):
-    r = q.row
-    return max(1.0, abs(2.0 * r.quad_c * x[q.pc] + r.lin_c),
-               abs(2.0 * r.quad_d * x[q.pd] + r.lin_d))
+    return max(1.0, abs(2.0 * q.quad_c * x[q.pc] + q.lin_c),
+               abs(2.0 * q.quad_d * x[q.pd] + q.lin_d))
 
 
 class RecordingHighs:
@@ -834,9 +855,11 @@ class ScalarPool:
         self.rows = []
         self._append(inst.rows)
         seeds = []
-        for q in inst.quad_rows:
-            i = next(i for i, s in enumerate(inst.specs) if s.id == q.row.ess)
-            spec, vc = inst.specs[i], inst.cols["vc"][i, q.row.slot]
+        self.epi_rows = epi_rows(inst.template)
+        for q in self.epi_rows:
+            # the unit and slot whose pc column the row holds
+            i, tau = np.argwhere(inst.cols["pc"] == q.pc)[0]
+            spec, vc = inst.specs[i], inst.cols["vc"][i, tau]
             for t in np.linspace(0.0, 1.0, 9):
                 seeds.append(scalar_seed_cut(q, vc, t * spec.charge_rate_max,
                                              t * spec.discharge_rate_max))
@@ -859,7 +882,7 @@ class ScalarPool:
             if self.highs.getModelStatus() != HighsModelStatus.kOptimal:
                 return None
             x = np.array(self.highs.getSolution().col_value)
-            violated = [q for q in inst.quad_rows
+            violated = [q for q in self.epi_rows
                         if q.violation(x) > cut_tol * scalar_cut_scale(q, x)]
             if not violated:
                 return x
@@ -945,7 +968,7 @@ class TestArrayPool:
         pool, ref = CutPool(inst), ScalarPool(inst)
         assert any(0.0 in row.coeffs.values() for row in inst.rows)
         assert any(0.0 in row.coeffs.values() for row in ref.rows)
-        assert len(pool.rows) == 9 * len(inst.quad_rows)
+        assert len(pool.rows) == 9 * len(inst.template.qvc)
         assert pool._highs.added == ref.highs.added
         assert lp_bytes(pool._highs) == lp_bytes(ref.highs)
         for _ in range(4):
@@ -960,7 +983,7 @@ class TestArrayPool:
             assert len(pool.rows) == len(ref.rows)
             assert pool._highs.added == ref.highs.added
             assert lp_bytes(pool._highs) == lp_bytes(ref.highs)
-        assert len(pool.rows) > 9 * len(inst.quad_rows)  # cut rounds ran
+        assert len(pool.rows) > 9 * len(inst.template.qvc)  # cut rounds ran
 
     def test_violation_rule_matches_scalar(self, market):
         rng = np.random.default_rng(400)
@@ -969,12 +992,13 @@ class TestArrayPool:
         tol = CUT_TOL
         # at the origin the violation is -zeta and every cut scale is 1, so
         # zeta = -tol sits exactly on the strict threshold
-        everyone = list(range(len(inst.quad_rows)))
+        rows = epi_rows(inst.template)
+        everyone = list(range(len(rows)))
         for zeta, want in ((-tol, []), (np.nextafter(-tol, -1.0), everyone)):
             x = np.zeros(inst.n_cols)
-            x[[q.zeta for q in inst.quad_rows]] = zeta
-            assert all(scalar_cut_scale(q, x) == 1.0 for q in inst.quad_rows)
-            assert [k for k, q in enumerate(inst.quad_rows)
+            x[[q.zeta for q in rows]] = zeta
+            assert all(scalar_cut_scale(q, x) == 1.0 for q in rows)
+            assert [k for k, q in enumerate(rows)
                     if q.violation(x) > tol * scalar_cut_scale(q, x)] == want
             assert pool._violations(x)[0].tolist() == want
         sizes = set()
@@ -982,11 +1006,11 @@ class TestArrayPool:
             x = rng.uniform(inst.lb, inst.ub)
             # put zeta within a few thresholds of one row's value, so rows
             # fall on both sides of it
-            for q in inst.quad_rows:
+            for q in rows:
                 if rng.uniform() < 0.5:
-                    x[q.zeta] = (q.row.value(x[q.pc], x[q.pd])
+                    x[q.zeta] = (q.f(x[q.pc], x[q.pd])
                                  + rng.uniform(-2, 2) * tol * scalar_cut_scale(q, x))
-            want = [k for k, q in enumerate(inst.quad_rows)
+            want = [k for k, q in enumerate(rows)
                     if q.violation(x) > tol * scalar_cut_scale(q, x)]
             assert pool._violations(x)[0].tolist() == want
             sizes.add(len(want))
