@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .iofiles import (EXPERIMENTS, SWEEPS, DataError, RunConfig, emit_report,
-                      load_config, load_timeseries_csv, _fmt)
+                      load_config, load_timeseries_csv, _fmt, _round_sig)
 from .rolling import ForecastModel, run_simulation
 from .solver import SolverConfig
 
@@ -38,7 +38,10 @@ def run_experiment(series, specs, market, solver: SolverConfig,
         raise DataError(f"[run] {key} {longest} longer than the {len(series)} "
                         f"slots of {run.series_path}")
     out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{out}: cannot create output directory: {exc}") from None
     perfect = None
     if sweep is None or sweep.grid == "seeds":
         perfect = run_simulation(series, specs, market, run.horizon,
@@ -51,7 +54,8 @@ def run_experiment(series, specs, market, solver: SolverConfig,
     for point in getattr(run, sweep.grid):
         point_specs, horizon, model = specs, run.horizon, None
         if sweep.grid == "alpha_grid":
-            point_specs = [s.with_capital_cost(point) for s in specs]
+            point_specs = [dataclasses.replace(s, unit_capital_cost=point)
+                           for s in specs]
         elif sweep.grid == "horizon_grid":
             horizon = point
         else:
@@ -73,9 +77,9 @@ def run_experiment(series, specs, market, solver: SolverConfig,
     if perfect is not None:
         with (out / "forecast_summary.json").open("w") as fh:
             diffs = [last for _, _, last in rows]
-            json.dump({"perfect_profit": float(_fmt(perfect.net_profit)),
-                       "mean_difference": float(_fmt(sum(diffs) / len(diffs))),
-                       "differences": [float(_fmt(d)) for d in diffs]},
+            json.dump(_round_sig({"perfect_profit": perfect.net_profit,
+                                  "mean_difference": sum(diffs) / len(diffs),
+                                  "differences": diffs}),
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
     return out

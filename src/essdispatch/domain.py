@@ -7,7 +7,7 @@ workers can evaluate them concurrently without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .aging import DEFAULT_SEGMENTS, SegmentSet
@@ -37,9 +37,6 @@ class EssSpec:
     @property
     def module_count(self) -> float:
         return self.energy_capacity / MODULE_CAPACITY
-
-    def with_capital_cost(self, alpha: float) -> "EssSpec":
-        return replace(self, unit_capital_cost=alpha)
 
 
 @dataclass(frozen=True)

@@ -80,68 +80,11 @@ def generate_series(n_slots: int = FIXTURE_SLOTS,
     return series
 
 
-DEFAULT_CONFIG = """\
-# Two storage units plus market/solver/run defaults.
-[ess.1]
-energy_capacity = 480
-soc_min = 0.2
-soc_max = 0.9
-charge_rate_max = 102
-discharge_rate_max = 74
-eff_charge = 0.82
-eff_discharge = 0.88
-unit_capital_cost = 100
-
-[ess.2]
-energy_capacity = 720
-soc_min = 0.2
-soc_max = 0.9
-charge_rate_max = 148
-discharge_rate_max = 113
-eff_charge = 0.85
-eff_discharge = 0.90
-unit_capital_cost = 100
-
-[market]
-slot_hours = 1.0
-reg_min_power = 100
-reserve_min_power = 100
-reserve_min_duration = 1.0
-sale_price_ratio = 0.6
-
-[solver]
-gap_tol = 1e-6
-
-[forecast]
-kappa_step = 0.1
-kappa_cap = 0.5
-
-[run]
-series_path = data/fixture_week.csv
-experiment = single
-horizon = 4
-initial_soc = 0.5
-"""
-
-
-def write_default_config(path) -> None:
-    with open(path, "w") as fh:
-        fh.write(DEFAULT_CONFIG)
-
-
 def main() -> None:  # pragma: no cover
-    import argparse
-
+    """Regenerate data/fixture_week.csv."""
     from .iofiles import write_timeseries_csv
 
-    ap = argparse.ArgumentParser(description="Regenerate the bundled fixture files")
-    ap.add_argument("--series", default="data/fixture_week.csv")
-    ap.add_argument("--config", default="data/default_config.ini")
-    ap.add_argument("--seed", type=int, default=FIXTURE_SEED)
-    ap.add_argument("--slots", type=int, default=FIXTURE_SLOTS)
-    args = ap.parse_args()
-    write_timeseries_csv(args.series, generate_series(args.slots, args.seed))
-    write_default_config(args.config)
+    write_timeseries_csv("data/fixture_week.csv", generate_series())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -104,7 +104,7 @@ def load_timeseries_csv(path: str | Path,
     """Parse the slot series; derives price_sale when the column is absent."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read series file: {exc}") from None
@@ -224,7 +224,7 @@ def load_config(path: str | Path, strict: bool = False):
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read config file: {exc}") from None

@@ -9,7 +9,8 @@ terms, so no extra state columns exist.
 
 Everything that depends only on the ESS specs, the market and H (columns,
 row structure, every row coefficient, the epigraph rows' columns and
-coefficients) is built once per such shape into a read-only WindowTemplate.
+coefficients, the column lists that polishing and decoding read) is built
+once per such shape into a read-only WindowTemplate.
 Every window of a template shares its row coefficient arrays; build_problem
 copies only the template's bounds, costs and right-hand sides and writes the
 entries that depend on the slot data and the initial SOC.
@@ -111,6 +112,16 @@ class WindowTemplate:
     [1] and [2]); and the (charge, discharge) rate maxima of its ESS
     (rate_max).  quad_names names them aging[i,tau,k], as rows.names names
     the linear rows.
+
+    polish and decode are the lists, of Python ints, that solver._polish and
+    recover_service_split read in every window.  polish is the binary
+    columns and one tuple per ESS and slot, ESS-major: the column of its
+    mode flag vc, the flows charge mode closes (pd, pfrd) and those
+    discharge mode closes (pc, prec, pfrc), its pc, pd and zeta columns and
+    its aging.segment_factors.  decode is the columns of pc, prec, pfrc, pd,
+    pfrd and psr, one block per variable, each slot-major over (slot, ESS);
+    the vc columns in the same order; the columns of presc, pres, vfr and
+    vsr, one block each over the slots; the ESS count and the horizon.
     """
 
     specs: tuple[EssSpec, ...]
@@ -130,6 +141,8 @@ class WindowTemplate:
     qcoef: np.ndarray
     rate_max: np.ndarray
     quad_names: tuple[str, ...]
+    polish: tuple[list[int], list[tuple]]
+    decode: tuple[list[int], list[int], list[int], int, int]
 
     def split(self, numbers: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of lb, ub, objective and rhs in numbers."""
@@ -330,19 +343,14 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
             rhs_fill.append((len(rows), rhs_src))
         rows.append(row)
 
+    # Per ESS and slot, what _polish reads (WindowTemplate.polish).
+    units: list[list[tuple]] = [[()] * H for _ in specs]
     for tau in range(H):
         for i, spec in enumerate(specs):
-            pc = cols["pc"][i, tau]
-            prec = cols["prec"][i, tau]
-            pfrc = cols["pfrc"][i, tau]
-            pd = cols["pd"][i, tau]
-            pfrd = cols["pfrd"][i, tau]
-            psr = cols["psr"][i, tau]
-            z = cols["z"][i, tau]
-            zeta = cols["zeta"][i, tau]
-            vc = cols["vc"][i, tau]
-            vfr = cols["vfr"][tau]
-            vsr = cols["vsr"][tau]
+            pc, prec, pfrc, pd, pfrd, psr, z, zeta, vc = (
+                int(cols[var][i, tau]) for var in (*ESS_VARS, "vc"))
+            vfr = int(cols["vfr"][tau])
+            vsr = int(cols["vsr"][tau])
 
             for c in (pc, prec):
                 ub[c] = spec.charge_rate_max
@@ -357,6 +365,10 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
             add_row(LinRow({pfrd: 1.0, pd: -1.0}, 0.0, f"link_d_lo{tag}"))
             add_row(LinRow({pd: 1.0, vc: spec.discharge_rate_max, psr: 1.0, z: -1.0},
                            spec.discharge_rate_max, f"link_d_hi{tag}"))
+            # By these four rows, charge mode (vc = 1) closes pd and pfrd,
+            # and discharge mode pc, prec and pfrc.
+            units[i][tau] = (vc, (pd, pfrd), (pc, prec, pfrc), pc, pd, zeta,
+                             *aging.segment_factors(spec))
             # Regulation direction gating by the slot's up/down flag u, in the
             # column bounds ub[pfrd] = u*Pd and ub[pfrc] = (1-u)*Pc, so that
             # every row coefficient is the same in every window.
@@ -436,19 +448,23 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
 
     coef = by_row(qcoef, 4, float)
     quad, lin = coef[0::2], coef[1::2]
+    binary = np.array(binary_cols, dtype=int)
+    flows = np.concatenate([cols[var].T.ravel() for var in ESS_VARS[:6]])
+    own = np.concatenate([cols[var] for var in ("presc", "pres", "vfr", "vsr")])
     for a in (*cols.values(), csr.ptr, csr.row_of, csr.index,
               csr.value, csr.rhs):
         _read_only(a)
     return WindowTemplate(
         specs=specs, market=market, horizon=H, names=tuple(names), cols=cols,
         ess_cols=_read_only(ess_cols), slot_cols=_read_only(slot_cols),
-        binary_cols=_read_only(np.array(binary_cols, dtype=int)),
-        rows=csr, numbers=_read_only(numbers),
+        binary_cols=_read_only(binary), rows=csr, numbers=_read_only(numbers),
         fill_dst=_read_only(fill_dst.copy()), fill_src=_read_only(fill_src.copy()),
         qcols=_read_only(by_row(qcols, 3, np.int32)),
         qvc=_read_only(np.array(qvc, dtype=np.int32)),
         qcoef=_read_only(np.stack([2.0 * quad, lin, quad])),
-        rate_max=_read_only(by_row(rate_max, 2, float)), quad_names=tuple(quad_names))
+        rate_max=_read_only(by_row(rate_max, 2, float)), quad_names=tuple(quad_names),
+        polish=(binary.tolist(), [unit for per_ess in units for unit in per_ess]),
+        decode=(flows.tolist(), cols["vc"].T.ravel().tolist(), own.tolist(), n, H))
 
 
 def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
@@ -491,20 +507,6 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
                            template=template)
 
 
-@functools.lru_cache(maxsize=128)
-def _decode_plan(template: WindowTemplate):
-    """What recover_service_split reads of every window of a template: the
-    columns of pc, prec, pfrc, pd, pfrd and psr, one block per variable,
-    each slot-major over (slot, ESS); the vc columns in the same order; the
-    columns of presc, pres, vfr and vsr, one block each over the slots; the
-    ESS count and the horizon."""
-    cols = template.cols
-    flows = np.concatenate([cols[var].T.ravel() for var in ESS_VARS[:6]])
-    own = np.concatenate([cols[var] for var in ("presc", "pres", "vfr", "vsr")])
-    return (flows.tolist(), cols["vc"].T.ravel().tolist(), own.tolist(),
-            len(template.specs), template.horizon)
-
-
 def _tuples(values: list, n: int, count: int) -> list[tuple]:
     """values cut into count consecutive n-tuples, which are empty if n is 0."""
     it = iter(values)
@@ -521,7 +523,7 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
     """
     if result.status != "optimal":
         raise ValueError(f"cannot decode decisions from status {result.status}")
-    flows, modes, own, n, H = _decode_plan(result.instance.template)
+    flows, modes, own, n, H = result.instance.template.decode
     x = result.x.tolist()
     m = n * H
     # LP noise below the zero bound clipped, in blocks of m as flows lists them.

@@ -30,13 +30,14 @@ of that template changes only costs, bounds, right-hand sides and cuts, and
 its whole branch-and-bound runs in that model, the root from the root basis
 the last window left.
 
-What is the same in every window of a template is computed once per
-template, on its first window, and kept read-only: the column list, the
-scaled base rows with their row scales, the seed tangents, and the index
-lists and aging factors that _polish reads (recover_service_split keeps its
-own).  A window computes only its own numbers: costs, bounds, right-hand
-sides divided by the template's row scales, cuts, and the values it
-polishes and decodes.
+What every window of a template reads is the template's
+(problem.WindowTemplate), the index lists and aging factors of _polish
+among it.  What only a model load reads is built by that load: the column
+list, the template's rows scaled with their row scales, and the seed
+tangents; the ModelSet keeps the column list, the row scales and the seed
+count with the model.  A window computes only its own numbers: costs,
+bounds, right-hand sides divided by the model's row scales, cuts, and the
+values it polishes and decodes.
 
 The integrality and cut tolerances and the cut-round limit are fixed module
 constants; SolverConfig carries the gap tolerance and the node limit.
@@ -44,7 +45,6 @@ constants; SolverConfig carries the gap tolerance and the node limit.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -115,19 +115,6 @@ def _scaled_rows(rows: LinRows):
             scale)
 
 
-@functools.lru_cache(maxsize=128)
-def _template_lp(template: WindowTemplate):
-    """What the LP of every window of a template shares, read-only: the
-    column list 0..n-1 that costs and bounds are set over, and the
-    template's rows as _scaled_rows scales them (CSR starts, index and
-    value, and each row's scale)."""
-    arrays = (np.arange(len(template.names), dtype=np.int32),
-              *_scaled_rows(template.rows))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _tangent_terms(coef: np.ndarray, p: np.ndarray):
     """Gradient, cut scale and quadratic part of f at points p (2, k), for
     quad rows with coefficients coef (2*quad, lin and quad; each (2, k)).
@@ -164,7 +151,6 @@ def _tangent_rows(index: np.ndarray, grad: np.ndarray, scale: np.ndarray,
             rhs / scale)
 
 
-@functools.lru_cache(maxsize=128)
 def _seed_tangents(template: WindowTemplate):
     """The seed cuts of every window of a template: for each quad row, its
     tangents at 9 points (a, b) along the rate-box diagonal, each lifted
@@ -179,7 +165,7 @@ def _seed_tangents(template: WindowTemplate):
     plain tangent's qc*a^2 + qd*b^2, so it is the tighter cut wherever the
     relaxation splits vc (the perspective cut of Frangioni & Gentile, 2006).
     The adaptive loop adds plain tangents wherever these are loose.
-    Returns their CSR rows, read-only.
+    Returns their CSR rows.
     """
     t = np.linspace(0.0, 1.0, 9)
     q = np.repeat(np.arange(len(template.qvc)), len(t))
@@ -188,10 +174,7 @@ def _seed_tangents(template: WindowTemplate):
     lift = f2[1] - f2[0]
     np.maximum(scale, np.abs(lift), out=scale)
     index = np.take(np.insert(template.qcols, 2, template.qvc, axis=0), q, axis=1)
-    csr = _tangent_rows(index, np.vstack([grad, lift]), scale, f2[1])
-    for a in csr:
-        a.flags.writeable = False
-    return csr
+    return _tangent_rows(index, np.vstack([grad, lift]), scale, f2[1])
 
 
 def _model() -> _Highs:
@@ -206,8 +189,9 @@ def _model() -> _Highs:
 
 
 class ModelSet:
-    """The loaded model of one rolling run: its last window's template, the
-    model and the scaled right-hand sides the model holds.
+    """The loaded model of one rolling run's last window, with what it was
+    loaded with: its template, the column list, the row scales, the seed
+    count and the scaled right-hand sides the model holds.
 
     A CutPool made with the set takes the model if its instance has that
     template, updates it in place, and its first LP starts from the basis the
@@ -218,19 +202,21 @@ class ModelSet:
     """
 
     def __init__(self) -> None:
-        self._kept: tuple[WindowTemplate, _Highs, np.ndarray] | None = None
+        self._kept: tuple[WindowTemplate, _Highs, np.ndarray, np.ndarray, int,
+                          np.ndarray] | None = None
 
-    def take(self, template: WindowTemplate) -> tuple[_Highs, np.ndarray] | None:
-        """The kept model and the right-hand sides it holds, if it is the
-        template's; either way the set holds no model after this."""
+    def take(self, template: WindowTemplate) -> tuple | None:
+        """The kept model, column list, row scales, seed count and
+        right-hand sides, if the model is the template's; either way the set
+        holds no model after this."""
         kept, self._kept = self._kept, None
         if kept is None or kept[0] is not template:
             return None
         return kept[1:]
 
-    def keep(self, template: WindowTemplate, highs: _Highs, rhs: np.ndarray) -> None:
-        """Keep a template's model, holding right-hand sides rhs."""
-        self._kept = (template, highs, rhs)
+    def keep(self, template: WindowTemplate, *loaded) -> None:
+        """Keep a template's model with what take returns of it."""
+        self._kept = (template, *loaded)
 
 
 class CutPool:
@@ -244,11 +230,12 @@ class CutPool:
     first): they are the model's last len(rows) rows.  lp_calls, lp_iters and
     lp_restarts count simplex runs, simplex iterations and cold restarts.
 
-    The base rows are the template's, scaled once per template, with the
-    instance's right-hand sides.  The model is a new one, unless the pool is
-    made with a ModelSet: then it is the set's model of the instance's
-    template, with the last basis of that template's previous window, or a
-    new load, and the pool leaves it in the set (kept says so).
+    The model comes from models, a fresh ModelSet if none is given: the
+    set's model of the instance's template, with the last basis of that
+    template's previous window, or else a new load, which scales the
+    template's rows and builds the seed tangents.  Either way the base rows
+    hold the instance's right-hand sides, and the pool leaves the model in
+    the set.
     """
 
     _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
@@ -258,33 +245,36 @@ class CutPool:
         self.lp_calls = self.lp_iters = self.lp_restarts = 0
         n = instance.n_cols
         self._tpl = instance.template
-        self._cols, starts, index, value, scale = _template_lp(self._tpl)
-        rhs = instance.rhs / scale
-        seeds = _seed_tangents(self._tpl) if len(self._tpl.qvc) else None
-        self.rows = range(0 if seeds is None else len(seeds[3]))
-        self.kept = models is not None
-        loaded = models.take(self._tpl) if self.kept else None
+        models = ModelSet() if models is None else models
+        loaded = models.take(self._tpl)
         if loaded is None:
+            self._cols = np.arange(n, dtype=np.int32)
+            starts, index, value, scale = _scaled_rows(self._tpl.rows)
+            rhs = instance.rhs / scale
             self._highs = _model()
             self._highs.addVars(n, instance.lb, instance.ub)
             self._highs.changeColsCost(n, self._cols, instance.objective)
             if len(rhs):
                 self._add_rows(starts, index, value, rhs)
-            if seeds is not None:
-                self._add_rows(*seeds)
+            seeds = 0
+            if len(self._tpl.qvc):
+                csr = _seed_tangents(self._tpl)
+                self._add_rows(*csr)
+                seeds = len(csr[3])
         else:
             # The same template: new costs and right-hand sides, and the
             # last window's cuts deleted; column bounds are set by every solve.
-            self._highs, held = loaded
+            self._highs, self._cols, scale, seeds, held = loaded
+            rhs = instance.rhs / scale
             self._highs.changeColsCost(n, self._cols, instance.objective)
             for r in (rhs != held).nonzero()[0].tolist():
                 self._highs.changeRowBounds(r, -np.inf, rhs[r])
-            first, end = len(rhs) + len(self.rows), self._highs.getNumRow()
+            first, end = len(rhs) + seeds, self._highs.getNumRow()
             if end > first:
                 self._highs.deleteRows(end - first,
                                        np.arange(first, end, dtype=np.int32))
-        if self.kept:
-            models.keep(self._tpl, self._highs, rhs)
+        self.rows = range(seeds)
+        models.keep(self._tpl, self._highs, self._cols, scale, seeds, rhs)
 
     def _add_rows(self, starts, index, value, rhs) -> None:
         self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
@@ -404,24 +394,6 @@ def solve_relaxation(instance: ProblemInstance,
                       "(check CUT_TOL vs. LP tolerance)")
 
 
-@functools.lru_cache(maxsize=128)
-def _polish_plan(template: WindowTemplate):
-    """What _polish reads of every window of a template: the binary
-    columns, and per ESS and slot the column of its mode flag vc, the flows
-    charge mode closes (pd, pfrd) and those discharge mode closes (pc, prec,
-    pfrc), its pc, pd and zeta columns and its aging.segment_factors."""
-    cols = {var: a.tolist() for var, a in template.cols.items()}
-    units = []
-    for i, spec in enumerate(template.specs):
-        factors = aging.segment_factors(spec)
-        for tau in range(template.horizon):
-            vc, pc, prec, pfrc, pd, pfrd, zeta = (
-                cols[var][i][tau]
-                for var in ("vc", "pc", "prec", "pfrc", "pd", "pfrd", "zeta"))
-            units.append((vc, (pd, pfrd), (pc, prec, pfrc), pc, pd, zeta, *factors))
-    return template.binary_cols.tolist(), units
-
-
 def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Make an integral relaxation point exactly feasible and re-price it.
 
@@ -430,7 +402,7 @@ def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float
     closes (pc, prec, pfrc in discharge mode, pd, pfrd in charge mode) and
     lifts the epigraph variables to their pointwise maxima, aging.segment_max.
     """
-    binary, units = _polish_plan(instance.template)
+    binary, units = instance.template.polish
     x = x.tolist()
     for col in binary:
         x[col] = round(x[col])
@@ -557,8 +529,9 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
             child[branch_col] = val
             heapq.heappush(heap, (sol.objective, next(counter), child, basis))
 
-    if root_basis is not None and cut_pool.kept:
-        # The next window of the template starts from this root basis.
+    if root_basis is not None:
+        # The next window of the template starts from this root basis, if
+        # a run's ModelSet keeps the model.
         cut_pool.restore(root_basis)
     if incumbent_x is None:
         if status == "node-limit":

@@ -1,10 +1,17 @@
 import dataclasses
+import shutil
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from essdispatch.domain import EssSpec, MarketSpec
 from essdispatch.fixture import generate_series
+
+
+# The bundled config, the only copy: tests read it here, or edit a copy
+# that config_path makes.
+BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "data" / "default_config.ini"
 
 
 def make_spec(i: int = 1, **overrides) -> EssSpec:
@@ -77,6 +84,14 @@ def specs(spec1, spec2):
 def market():
     return MarketSpec(slot_hours=1.0, reg_min_power=100.0,
                       reserve_min_power=100.0, reserve_min_duration=1.0)
+
+
+@pytest.fixture
+def config_path(tmp_path):
+    """A copy of the bundled config that a test may edit."""
+    path = tmp_path / "config.ini"
+    shutil.copyfile(BUNDLED_CONFIG, path)
+    return path
 
 
 @pytest.fixture(scope="session")

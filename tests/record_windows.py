@@ -16,30 +16,22 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 from essdispatch.domain import SocState
-from essdispatch.fixture import DEFAULT_CONFIG, generate_series
+from essdispatch.fixture import generate_series
 from essdispatch.iofiles import load_config
 from essdispatch.problem import build_problem
 from essdispatch.rolling import run_simulation
 from essdispatch.solver import solve
 
+from conftest import BUNDLED_CONFIG
+
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def bundled_config():
-    """(specs, market, solver config) of the bundled config."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.ini"
-        path.write_text(DEFAULT_CONFIG)
-        specs, market, config, _, _ = load_config(path)
-    return specs, market, config
-
-
 def main(horizon: int, min_nodes: int) -> int:
-    specs, market, config = bundled_config()
+    specs, market, config, _, _ = load_config(BUNDLED_CONFIG)
     week = generate_series()
     report = run_simulation(week, specs, market, horizon, config=config)
     socs = [report.initial_soc] + [e.soc for e in report.ledger]

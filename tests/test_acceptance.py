@@ -6,8 +6,7 @@ are shared through session-scoped fixtures, so the file is meant to be run as
 a whole.
 """
 
-import pathlib
-import tempfile
+import dataclasses
 import time
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 from essdispatch.aging import aging_cost_eval
 from essdispatch.cli import main
 from essdispatch.domain import SocState
-from essdispatch.fixture import DEFAULT_CONFIG, generate_series, write_default_config
+from essdispatch.fixture import generate_series
 from essdispatch.iofiles import load_config, write_timeseries_csv
 from essdispatch.problem import build_problem, decompose_at_point, mccormick_rows
 from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel,
@@ -24,7 +23,7 @@ from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel,
 from essdispatch.solver import brute_force_oracle, solve
 
 import conftest
-from conftest import make_spec
+from conftest import BUNDLED_CONFIG, make_spec
 from test_aging import aging_cost_lp
 from test_problem import sample_feasible_point, z_interval
 from test_solver import rand_instance, rand_slot
@@ -40,9 +39,7 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def bundle():
-    path = pathlib.Path(tempfile.mkdtemp()) / "config.ini"
-    path.write_text(DEFAULT_CONFIG)
-    return load_config(path)
+    return load_config(BUNDLED_CONFIG)
 
 
 @pytest.fixture(scope="session")
@@ -228,7 +225,7 @@ def alpha_runs(bundle, week, week_run):
         if alpha == specs[0].unit_capital_cost:
             out[alpha] = week_run[0]
             continue
-        scaled = [s.with_capital_cost(alpha) for s in specs]
+        scaled = [dataclasses.replace(s, unit_capital_cost=alpha) for s in specs]
         out[alpha] = run_simulation(week, scaled, market, run.horizon,
                                     config=solver, initial_soc=run.initial_soc)
     return out
@@ -325,14 +322,12 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_repeat_runs_byte_identical(self, tmp_path, week):
-        cfg = tmp_path / "config.ini"
-        write_default_config(cfg)
         series = tmp_path / "series.csv"
         write_timeseries_csv(series, week[:48])
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert main(["--config", str(cfg), "--series", str(series),
+            assert main(["--config", str(BUNDLED_CONFIG), "--series", str(series),
                          "--out", str(out)]) == 0
             outs.append(out)
         ok = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()

@@ -5,13 +5,15 @@ from dataclasses import replace
 import pytest
 
 from essdispatch.cli import main, run_experiment
-from essdispatch.fixture import generate_series, write_default_config
+from essdispatch.fixture import generate_series
 from essdispatch.iofiles import DataError, load_config, write_timeseries_csv
+
+from conftest import BUNDLED_CONFIG
 
 
 @pytest.fixture
-def workdir(tmp_path):
-    write_default_config(tmp_path / "config.ini")
+def workdir(tmp_path, config_path):
+    """tmp_path with config_path's config.ini and a 10-slot series.csv."""
     write_timeseries_csv(tmp_path / "series.csv", generate_series(10))
     return tmp_path
 
@@ -43,8 +45,7 @@ class TestMain:
         # process writes the same bytes as the first.  One sweep point, so
         # that a model set kept from one run to the next would still hold
         # the first run's shapes; such a set changes this ledger at H=2 and 3.
-        write_default_config(tmp_path / "config.ini")
-        specs, market, solver, forecast, run = load_config(tmp_path / "config.ini")
+        specs, market, solver, forecast, run = load_config(BUNDLED_CONFIG)
         series = generate_series()[:48]
         trees = []
         for name in ("a", "b"):
@@ -84,8 +85,7 @@ class TestMain:
     def test_sweep_points_use_perfect_forecasts(self, tmp_path):
         # a point at the config's own capital cost or horizon, and the
         # forecast study's perfect/ run, write the single run's bytes
-        write_default_config(tmp_path / "config.ini")
-        specs, market, solver, forecast, run = load_config(tmp_path / "config.ini")
+        specs, market, solver, forecast, run = load_config(BUNDLED_CONFIG)
         assert {s.unit_capital_cost for s in specs} == {100.0}
         run = replace(run, horizon=3, alpha_grid=(100.0,), horizon_grid=(3,),
                       seeds=(1,))
@@ -115,8 +115,7 @@ class TestMain:
     def test_point_labels(self, tmp_path, experiment, grid, name, header, cells):
         # a point's directory and table cell: no exponent for a large seed,
         # six significant digits in a directory and nine in a table
-        write_default_config(tmp_path / "config.ini")
-        specs, market, solver, forecast, run = load_config(tmp_path / "config.ini")
+        specs, market, solver, forecast, run = load_config(BUNDLED_CONFIG)
         out = run_experiment(generate_series(4), specs, market, solver, forecast,
                              replace(run, experiment=experiment, horizon=1,
                                      out_dir=str(tmp_path / "out"), **grid))
@@ -239,6 +238,19 @@ class TestMain:
         bad = config if case == "latin-1-config" else series
         assert err.startswith(f"error: {bad}: cannot read")
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,under", [("single", ""),
+                                                  ("alpha-sweep", "sub")])
+    def test_out_naming_a_file_exit_code(self, workdir, capsys, experiment, under):
+        # an --out that is a file, or lies under one, names the path and
+        # exits 2 without a traceback
+        blocker = workdir / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / under if under else blocker
+        assert run_cli(workdir, "--experiment", experiment, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: cannot create output directory")
+        assert blocker.read_text() == "not a directory\n"
 
     def test_missing_series_argument(self, workdir, tmp_path):
         cfg = tmp_path / "noseries.ini"

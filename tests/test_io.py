@@ -4,7 +4,7 @@ import json
 import pytest
 
 from essdispatch.aging import SegmentSet
-from essdispatch.fixture import DEFAULT_CONFIG, generate_series, write_default_config
+from essdispatch.fixture import generate_series
 from essdispatch.iofiles import (CSV_COLUMNS, DataError, RunConfig, emit_report,
                                  load_config, load_timeseries_csv,
                                  parse_segments, summary_dict,
@@ -13,12 +13,7 @@ from essdispatch.domain import MarketSpec
 from essdispatch.rolling import ForecastModel, run_simulation
 from essdispatch.solver import SolverConfig
 
-
-@pytest.fixture
-def config_path(tmp_path):
-    p = tmp_path / "config.ini"
-    write_default_config(p)
-    return p
+from conftest import BUNDLED_CONFIG
 
 
 def set_key(path, section, key, value):
@@ -35,6 +30,13 @@ class TestTimeseriesCsv:
         write_timeseries_csv(p, week_series)
         back = load_timeseries_csv(p)
         assert back == week_series
+
+    def test_byte_order_mark_accepted(self, tmp_path, week_series):
+        # spreadsheet tools save UTF-8 with a leading EF BB BF
+        p = tmp_path / "series.csv"
+        write_timeseries_csv(p, week_series[:6])
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        assert load_timeseries_csv(p) == week_series[:6]
 
     def test_missing_sale_price_derived(self, tmp_path):
         p = tmp_path / "series.csv"
@@ -119,6 +121,11 @@ class TestLoadConfig:
         assert forecast.error_schedule(3) == pytest.approx(0.3)
         assert forecast.error_schedule(9) == pytest.approx(0.5)
         assert run.experiment == "single" and run.horizon == 4
+
+    def test_byte_order_mark_accepted(self, config_path):
+        want = load_config(config_path, strict=True)
+        config_path.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+        assert load_config(config_path, strict=True) == want
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -288,8 +295,8 @@ class TestLoadConfig:
 
 
 @pytest.fixture(scope="module")
-def report(request):
-    specs, market, _, _, _ = load_config_from_default(request)
+def report():
+    specs, market, _, _, _ = load_config(BUNDLED_CONFIG)
     series = generate_series(12)
     return run_simulation(series, specs, market, 2), specs, market
 
@@ -335,12 +342,3 @@ class TestEmitReport:
         summary = summary_dict(rep)
         assert isinstance(summary["net_profit"], float)
 
-
-def load_config_from_default(request):
-    p = request.config.rootpath / "data" / "default_config.ini"
-    if p.exists():
-        return load_config(p)
-    import tempfile, pathlib
-    tmp = pathlib.Path(tempfile.mkdtemp()) / "c.ini"
-    tmp.write_text(DEFAULT_CONFIG)
-    return load_config(tmp)

@@ -15,11 +15,11 @@ from essdispatch.problem import (ESS_VARS, SLOT_VARS, ZERO_KW, LinRow, LinRows,
                                  decompose_at_point,
                                  mccormick_rows, objective_decomposition,
                                  recover_service_split)
+from essdispatch.iofiles import load_config
 from essdispatch.problem import SolveResult
 from essdispatch.solver import SolverConfig, solve, solve_relaxation
 
-from conftest import epi_rows, make_spec, with_rows
-from record_windows import bundled_config
+from conftest import BUNDLED_CONFIG, epi_rows, make_spec, with_rows
 from test_solver import rand_slot
 
 
@@ -326,7 +326,7 @@ class TestRecoverServiceSplit:
     @pytest.mark.parametrize("horizon", [1, 4, 6])
     def test_solved_windows_match_reference(self, horizon, week_series):
         # optima of the bundled week, whose LP noise sits around ZERO_KW
-        specs, market, config = bundled_config()
+        specs, market, config, _, _ = load_config(BUNDLED_CONFIG)
         rng = np.random.default_rng(horizon)
         for t in range(0, len(week_series) - horizon, 12):
             soc = SocState(tuple(float(rng.uniform(s.soc_min, s.soc_max))

@@ -9,7 +9,6 @@ import pytest
 
 from essdispatch import rolling
 from essdispatch.domain import SlotExogenous, SocState, idle_decision, soc_update
-from essdispatch.fixture import write_default_config
 from essdispatch.iofiles import load_config
 from essdispatch.problem import build_problem, check_solution, decompose_at_point
 from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel, no_ess_baseline,
@@ -18,7 +17,7 @@ from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel, no_ess_baselin
 from essdispatch import solver
 from essdispatch.solver import brute_force_oracle, solve
 
-from conftest import make_spec
+from conftest import BUNDLED_CONFIG, make_spec
 from test_solver import rand_slot
 
 
@@ -325,12 +324,11 @@ class TestRunSimulation:
 
 class TestWarmRoots:
     @pytest.mark.parametrize("horizon", [1, 4])
-    def test_warm_windows_agree_with_stateless_solves(self, tmp_path, monkeypatch,
-                                                      week_series, horizon):
+    def test_warm_windows_agree_with_stateless_solves(self, monkeypatch, week_series,
+                                                      horizon):
         # every window of a week run, its branch-and-bound in the run's model
         # of its template, against a stateless solve of the same instance
-        write_default_config(tmp_path / "config.ini")
-        specs, market, config, forecast, _ = load_config(tmp_path / "config.ini")
+        specs, market, config, forecast, _ = load_config(BUNDLED_CONFIG)
         solved = []
 
         def record(instance, config, models):

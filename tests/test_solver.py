@@ -573,10 +573,10 @@ class TestModelSet:
         hot[a.cols["pc"]] = 100.0
         assert first.cut(hot) and len(first.rows) > seeds
         second = CutPool(b, models)
-        assert second._highs is first._highs and second.kept
+        assert second._highs is first._highs
         assert second.rows == range(seeds)
         fresh = CutPool(b)
-        assert not fresh.kept
+        assert fresh._highs is not first._highs
         got, want = held_rows(second._highs), held_rows(fresh._highs)
         assert (got[0].toarray() == want[0].toarray()).all()
         assert got[1].tobytes() == want[1].tobytes()
@@ -945,13 +945,12 @@ class TestArrayPool:
             a, b = held_rows(pool._highs)
             return a.toarray()[:len(rhs)].tobytes(), b[:len(rhs)].tobytes()
 
-        solver_module._template_lp.cache_clear()
         fresh = base_rows(CutPool(own))
         models = ModelSet()
         first = CutPool(built, models)
         assert base_rows(first)[0] != want.tobytes()
         in_set = CutPool(own, models)
-        assert in_set.kept and in_set._highs is not first._highs
+        assert in_set._highs is not first._highs
         assert (fresh == base_rows(CutPool(own)) == base_rows(in_set)
                 == (want.tobytes(), rhs.tobytes()))
         again = CutPool(built, models)

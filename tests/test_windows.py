@@ -14,10 +14,11 @@ import pytest
 
 from essdispatch.domain import SocState
 from essdispatch.fixture import generate_series
+from essdispatch.iofiles import load_config
 from essdispatch.problem import build_problem
 from essdispatch.solver import solve
 
-from record_windows import bundled_config
+from conftest import BUNDLED_CONFIG
 
 DATA = Path(__file__).parent / "data"
 # (catalogue, window) pairs.  The H=6 windows, recorded first, keep their ids
@@ -32,7 +33,7 @@ WINDOWS = [pytest.param(catalogue, window, id=(
 
 @pytest.fixture(scope="module")
 def bundled():
-    return bundled_config(), generate_series()
+    return load_config(BUNDLED_CONFIG)[:3], generate_series()
 
 
 @pytest.mark.parametrize("catalogue,window", WINDOWS)
