@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from .iofiles import (EXPERIMENTS, SWEEPS, DataError, RunConfig, emit_report,
-                      load_config, load_timeseries_csv, _fmt, _round_sig)
+                      load_config, load_timeseries_csv, make_out_dir, _fmt,
+                      _round_sig)
 from .rolling import ForecastModel, run_simulation
 from .solver import SolverConfig
 
@@ -38,10 +39,7 @@ def run_experiment(series, specs, market, solver: SolverConfig,
         raise DataError(f"[run] {key} {longest} longer than the {len(series)} "
                         f"slots of {run.series_path}")
     out = Path(run.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"{out}: cannot create output directory: {exc}") from None
+    make_out_dir(out)
     perfect = None
     if sweep is None or sweep.grid == "seeds":
         perfect = run_simulation(series, specs, market, run.horizon,

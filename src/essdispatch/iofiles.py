@@ -270,10 +270,20 @@ def summary_dict(report: SimulationReport) -> dict:
     }
 
 
+def make_out_dir(path: Path) -> None:
+    """Create the output directory path and its parents if missing; raises
+    DataError when it cannot be a directory (a file holds its name, say)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot create output directory: {exc}") from None
+
+
 def emit_report(report: SimulationReport, out_dir: str | Path) -> None:
-    """Write ledger.csv, summary.json, and plot-ready per-slot CSVs."""
+    """Write ledger.csv, summary.json, and plot-ready per-slot CSVs; raises
+    DataError when out_dir or its plotdata/ cannot be created."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out)
     n = len(report.initial_soc)
     with (out / "ledger.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -298,7 +308,7 @@ def emit_report(report: SimulationReport, out_dir: str | Path) -> None:
         json.dump(_round_sig(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
     plotdir = out / "plotdata"
-    plotdir.mkdir(exist_ok=True)
+    make_out_dir(plotdir)
     with (plotdir / "soc.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot"] + [f"soc_{i}" for i in range(n)])

@@ -46,27 +46,71 @@ constants; SolverConfig carries the gap tolerance and the node limit.
 from __future__ import annotations
 
 import heapq
+import importlib
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-# Nothing here calls linprog: perfbench's tracer test checks that tracing
-# restores solver.linprog.  Importing scipy.optimize ahead of its _highspy
-# submodule also matters: with the submodule first, importing essdispatch took
-# 0.06-0.13 s longer on a 2-vCPU VM (Python 3.11, scipy 1.17.1).
-from scipy.optimize import linprog  # noqa: F401
-
-try:
-    from scipy.optimize._highspy._core import (HighsBasisStatus, HighsModelStatus,
-                                               HighsStatus, _Highs)
-except ImportError as exc:
-    raise ImportError(
-        "essdispatch requires scipy>=1.17: its LP subsolver is the HiGHS class "
-        "scipy.optimize._highspy._core._Highs bundled with scipy") from exc
+import scipy
 
 from . import aging
 from .problem import (LinRows, ProblemInstance, SolveResult, WindowTemplate,
                       recover_service_split)
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """scipy's compiled HiGHS extension, without importing scipy.optimize.
+
+    Importing the submodule the usual way runs scipy.optimize's __init__,
+    which pulls in scipy.linalg, scipy.sparse, scipy.special and more: about
+    0.5 of the 0.7 s that importing essdispatch took, and 43 of its 77 MB
+    peak memory (2-vCPU VM, Python 3.11, scipy 1.17.1).  So the extension
+    file is loaded on its own, and not put into sys.modules: a later import
+    of scipy.optimize then loads it itself and gets this same module object.
+    A module already imported is used as it is, and a scipy that keeps its
+    extensions elsewhere (an editable build, say) goes through the regular
+    import.
+    """
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    finder = importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_HIGHS_CORE)
+    if spec is None:
+        return importlib.import_module(_HIGHS_CORE)
+    core = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(core)
+    return core
+
+
+try:
+    _core = _load_highs_core()
+    HighsBasisStatus, HighsModelStatus, HighsStatus, _Highs = (
+        _core.HighsBasisStatus, _core.HighsModelStatus, _core.HighsStatus,
+        _core._Highs)
+except (ImportError, AttributeError) as exc:
+    raise ImportError(
+        "essdispatch requires scipy>=1.17: its LP subsolver is the HiGHS class "
+        "scipy.optimize._highspy._core._Highs bundled with scipy") from exc
+
+
+def __getattr__(name):
+    # Nothing here calls linprog: perfbench's tracer test checks that tracing
+    # restores solver.linprog.  It is looked up on access (PEP 562), so only
+    # that access imports scipy.optimize.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # A binary column is integral within INT_TOL.
 INT_TOL = 1e-6

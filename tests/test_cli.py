@@ -239,17 +239,27 @@ class TestMain:
         assert err.startswith(f"error: {bad}: cannot read")
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment,under", [("single", ""),
-                                                  ("alpha-sweep", "sub")])
-    def test_out_naming_a_file_exit_code(self, workdir, capsys, experiment, under):
-        # an --out that is a file, or lies under one, names the path and
-        # exits 2 without a traceback
-        blocker = workdir / "taken"
+    @pytest.mark.parametrize("experiment,out,blocker,named", [
+        pytest.param("single", "taken", "taken", "taken", id="single-"),
+        pytest.param("alpha-sweep", "taken/sub", "taken", "taken/sub",
+                     id="alpha-sweep-sub"),
+        pytest.param("alpha-sweep", "out", "out/alpha_50", "out/alpha_50",
+                     id="alpha-sweep-point"),
+        pytest.param("single", "out", "out/plotdata", "out/plotdata",
+                     id="single-plotdata")])
+    def test_out_naming_a_file_exit_code(self, workdir, capsys, experiment, out,
+                                         blocker, named):
+        # a file in the place of --out, of a directory above it or of one
+        # inside it (a sweep point's, plotdata/) gives an error naming the
+        # directory that cannot be created, and exit 2 without a traceback
+        blocker = workdir / blocker
+        blocker.parent.mkdir(exist_ok=True)
         blocker.write_text("not a directory\n")
-        out = blocker / under if under else blocker
-        assert run_cli(workdir, "--experiment", experiment, "--out", str(out)) == 2
+        assert run_cli(workdir, "--experiment", experiment,
+                       "--out", str(workdir / out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {out}: cannot create output directory")
+        assert err.startswith(f"error: {workdir / named}: cannot create output "
+                              "directory")
         assert blocker.read_text() == "not a directory\n"
 
     def test_missing_series_argument(self, workdir, tmp_path):

@@ -23,7 +23,16 @@ from essdispatch.solver import (CUT_TOL, INT_TOL, CutPool, LpSolution,
                                 ModelSet, SolverConfig, SolverError, brute_force_oracle,
                                 solve, solve_relaxation)
 
-from conftest import epi_rows, make_spec, with_rows
+from conftest import BUNDLED_CONFIG, epi_rows, make_spec, with_rows
+
+
+def run_python(code, *path):
+    """Run code in a fresh interpreter that imports essdispatch from this
+    checkout, with the directories path ahead of it on the module path."""
+    src = pathlib.Path(solver_module.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (*path, src)))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def cold_lp(a, b, lb, ub, objective) -> LpSolution:
@@ -536,12 +545,70 @@ class TestPersistentLp:
                 "sys.modules['scipy.optimize._highspy._core'] = "
                 "types.ModuleType('empty')\n"
                 "import essdispatch\n")
-        src = pathlib.Path(solver_module.__file__).parent.parent
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
-                              timeout=120)
+        proc = run_python(code)
         assert proc.returncode != 0
         assert "ImportError: essdispatch requires scipy>=1.17" in proc.stderr
+
+    @pytest.mark.parametrize("core", [None, "python"])
+    def test_fake_scipy_without_highs_extension(self, tmp_path, core):
+        # a scipy whose _highspy holds no extension file: with no _core at all
+        # the import fails with the requirement; a _core the regular import
+        # finds (as in a build that keeps its extensions elsewhere) is used
+        highspy = tmp_path / "scipy" / "optimize" / "_highspy"
+        highspy.mkdir(parents=True)
+        for package in (highspy, highspy.parent, highspy.parent.parent):
+            (package / "__init__.py").write_text("")
+        if core:
+            (highspy / "_core.py").write_text(
+                "class _Enum:\n"
+                "    def __getattr__(self, name):\n"
+                "        return name\n"
+                "HighsBasisStatus = HighsModelStatus = HighsStatus = _Enum()\n"
+                "class _Highs:\n"
+                "    pass\n")
+        code = ("from essdispatch import solver\n"
+                "print(solver._Highs.__module__)\n")
+        proc = run_python(code, tmp_path)
+        if core:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "scipy.optimize._highspy._core"
+        else:
+            assert proc.returncode != 0
+            assert "ImportError: essdispatch requires scipy>=1.17" in proc.stderr
+
+    def test_solve_leaves_scipy_optimize_unimported(self):
+        # the HiGHS extension loads on its own: the CLI and a solve of a
+        # bundled-week window never import scipy.optimize
+        code = ("import sys\n"
+                "import essdispatch.cli\n"
+                "from essdispatch import (SocState, build_problem, load_config,\n"
+                "                         load_timeseries_csv, solve)\n"
+                "specs, market, config, _, _ = load_config(\n"
+                f"    {str(BUNDLED_CONFIG)!r})\n"
+                "series = load_timeseries_csv(\n"
+                f"    {str(BUNDLED_CONFIG.with_name('fixture_week.csv'))!r})\n"
+                "state = SocState(tuple(0.5 for _ in specs))\n"
+                "res = solve(build_problem(0, series[:4], state, specs, market),\n"
+                "            config)\n"
+                "assert res.status == 'optimal', res.status\n"
+                "assert 'scipy.optimize' not in sys.modules\n")
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("first", ["essdispatch", "scipy.optimize"])
+    def test_either_import_order_shares_scipy_highs(self, first):
+        # whichever comes first, scipy.optimize and the solver share one HiGHS
+        # extension module, solver.linprog is scipy's, and linprog still solves
+        code = (f"import {first}\n"
+                "import scipy.optimize, scipy.optimize._highspy._core as core\n"
+                "from essdispatch import solver\n"
+                "assert solver._Highs is core._Highs\n"
+                "assert solver.linprog is scipy.optimize.linprog\n"
+                "res = scipy.optimize.linprog([-1, -1], A_ub=[[1, 2], [3, 1]],\n"
+                "                             b_ub=[4, 5])\n"
+                "assert res.status == 0 and abs(res.fun + 2.6) < 1e-9, res\n")
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
 
     def test_lp_work_reported(self, market):
         res = solve(rand_instance(np.random.default_rng(17), n_ess=2,
