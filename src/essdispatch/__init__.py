@@ -6,7 +6,7 @@ from .domain import (DispatchDecision, EssSpec, MarketSpec, SlotExogenous,
                      SocState, soc_update, validate_inputs)
 from .iofiles import load_config, load_timeseries_csv
 from .problem import (ProblemInstance, SolveResult, build_problem,
-                      objective_decomposition, recover_service_split)
+                      recover_service_split)
 from .rolling import (ForecastModel, LedgerEntry, SimulationReport,
                       no_ess_baseline, run_simulation)
 from .solver import SolverConfig, brute_force_oracle, solve, solve_relaxation
@@ -16,8 +16,7 @@ __all__ = [
     "DispatchDecision", "EssSpec", "MarketSpec", "SlotExogenous", "SocState",
     "soc_update", "validate_inputs",
     "load_config", "load_timeseries_csv",
-    "ProblemInstance", "SolveResult", "build_problem",
-    "objective_decomposition", "recover_service_split",
+    "ProblemInstance", "SolveResult", "build_problem", "recover_service_split",
     "ForecastModel", "LedgerEntry", "SimulationReport", "no_ess_baseline",
     "run_simulation",
     "SolverConfig", "brute_force_oracle", "solve", "solve_relaxation",

@@ -7,7 +7,7 @@ workers can evaluate them concurrently without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .aging import DEFAULT_SEGMENTS, SegmentSet
@@ -177,15 +177,6 @@ def soc_update(state: SocState, decision: DispatchDecision,
     return SocState(tuple(soc))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _check_finite(tag: str, record, out: list[str]) -> None:
     """Flag every NaN or infinite number field of a spec, market or slot."""
     for f in fields(record):
@@ -219,8 +210,9 @@ def _check_spec(spec: EssSpec, out: list[str]) -> None:
 
 
 def validate_inputs(specs: Sequence[EssSpec], market: MarketSpec,
-                    series: Sequence[SlotExogenous]) -> ValidationReport:
-    """Check every documented invariant; downstream code assumes a passing report."""
+                    series: Sequence[SlotExogenous]) -> tuple[str, ...]:
+    """A message for each violated documented invariant, in a tuple;
+    downstream code assumes an empty one."""
     out: list[str] = []
     for spec in specs:
         _check_spec(spec, out)
@@ -245,4 +237,4 @@ def validate_inputs(specs: Sequence[EssSpec], market: MarketSpec,
             out.append(f"slot {t}: perf_score {slot.perf_score} outside [0,1]")
         if slot.reg_up_flag not in (0, 1):
             out.append(f"slot {t}: reg_up_flag {slot.reg_up_flag} not binary")
-    return ValidationReport(tuple(out))
+    return tuple(out)

@@ -137,9 +137,9 @@ def load_timeseries_csv(path: str | Path,
             price_rmccp=num("rmccp"), price_rmpcp=num("rmpcp"),
             perf_score=num("perf_score"), mileage_ratio=num("mileage_ratio"),
             reg_up_flag=int(flag), price_reserve=num("sr_price")))
-    report = validate_inputs([], MarketSpec(), series)
-    if not report.ok:
-        raise DataError(f"{path}: " + "; ".join(report.violations))
+    problems = validate_inputs([], MarketSpec(), series)
+    if problems:
+        raise DataError(f"{path}: " + "; ".join(problems))
     return series
 
 
@@ -231,8 +231,13 @@ def load_config(path: str | Path, strict: bool = False):
     except configparser.Error as exc:
         raise DataError(f"{path}: {exc}") from None
 
-    ess_sections = sorted((s for s in parser.sections() if s.startswith("ess.")),
-                          key=lambda name: _unit_number(path, name))
+    numbered = {}
+    for name in (s for s in parser.sections() if s.startswith("ess.")):
+        other = numbered.setdefault(_unit_number(path, name), name)
+        if other != name:
+            raise DataError(f"{path}: [{other}] and [{name}] have the same N "
+                            "of [ess.N]")
+    ess_sections = [numbered[n] for n in sorted(numbered)]
     specs = [_record(parser, name, EssSpec, strict, path, _ESS_DEFAULTS, id=idx)
              for idx, name in enumerate(ess_sections, start=1)]
     market = _record(parser, "market", MarketSpec, strict, path)
@@ -246,9 +251,9 @@ def load_config(path: str | Path, strict: bool = False):
         unknown = set(parser.sections()) - known
         if unknown:
             raise DataError(f"{path}: unknown sections {sorted(unknown)}")
-    report = validate_inputs(specs, market, [])
-    if not report.ok:
-        raise DataError(f"{path}: " + "; ".join(report.violations))
+    problems = validate_inputs(specs, market, [])
+    if problems:
+        raise DataError(f"{path}: " + "; ".join(problems))
     for spec in specs:
         if not spec.soc_min <= run.initial_soc <= spec.soc_max:
             raise DataError(f"{path}: [run] initial_soc {run.initial_soc} outside "

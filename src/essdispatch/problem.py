@@ -162,13 +162,11 @@ class ProblemInstance:
     arrays are read from it.
     """
 
-    t: int
     lb: np.ndarray
     ub: np.ndarray
     rhs: np.ndarray
     objective: np.ndarray
     exog: tuple[SlotExogenous, ...]
-    soc0: tuple[float, ...]
     template: WindowTemplate
 
     @property
@@ -226,10 +224,6 @@ class SolveResult:
     lp_calls: int = 0                # simplex runs of the window's LP
     lp_iters: int = 0                # simplex iterations over those runs
     lp_restarts: int = 0             # undecided warm runs retried cold
-
-    @property
-    def tnp(self) -> float:
-        return -self.objective
 
 
 def mccormick_rows(z: int, v: int, reserve: int, discharge_rate_max: float,
@@ -436,7 +430,7 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
     numbers = np.concatenate([lb, ub, obj, csr.rhs])
     if not (np.isfinite(numbers).all() and np.isfinite(csr.value).all()):
         raise ValueError("non-finite ESS spec or market value: "
-                         + "; ".join(validate_inputs(specs, market, ()).violations))
+                         + "; ".join(validate_inputs(specs, market, ())))
     fill = ([(n_cols + c, s) for c, s in ub_fill]
             + [(2 * n_cols + c, s) for c, s in obj_fill]
             + [(3 * n_cols + r, s) for r, s in rhs_fill])
@@ -494,7 +488,7 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
     w = np.array(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError(f"non-finite input in the window at t={t}: " + "; ".join(
-            validate_inputs(specs, market, horizon).violations
+            validate_inputs(specs, market, horizon)
             or ("a product of slot values overflows",)))
 
     numbers = template.numbers.copy()
@@ -502,9 +496,8 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
     lb, ub, objective, rhs = template.split(numbers)
     # Each objective entry is one term summed onto 0.0, so -0.0 reads 0.0.
     objective += 0.0
-    return ProblemInstance(t=t, lb=lb, ub=ub, rhs=rhs, objective=objective,
-                           exog=tuple(horizon), soc0=tuple(state.soc),
-                           template=template)
+    return ProblemInstance(lb=lb, ub=ub, rhs=rhs, objective=objective,
+                           exog=tuple(horizon), template=template)
 
 
 def _tuples(values: list, n: int, count: int) -> list[tuple]:
@@ -580,13 +573,6 @@ def decompose_at_point(instance: ProblemInstance, x: np.ndarray) -> dict[str, fl
         for c, d in zip(pc_i, pd_i))
     totals["tnp"] = sum(totals[stream] for stream in REVENUE_TERMS) - totals["aging_cost"]
     return totals
-
-
-def objective_decomposition(result: SolveResult) -> dict[str, float]:
-    """Split the solved objective into the four service revenues and aging cost."""
-    if result.status != "optimal":
-        raise ValueError(f"cannot decompose status {result.status}")
-    return decompose_at_point(result.instance, result.x)
 
 
 def check_solution(instance: ProblemInstance, x: np.ndarray,

@@ -56,9 +56,6 @@ class ForecastModel:
         return min(self.kappa_step * h, self.kappa_cap)
 
 
-PERFECT_FORECAST = ForecastModel(kappa_step=0.0, kappa_cap=0.0)
-
-
 # The LedgerEntry fields a run totals, in ledger column order.
 LEDGER_TOTALS = (*REVENUE_TERMS, "aging_cost", "net_profit")
 
@@ -199,7 +196,7 @@ def run_simulation(true_series: Sequence[SlotExogenous],
     Raises ValueError, before any solve, if the inputs break an invariant
     that validate_inputs checks or the horizon is below 1.
     """
-    problems = validate_inputs(specs, market, true_series).violations
+    problems = validate_inputs(specs, market, true_series)
     if problems:
         raise ValueError("invalid simulation inputs: " + "; ".join(problems))
     if horizon < 1:

@@ -24,20 +24,21 @@ feasibility tolerance is 1e-9, since the rows are scaled to max-abs
 coefficient 1.  This CutPool is the only LP path: solve, solve_relaxation
 and brute_force_oracle all run their LPs in one.
 
-A rolling run also keeps a ModelSet: the loaded model of its last window's
-template.  Every row coefficient of a template is fixed, so the next window
-of that template changes only costs, bounds, right-hand sides and cuts, and
-its whole branch-and-bound runs in that model, the root from the root basis
+A rolling run also keeps a ModelSet: the CutPool of its last window.  Every
+row coefficient of a template is fixed, so the next window of that template
+changes only costs, bounds, right-hand sides and cuts, and its whole
+branch-and-bound runs in the last pool's model, the root from the root basis
 the last window left.
 
 What every window of a template reads is the template's
 (problem.WindowTemplate), the index lists and aging factors of _polish
 among it.  What only a model load reads is built by that load: the column
 list, the template's rows scaled with their row scales, and the seed
-tangents; the ModelSet keeps the column list, the row scales and the seed
-count with the model.  A window computes only its own numbers: costs,
-bounds, right-hand sides divided by the model's row scales, cuts, and the
-values it polishes and decodes.
+tangents; the pool keeps the column list, the row scales and the seed count
+with the model, and the next pool of the template takes them over.  A
+window computes only its own numbers: costs, bounds, right-hand sides
+divided by the model's row scales, cuts, and the values it polishes and
+decodes.
 
 The integrality and cut tolerances and the cut-round limit are fixed module
 constants; SolverConfig carries the gap tolerance and the node limit.
@@ -233,34 +234,19 @@ def _model() -> _Highs:
 
 
 class ModelSet:
-    """The loaded model of one rolling run's last window, with what it was
-    loaded with: its template, the column list, the row scales, the seed
-    count and the scaled right-hand sides the model holds.
+    """The CutPool of one rolling run's last window, whose HiGHS model the
+    next window takes over if it has the same template.
 
-    A CutPool made with the set takes the model if its instance has that
-    template, updates it in place, and its first LP starts from the basis the
-    last window left; an instance of another template drops the kept model
-    and loads a new one.  A run's window length never grows, so its windows
-    of one template form one block and no template comes back once another
-    has replaced it: the single slot loses no reuse.
+    A CutPool made with the set takes the last pool's model if its instance
+    has that template, updates it in place, and its first LP starts from the
+    basis the last window left; an instance of another template drops the
+    last model and loads a new one.  A run's window length never grows, so
+    its windows of one template form one block and no template comes back
+    once another has replaced it: the single slot loses no reuse.
     """
 
     def __init__(self) -> None:
-        self._kept: tuple[WindowTemplate, _Highs, np.ndarray, np.ndarray, int,
-                          np.ndarray] | None = None
-
-    def take(self, template: WindowTemplate) -> tuple | None:
-        """The kept model, column list, row scales, seed count and
-        right-hand sides, if the model is the template's; either way the set
-        holds no model after this."""
-        kept, self._kept = self._kept, None
-        if kept is None or kept[0] is not template:
-            return None
-        return kept[1:]
-
-    def keep(self, template: WindowTemplate, *loaded) -> None:
-        """Keep a template's model with what take returns of it."""
-        self._kept = (template, *loaded)
+        self.pool: CutPool | None = None
 
 
 class CutPool:
@@ -274,12 +260,14 @@ class CutPool:
     first): they are the model's last len(rows) rows.  lp_calls, lp_iters and
     lp_restarts count simplex runs, simplex iterations and cold restarts.
 
-    The model comes from models, a fresh ModelSet if none is given: the
-    set's model of the instance's template, with the last basis of that
-    template's previous window, or else a new load, which scales the
-    template's rows and builds the seed tangents.  Either way the base rows
-    hold the instance's right-hand sides, and the pool leaves the model in
-    the set.
+    The model comes through models, a fresh ModelSet if none is given: the
+    model of the set's last pool if that pool has the instance's template,
+    with the last basis of that template's previous window, or else a new
+    load, which scales the template's rows and builds the seed tangents.
+    Either way the base rows hold the instance's right-hand sides, and the
+    pool is the set's last pool from then on.  The pool keeps what its model
+    was loaded with: the column list (_cols), the row scales (_scale), the
+    seed count (_seeds) and the scaled right-hand sides (_rhs).
     """
 
     _SETTLED = (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
@@ -290,35 +278,39 @@ class CutPool:
         n = instance.n_cols
         self._tpl = instance.template
         models = ModelSet() if models is None else models
-        loaded = models.take(self._tpl)
-        if loaded is None:
+        # The set holds no pool until this one is ready, so a load or an
+        # update that raises leaves it empty.
+        last, models.pool = models.pool, None
+        if last is None or last._tpl is not self._tpl:
+            last = None  # its model goes before a new one is loaded
             self._cols = np.arange(n, dtype=np.int32)
-            starts, index, value, scale = _scaled_rows(self._tpl.rows)
-            rhs = instance.rhs / scale
+            starts, index, value, self._scale = _scaled_rows(self._tpl.rows)
+            self._rhs = instance.rhs / self._scale
             self._highs = _model()
             self._highs.addVars(n, instance.lb, instance.ub)
             self._highs.changeColsCost(n, self._cols, instance.objective)
-            if len(rhs):
-                self._add_rows(starts, index, value, rhs)
-            seeds = 0
+            if len(self._rhs):
+                self._add_rows(starts, index, value, self._rhs)
+            self._seeds = 0
             if len(self._tpl.qvc):
                 csr = _seed_tangents(self._tpl)
                 self._add_rows(*csr)
-                seeds = len(csr[3])
+                self._seeds = len(csr[3])
         else:
             # The same template: new costs and right-hand sides, and the
             # last window's cuts deleted; column bounds are set by every solve.
-            self._highs, self._cols, scale, seeds, held = loaded
-            rhs = instance.rhs / scale
+            self._highs, self._cols, self._scale, self._seeds = (
+                last._highs, last._cols, last._scale, last._seeds)
+            self._rhs = instance.rhs / self._scale
             self._highs.changeColsCost(n, self._cols, instance.objective)
-            for r in (rhs != held).nonzero()[0].tolist():
-                self._highs.changeRowBounds(r, -np.inf, rhs[r])
-            first, end = len(rhs) + seeds, self._highs.getNumRow()
+            for r in (self._rhs != last._rhs).nonzero()[0].tolist():
+                self._highs.changeRowBounds(r, -np.inf, self._rhs[r])
+            first, end = len(self._rhs) + self._seeds, self._highs.getNumRow()
             if end > first:
                 self._highs.deleteRows(end - first,
                                        np.arange(first, end, dtype=np.int32))
-        self.rows = range(seeds)
-        models.keep(self._tpl, self._highs, self._cols, scale, seeds, rhs)
+        self.rows = range(self._seeds)
+        models.pool = self
 
     def _add_rows(self, starts, index, value, rhs) -> None:
         self._highs.addRows(len(rhs), np.full(len(rhs), -np.inf), rhs,
@@ -492,10 +484,10 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
     incumbent and the final gap.
 
     Every node's LP runs in one CutPool, from the basis its parent's last
-    LP left.  With a run's ModelSet, that is the model the set keeps for the
-    window's template, and the root starts from the root basis of the last
-    window of that template; a branching window leaves its own root basis
-    there for the next one.
+    LP left.  With a run's ModelSet whose last pool has the window's
+    template, that is the last pool's model, and the root starts from the
+    root basis of the last window of that template; a branching window leaves
+    its own root basis there for the next one.
     """
     cut_pool = CutPool(instance, models)
     incumbent_x = None
@@ -575,7 +567,7 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
 
     if root_basis is not None:
         # The next window of the template starts from this root basis, if
-        # a run's ModelSet keeps the model.
+        # it takes over this pool's model through a run's ModelSet.
         cut_pool.restore(root_basis)
     if incumbent_x is None:
         if status == "node-limit":

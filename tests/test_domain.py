@@ -68,19 +68,18 @@ class TestSocUpdate:
 
 class TestValidateInputs:
     def test_fixture_passes(self, specs, market, short_series):
-        assert validate_inputs(specs, market, short_series).ok
+        assert validate_inputs(specs, market, short_series) == ()
 
     def test_soc_bounds_ordering(self, market):
         bad = make_spec(1, soc_min=0.9, soc_max=0.2)
-        report = validate_inputs([bad], market, [])
-        assert not report.ok
-        assert any("soc_min < soc_max" in v for v in report.violations)
+        problems = validate_inputs([bad], market, [])
+        assert any("soc_min < soc_max" in v for v in problems)
 
     def test_negative_demand_names_slot(self, specs, market, short_series):
         series = list(short_series)
         series[7] = dataclasses.replace(series[7], demand=-5.0)
-        report = validate_inputs(specs, market, series)
-        assert any(v.startswith("slot 7") for v in report.violations)
+        problems = validate_inputs(specs, market, series)
+        assert any(v.startswith("slot 7") for v in problems)
 
     @pytest.mark.parametrize("field,value,fragment", [
         ("eff_charge", 1.5, "eff_charge"),
@@ -90,19 +89,19 @@ class TestValidateInputs:
     ])
     def test_single_field_mutations(self, market, field, value, fragment):
         bad = make_spec(1, **{field: value})
-        report = validate_inputs([bad], market, [])
-        assert any(fragment in v for v in report.violations)
+        problems = validate_inputs([bad], market, [])
+        assert any(fragment in v for v in problems)
 
     def test_bad_reg_flag(self, specs, market, short_series):
         series = list(short_series)
         series[3] = dataclasses.replace(series[3], reg_up_flag=2)
-        report = validate_inputs(specs, market, series)
+        problems = validate_inputs(specs, market, series)
         assert any("reg_up_flag" in v and "slot 3" in v
-                   for v in report.violations)
+                   for v in problems)
 
     def test_zero_energy_capacity_rejected(self, market):
-        report = validate_inputs([make_spec(1, energy_capacity=0.0)], market, [])
-        assert "ess 1: energy_capacity must be > 0" in report.violations
+        problems = validate_inputs([make_spec(1, energy_capacity=0.0)], market, [])
+        assert "ess 1: energy_capacity must be > 0" in problems
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("field", [
@@ -110,26 +109,26 @@ class TestValidateInputs:
         "discharge_rate_max", "eff_charge", "eff_discharge",
         "unit_capital_cost", "charge_cost_fraction"])
     def test_non_finite_spec_field(self, market, field, value):
-        report = validate_inputs([make_spec(1, **{field: value})], market, [])
-        assert f"ess 1: {field} {value} is not finite" in report.violations
+        problems = validate_inputs([make_spec(1, **{field: value})], market, [])
+        assert f"ess 1: {field} {value} is not finite" in problems
 
     def test_non_finite_aging_segment(self, market):
         bad = make_spec(1, aging_segments=SegmentSet(((1e-5, float("nan")),)))
-        report = validate_inputs([bad], market, [])
-        assert any("aging segment 0" in v for v in report.violations)
+        problems = validate_inputs([bad], market, [])
+        assert any("aging segment 0" in v for v in problems)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MarketSpec)])
     def test_non_finite_market_field(self, field):
         market = dataclasses.replace(MarketSpec(), **{field: float("nan")})
-        report = validate_inputs([], market, [])
-        assert f"market: {field} nan is not finite" in report.violations
+        problems = validate_inputs([], market, [])
+        assert f"market: {field} nan is not finite" in problems
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SlotExogenous)])
     def test_non_finite_slot_field(self, short_series, field):
         series = list(short_series)
         series[2] = dataclasses.replace(series[2], **{field: float("inf")})
-        report = validate_inputs([], MarketSpec(), series)
-        assert f"slot 2: {field} inf is not finite" in report.violations
+        problems = validate_inputs([], MarketSpec(), series)
+        assert f"slot 2: {field} inf is not finite" in problems
 
     def test_module_count_derived(self, spec1):
         assert spec1.module_count == pytest.approx(480.0 / 0.0081, rel=1e-12)
@@ -137,6 +136,6 @@ class TestValidateInputs:
     def test_replaced_capacity_validates_and_runs(self, spec1, market, short_series):
         spec = dataclasses.replace(spec1, energy_capacity=720.0)
         assert spec.module_count == 720.0 / MODULE_CAPACITY
-        assert validate_inputs([spec], market, short_series).ok
+        assert validate_inputs([spec], market, short_series) == ()
         report = run_simulation(short_series[:3], [spec], market, 2)
         assert len(report.ledger) == 3

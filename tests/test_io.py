@@ -1,5 +1,6 @@
 import configparser
 import json
+import re
 
 import pytest
 
@@ -287,6 +288,14 @@ class TestLoadConfig:
                      f"[ess.9]\nenergy_capacity = 480\n{unit}")
         specs = load_config(p, strict=True)[0]
         assert [(s.id, s.energy_capacity) for s in specs] == [(1, 480.0), (2, 720.0)]
+
+    @pytest.mark.parametrize("name", ["ess.01", "ess. 1", "ess.1 "])
+    def test_duplicate_unit_number_rejected(self, config_path, name):
+        # int() reads each name as N = 1, the number of [ess.1]
+        config_path.write_text(config_path.read_text().replace("[ess.2]", f"[{name}]"))
+        with pytest.raises(DataError, match=re.escape(
+                f"[ess.1] and [{name}] have the same N of [ess.N]")):
+            load_config(config_path)
 
     def test_non_integer_unit_number_rejected(self, config_path):
         config_path.write_text(config_path.read_text().replace("[ess.2]", "[ess.b]"))

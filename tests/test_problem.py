@@ -13,8 +13,7 @@ from essdispatch.domain import (MODULE_CAPACITY, DispatchDecision, MarketSpec,
 from essdispatch.problem import (ESS_VARS, SLOT_VARS, ZERO_KW, LinRow, LinRows,
                                  build_problem, check_solution,
                                  decompose_at_point,
-                                 mccormick_rows, objective_decomposition,
-                                 recover_service_split)
+                                 mccormick_rows, recover_service_split)
 from essdispatch.iofiles import load_config
 from essdispatch.problem import SolveResult
 from essdispatch.solver import SolverConfig, solve, solve_relaxation
@@ -208,13 +207,13 @@ class TestObjectiveDecomposition:
                         reserve=0.0)] * 2
         inst = build_problem(0, horizon, SocState((0.9, 0.9)), specs, market)
         res = solve(inst)
-        parts = objective_decomposition(res)
+        parts = decompose_at_point(res.instance, res.x)
         assert parts["r_fr"] == pytest.approx(0.0, abs=1e-6)
         assert parts["r_sr"] == pytest.approx(0.0, abs=1e-6)
         assert parts["r_br"] == pytest.approx(0.0, abs=1e-6)
         assert parts["aging_cost"] == pytest.approx(0.0, abs=1e-6)
         assert parts["tnp"] == pytest.approx(parts["r_sc"], rel=1e-9)
-        assert parts["tnp"] == pytest.approx(res.tnp, rel=1e-9)
+        assert parts["tnp"] == pytest.approx(-res.objective, rel=1e-9)
 
     @pytest.mark.parametrize("with_markets", [False, True])
     def test_component_sum_equals_consolidated_objective(self, specs, market,
@@ -258,12 +257,6 @@ class TestObjectiveDecomposition:
                 * (inst.exog[0].price_purchase * x[inst.col("presc", 0)]
                    + inst.exog[0].price_sale * x[inst.col("pres", 0)]),
                 rel=1e-9, abs=1e-9)
-
-    def test_decomposition_requires_optimal(self, specs, market):
-        inst = build_problem(0, [slot()], SocState((0.5, 0.5)), specs, market)
-        bad = SolveResult("infeasible", np.inf, np.inf, None, 0, inst)
-        with pytest.raises(ValueError):
-            objective_decomposition(bad)
 
 
 class TestRecoverServiceSplit:
@@ -341,12 +334,13 @@ class TestSolutionInvariants:
     def test_optimum_satisfies_all_constraints(self, specs, market):
         horizon = [slot(up=0), slot(up=1, purchase=0.22, sale=0.13),
                    slot(renewable=0.0)]
-        inst = build_problem(0, horizon, SocState((0.5, 0.5)), specs, market)
+        state = SocState((0.5, 0.5))
+        inst = build_problem(0, horizon, state, specs, market)
         res = solve(inst)
         assert res.status == "optimal"
         assert check_solution(inst, res.x) == []
         # SOC corridor with the reserve headroom term, slot by slot
-        soc = list(inst.soc0)
+        soc = list(state.soc)
         for tau, d in enumerate(res.decisions):
             for i, spec in enumerate(specs):
                 soc[i] += market.slot_hours * (

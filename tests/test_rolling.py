@@ -11,9 +11,9 @@ from essdispatch import rolling
 from essdispatch.domain import SlotExogenous, SocState, idle_decision, soc_update
 from essdispatch.iofiles import load_config
 from essdispatch.problem import build_problem, check_solution, decompose_at_point
-from essdispatch.rolling import (PERFECT_FORECAST, ForecastModel, no_ess_baseline,
-                                 perturb_forecast, realized_revenues,
-                                 repair_dispatch, run_simulation, signal_ranges)
+from essdispatch.rolling import (ForecastModel, no_ess_baseline, perturb_forecast,
+                                 realized_revenues, repair_dispatch,
+                                 run_simulation, signal_ranges)
 from essdispatch import solver
 from essdispatch.solver import brute_force_oracle, solve
 
@@ -40,7 +40,7 @@ class TestErrorSchedule:
     def test_model_is_plain_data(self):
         model = ForecastModel(kappa_step=0.2, kappa_cap=0.3, seed=4)
         assert pickle.loads(pickle.dumps(model)) == model
-        assert PERFECT_FORECAST.error_schedule(7) == 0.0
+        assert ForecastModel(kappa_step=0.0, kappa_cap=0.0).error_schedule(7) == 0.0
 
 
 class TestPerturbForecast:
@@ -80,7 +80,8 @@ class TestPerturbForecast:
         series = self.series()
         rng = np.random.default_rng(2)
         ranges = signal_ranges(series)
-        f = perturb_forecast(series, 1, 2, PERFECT_FORECAST, rng, ranges)
+        zero = ForecastModel(kappa_step=0.0, kappa_cap=0.0)
+        f = perturb_forecast(series, 1, 2, zero, rng, ranges)
         assert f == series[3]
 
     def test_unperturbed_fields_kept(self):
@@ -244,8 +245,8 @@ class TestNoEssBaseline:
         inst = build_problem(0, series, SocState(()), [], market)
         res = brute_force_oracle(inst)
         assert res.status == "optimal"
-        assert res.tnp == pytest.approx(no_ess_baseline(series, market),
-                                        rel=1e-9, abs=1e-9)
+        assert -res.objective == pytest.approx(no_ess_baseline(series, market),
+                                               rel=1e-9, abs=1e-9)
 
 
 class TestRunSimulation:
@@ -261,7 +262,8 @@ class TestRunSimulation:
     def test_perfect_forecast_identical_to_none(self, specs, market, week_series):
         series = week_series[:24]
         a = run_simulation(series, specs, market, 2)
-        b = run_simulation(series, specs, market, 2, forecast=PERFECT_FORECAST)
+        b = run_simulation(series, specs, market, 2,
+                           forecast=ForecastModel(kappa_step=0.0, kappa_cap=0.0))
         assert a.ledger == b.ledger
         assert a.totals == b.totals
 
@@ -333,7 +335,7 @@ class TestWarmRoots:
 
         def record(instance, config, models):
             result = solve(instance, config, models)
-            solved.append((instance, result, models._kept[0]))
+            solved.append((instance, result, models.pool._tpl))
             return result
 
         monkeypatch.setattr(rolling, "solve", record)
@@ -348,7 +350,7 @@ class TestWarmRoots:
                 config.gap_tol * max(1.0, abs(cold.objective))
             assert check_solution(instance, warm.x) == []
             branched += warm.node_count > 1
-            # the set keeps one model, the one of the window's template
+            # the set's last pool is the window's, of its template
             assert kept is instance.template
             lengths.add(instance.horizon)
         assert branched > 0 and len(lengths) == horizon

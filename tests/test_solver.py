@@ -635,11 +635,13 @@ class TestModelSet:
         assert a.template is b.template
         models = ModelSet()
         first = CutPool(a, models)
+        assert models.pool is first
         seeds = len(first.rows)
         hot = np.zeros(a.n_cols)
         hot[a.cols["pc"]] = 100.0
         assert first.cut(hot) and len(first.rows) > seeds
         second = CutPool(b, models)
+        assert models.pool is second
         assert second._highs is first._highs
         assert second.rows == range(seeds)
         fresh = CutPool(b)
@@ -652,9 +654,10 @@ class TestModelSet:
         assert second.solve(b.lb, b.ub).objective == pytest.approx(
             fresh.solve(b.lb, b.ub).objective, rel=1e-9, abs=1e-9)
 
-    def test_other_template_replaces_the_model(self, specs, market):
-        # a window of another length drops the kept model, which is then
-        # destroyed, and loads a new one that holds what a fresh load holds
+    def test_other_template_replaces_the_model(self, specs, market, monkeypatch):
+        # a window of another length drops the last model, which is
+        # destroyed before the new one is made, and loads a new one that
+        # holds what a fresh load holds
         rng = np.random.default_rng(4)
         soc = SocState((0.5, 0.5))
         a, b = (build_problem(0, [rand_slot(rng) for _ in range(horizon)],
@@ -663,13 +666,78 @@ class TestModelSet:
         models = ModelSet()
         gone = weakref.ref(CutPool(a, models)._highs)
         assert gone() is not None  # the set keeps it
+        alive_at_load = []
+        make_model = solver_module._model
+
+        def model():
+            alive_at_load.append(gone() is not None)
+            return make_model()
+
+        monkeypatch.setattr(solver_module, "_model", model)
         pool = CutPool(b, models)
+        monkeypatch.undo()
+        assert alive_at_load == [False]
         assert gone() is None
         assert CutPool(b, models)._highs is pool._highs
         fresh = CutPool(b)
         assert lp_bytes(pool._highs) == lp_bytes(fresh._highs)
         assert (pool.solve(b.lb, b.ub).x.tobytes()
                 == fresh.solve(b.lb, b.ub).x.tobytes())
+
+    def test_failed_load_leaves_the_set_empty(self, specs, market, monkeypatch):
+        # a load that raises leaves no pool in the set, and the next window
+        # loads the model a fresh pool holds
+        rng = np.random.default_rng(8)
+        soc = SocState((0.5, 0.5))
+        a, b = (build_problem(0, [rand_slot(rng) for _ in range(horizon)],
+                              soc, specs, market)
+                for horizon in (2, 1))
+        models = ModelSet()
+        CutPool(a, models)
+
+        def broken(template):
+            raise RuntimeError("seed tangents failed")
+
+        monkeypatch.setattr(solver_module, "_seed_tangents", broken)
+        with pytest.raises(RuntimeError, match="seed tangents failed"):
+            CutPool(b, models)
+        assert models.pool is None
+        monkeypatch.undo()
+        pool = CutPool(b, models)
+        assert models.pool is pool
+        assert lp_bytes(pool._highs) == lp_bytes(CutPool(b)._highs)
+
+    def test_failed_update_leaves_the_set_empty(self, specs, market):
+        # an in-place update that raises leaves no pool in the set, so the
+        # next window of the template loads a new model instead of taking
+        # over the half-updated one
+        rng = np.random.default_rng(9)
+        soc = SocState((0.5, 0.5))
+        a, b = (build_problem(0, [rand_slot(rng), rand_slot(rng)], soc, specs,
+                              market) for _ in range(2))
+        assert a.template is b.template and (a.rhs != b.rhs).any()
+
+        class FailingBounds:
+            """HiGHS model proxy whose changeRowBounds raises."""
+
+            def __init__(self, highs):
+                self._highs = highs
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def changeRowBounds(self, *args):
+                raise RuntimeError("changeRowBounds failed")
+
+        models = ModelSet()
+        first = CutPool(a, models)
+        first._highs = half = FailingBounds(first._highs)
+        with pytest.raises(RuntimeError, match="changeRowBounds failed"):
+            CutPool(b, models)
+        assert models.pool is None
+        pool = CutPool(b, models)
+        assert pool._highs is not half and pool._highs is not half._highs
+        assert lp_bytes(pool._highs) == lp_bytes(CutPool(b)._highs)
 
 
 class _BasisLog:
