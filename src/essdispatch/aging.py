@@ -3,16 +3,19 @@
 The cost of charging at rate p_c and discharging at rate p_d for one slot is a
 convex piecewise function: the pointwise maximum over a set of segments, each
 segment quadratic-plus-linear in the rates, scaled by capital cost per usable
-capacity.  The closed-form evaluator here prices a slot for accounting;
-segment_coefficients gives the coefficients of each segment's epigraph row
-f_k(p_c, p_d) - zeta <= 0, which the window template stores in its arrays
-for the optimizer.
+capacity.  segment_coefficients is the one encoding of the segments: the
+coefficients of each segment's epigraph row f_k(p_c, p_d) - zeta <= 0, which
+the window template stores in its arrays for the optimizer.  segment_max
+evaluates them at one point, for accounting and the solver's polish, and
+epigraph_excess over a template's arrays, for the checks and the cuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .domain import EssSpec
@@ -48,36 +51,42 @@ class SegmentSet:
 DEFAULT_SEGMENTS = SegmentSet(((1e-5, 4e-6), (4e-6, 8e-6), (0.0, 1.2e-5)))
 
 
-def _axis_weights(spec: "EssSpec") -> tuple[float, float]:
-    """Charge-side and discharge-side multipliers applied to every segment."""
-    w_charge = spec.charge_cost_fraction * spec.eff_charge
-    w_discharge = (1.0 - spec.charge_cost_fraction) / spec.eff_discharge
-    return w_charge, w_discharge
-
-
 def cost_scale(spec: "EssSpec", slot_hours: float) -> float:
     """Currency per unit of the segment max: alpha*T_s / (0.8*E_cap)."""
     return spec.unit_capital_cost * slot_hours / (USABLE_CAPACITY_FRACTION * spec.energy_capacity)
 
 
-def segment_factors(spec: "EssSpec"
-                    ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """The factors of the unscaled segment functions: the axis weights wc
-    and wd, and per segment k the pair (RATE_QUAD_SCALE*a_k, n*b_k).  With
-    (q, m) that pair, f_k is
-    wc*(q*p_charge**2 + m*p_charge) + wd*(q*p_discharge**2 + m*p_discharge)."""
-    wc, wd = _axis_weights(spec)
+def segment_coefficients(spec: "EssSpec"
+                         ) -> tuple[tuple[float, float, float, float], ...]:
+    """Per segment k, the coefficients (quad_c, lin_c, quad_d, lin_d) of
+    f_k = quad_c*p_c**2 + lin_c*p_c + quad_d*p_d**2 + lin_d*p_d: the only
+    encoding of the segments.  wc and wd weigh the charge and the discharge
+    side of every segment."""
+    wc = spec.charge_cost_fraction * spec.eff_charge
+    wd = (1.0 - spec.charge_cost_fraction) / spec.eff_discharge
     n = spec.module_count
-    return wc, wd, tuple((RATE_QUAD_SCALE * a, n * b)
-                         for a, b in spec.aging_segments.segments)
+    return tuple((wc * RATE_QUAD_SCALE * a, wc * n * b,
+                  wd * RATE_QUAD_SCALE * a, wd * n * b)
+                 for a, b in spec.aging_segments.segments)
 
 
-def segment_max(spec: "EssSpec", p_charge: float, p_discharge: float) -> float:
-    """max_k f_k(p_charge, p_discharge), the optimal epigraph value zeta*."""
-    wc, wd, segments = segment_factors(spec)
-    return max(wc * (q * p_charge ** 2 + m * p_charge)
-               + wd * (q * p_discharge ** 2 + m * p_discharge)
-               for q, m in segments)
+def segment_max(coefficients, p_charge: float, p_discharge: float) -> float:
+    """max_k f_k(p_charge, p_discharge) over the segment_coefficients of a
+    unit, the optimal epigraph value zeta*.  Each f_k sums its terms in the
+    order epigraph_excess does, so the two agree bit for bit."""
+    return max([quad_c * p_charge * p_charge + lin_c * p_charge
+                + quad_d * p_discharge * p_discharge + lin_d * p_discharge
+                for quad_c, lin_c, quad_d, lin_d in coefficients])
+
+
+def epigraph_excess(qcoef: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """f(pc, pd) - zeta of every epigraph row at the points at, (3, k): the
+    rows' (pc, pd, zeta) values.  qcoef is a template's (3, 2, k) array of
+    twice the quadratic, the linear and the quadratic coefficients."""
+    p = at[:2]
+    f2 = qcoef[2] * p * p
+    f1 = qcoef[1] * p
+    return f2[0] + f1[0] + f2[1] + f1[1] - at[2]
 
 
 def aging_cost_eval(spec: "EssSpec", p_charge: float, p_discharge: float,
@@ -89,18 +98,8 @@ def aging_cost_eval(spec: "EssSpec", p_charge: float, p_discharge: float,
     """
     if p_charge < 0 or p_discharge < 0:
         raise ValueError("rates must be nonnegative")
-    return cost_scale(spec, slot_hours) * segment_max(spec, p_charge, p_discharge)
-
-
-def segment_coefficients(spec: "EssSpec"
-                         ) -> list[tuple[float, float, float, float]]:
-    """Per segment k, the coefficients (quad_c, lin_c, quad_d, lin_d) of
-    f_k = quad_c*p_c**2 + lin_c*p_c + quad_d*p_d**2 + lin_d*p_d."""
-    wc, wd = _axis_weights(spec)
-    n = spec.module_count
-    return [(wc * RATE_QUAD_SCALE * a, wc * n * b,
-             wd * RATE_QUAD_SCALE * a, wd * n * b)
-            for a, b in spec.aging_segments.segments]
+    return cost_scale(spec, slot_hours) * segment_max(
+        segment_coefficients(spec), p_charge, p_discharge)
 
 
 def _axis_extrema(quad: float, lin: float, p_max: float) -> tuple[float, float]:

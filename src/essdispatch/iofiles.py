@@ -207,11 +207,13 @@ def _record(parser: configparser.ConfigParser, name: str, cls, strict: bool,
 
 
 def _unit_number(path, section: str) -> int:
-    """N of an [ess.N] section; units are numbered in the order of N."""
-    try:
-        return int(section.removeprefix("ess."))
-    except ValueError:
-        raise DataError(f"{path}: [{section}] N of [ess.N] must be an integer") from None
+    """N of an [ess.N] section, a run of the digits 0-9; units are numbered
+    in the order of N."""
+    n = section.removeprefix("ess.")
+    if not (n.isascii() and n.isdigit()):
+        raise DataError(f"{path}: [{section}] N of [ess.N] must be an integer "
+                        "written with the digits 0-9")
+    return int(n)
 
 
 def load_config(path: str | Path, strict: bool = False):

@@ -118,10 +118,11 @@ class WindowTemplate:
     columns and one tuple per ESS and slot, ESS-major: the column of its
     mode flag vc, the flows charge mode closes (pd, pfrd) and those
     discharge mode closes (pc, prec, pfrc), its pc, pd and zeta columns and
-    its aging.segment_factors.  decode is the columns of pc, prec, pfrc, pd,
-    pfrd and psr, one block per variable, each slot-major over (slot, ESS);
-    the vc columns in the same order; the columns of presc, pres, vfr and
-    vsr, one block each over the slots; the ESS count and the horizon.
+    its aging.segment_coefficients.  decode is the columns of pc, prec,
+    pfrc, pd, pfrd and psr, one block per variable, each slot-major over
+    (slot, ESS); the vc columns in the same order; the columns of presc,
+    pres, vfr and vsr, one block each over the slots; the ESS count and the
+    horizon.
     """
 
     specs: tuple[EssSpec, ...]
@@ -361,8 +362,8 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
                            spec.discharge_rate_max, f"link_d_hi{tag}"))
             # By these four rows, charge mode (vc = 1) closes pd and pfrd,
             # and discharge mode pc, prec and pfrc.
-            units[i][tau] = (vc, (pd, pfrd), (pc, prec, pfrc), pc, pd, zeta,
-                             *aging.segment_factors(spec))
+            coefs = aging.segment_coefficients(spec)
+            units[i][tau] = (vc, (pd, pfrd), (pc, prec, pfrc), pc, pd, zeta, coefs)
             # Regulation direction gating by the slot's up/down flag u, in the
             # column bounds ub[pfrd] = u*Pd and ub[pfrc] = (1-u)*Pc, so that
             # every row coefficient is the same in every window.
@@ -393,7 +394,7 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
                     market.reserve_min_duration / spec.energy_capacity
             add_row(LinRow(lo, 0.0, f"soc_lo{tag}"), n + i)
 
-            for k, coef in enumerate(aging.segment_coefficients(spec)):
+            for k, coef in enumerate(coefs):
                 qcols.append((pc, pd, zeta))
                 qvc.append(vc)
                 qcoef.append(coef)
@@ -591,13 +592,10 @@ def check_solution(instance: ProblemInstance, x: np.ndarray,
     np.maximum.at(row_scale, rows.row_of, np.abs(rows.value))
     out += [f"row {rows.names[r]}: violated by {excess[r]}"
             for r in np.flatnonzero(excess > lin_tol * row_scale).tolist()]
-    # Each epigraph row's f(pc, pd) - zeta, summed in the order of its terms;
-    # its tolerance is quad_tol times its max-abs coefficient, at least 1.
+    # An epigraph row's tolerance is quad_tol times its max-abs coefficient,
+    # at least 1.
     tpl = instance.template
-    p = x[tpl.qcols[:2]]
-    f2 = tpl.qcoef[2] * p * p
-    f1 = tpl.qcoef[1] * p
-    v = f2[0] + f1[0] + f2[1] + f1[1] - x[tpl.qcols[2]]
+    v = aging.epigraph_excess(tpl.qcoef, x[tpl.qcols])
     quad_scale = np.abs(tpl.qcoef[1:]).max(axis=(0, 1), initial=1.0)
     out += [f"epigraph {tpl.quad_names[k]}: violated by {v[k]}"
             for k in np.flatnonzero(v > quad_tol * quad_scale).tolist()]

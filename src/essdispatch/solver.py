@@ -31,9 +31,9 @@ branch-and-bound runs in the last pool's model, the root from the root basis
 the last window left.
 
 What every window of a template reads is the template's
-(problem.WindowTemplate), the index lists and aging factors of _polish
-among it.  What only a model load reads is built by that load: the column
-list, the template's rows scaled with their row scales, and the seed
+(problem.WindowTemplate), the index lists and segment coefficients of
+_polish among it.  What only a model load reads is built by that load: the
+column list, the template's rows scaled with their row scales, and the seed
 tangents; the pool keeps the column list, the row scales and the seed count
 with the model, and the next pool of the template takes them over.  A
 window computes only its own numbers: costs, bounds, right-hand sides
@@ -165,9 +165,6 @@ def _tangent_terms(coef: np.ndarray, p: np.ndarray):
     quad rows with coefficients coef (2*quad, lin and quad; each (2, k)).
 
     The cut scale is the tangent's max-abs coefficient, since zeta's is -1.
-    Same operation order as the scalar tangent and check_solution's
-    f(pc, pd), so cuts and the violation test match the per-row rules bit
-    for bit.
     """
     grad = coef[0] * p + coef[1]
     a = np.abs(grad)
@@ -320,14 +317,9 @@ class CutPool:
         """Violated quad rows at x, with every row's tangent terms there."""
         tpl = self._tpl
         at = x[tpl.qcols]
-        p = at[:2]
-        grad, scale, f2 = _tangent_terms(tpl.qcoef, p)
-        f1 = tpl.qcoef[1] * p
-        f = f2[0] + f1[0]
-        f += f2[1]
-        f += f1[1]
-        f -= at[2]
-        return (f > CUT_TOL * scale).nonzero()[0], grad, scale, f2
+        grad, scale, f2 = _tangent_terms(tpl.qcoef, at[:2])
+        excess = aging.epigraph_excess(tpl.qcoef, at)
+        return (excess > CUT_TOL * scale).nonzero()[0], grad, scale, f2
 
     def cut(self, x: np.ndarray) -> bool:
         """Add, as one batch, the tangent at x of every quad row that x
@@ -442,15 +434,11 @@ def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float
     x = x.tolist()
     for col in binary:
         x[col] = round(x[col])
-    for vc, charge_closes, discharge_closes, pc, pd, zeta, wc, wd, segments in units:
+    for vc, charge_closes, discharge_closes, pc, pd, zeta, coefs in units:
         for col in charge_closes if x[vc] == 1.0 else discharge_closes:
             x[col] = 0.0
-        p_c = x[pc] if x[pc] > 0.0 else 0.0
-        p_d = x[pd] if x[pd] > 0.0 else 0.0
-        # segment_max's ** 2: the product p * p differs in the last bit for
-        # some p.
-        val = max([wc * (q * p_c ** 2 + m * p_c) + wd * (q * p_d ** 2 + m * p_d)
-                   for q, m in segments])
+        val = aging.segment_max(coefs, x[pc] if x[pc] > 0.0 else 0.0,
+                                x[pd] if x[pd] > 0.0 else 0.0)
         if val > x[zeta]:
             x[zeta] = val
     x = np.array(x)

@@ -122,5 +122,5 @@ class TestEpigraphRows:
         for _ in range(200):
             pc = rng.uniform(0, spec1.charge_rate_max)
             pd = rng.uniform(0, spec1.discharge_rate_max)
-            val = segment_max(spec1, pc, pd)
+            val = segment_max(segment_coefficients(spec1), pc, pd)
             assert lo - 1e-9 <= val <= hi + 1e-9

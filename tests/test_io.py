@@ -289,13 +289,23 @@ class TestLoadConfig:
         specs = load_config(p, strict=True)[0]
         assert [(s.id, s.energy_capacity) for s in specs] == [(1, 480.0), (2, 720.0)]
 
-    @pytest.mark.parametrize("name", ["ess.01", "ess. 1", "ess.1 "])
+    @pytest.mark.parametrize("name", ["ess.01"])
     def test_duplicate_unit_number_rejected(self, config_path, name):
-        # int() reads each name as N = 1, the number of [ess.1]
+        # N = 1, the number of [ess.1]
         config_path.write_text(config_path.read_text().replace("[ess.2]", f"[{name}]"))
         with pytest.raises(DataError, match=re.escape(
                 f"[ess.1] and [{name}] have the same N of [ess.N]")):
             load_config(config_path)
+
+    @pytest.mark.parametrize("name", ["ess.1_0", "ess.+2", "ess. 2", "ess.2 ",
+                                      "ess.\u0662", "ess.-3", "ess. 1", "ess.1 "])
+    def test_unit_number_not_digits_rejected(self, config_path, name):
+        # int() reads each of these, the Arabic-Indic digit two among them
+        config_path.write_text(config_path.read_text().replace("[ess.2]", f"[{name}]"),
+                               encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"[{name}] N of [ess.N] must be an integer")):
+            load_config(config_path, strict=True)
 
     def test_non_integer_unit_number_rejected(self, config_path):
         config_path.write_text(config_path.read_text().replace("[ess.2]", "[ess.b]"))

@@ -7,7 +7,7 @@ import pytest
 
 from essdispatch import aging
 from essdispatch import solver as solver_module
-from essdispatch.aging import SegmentSet, segment_max
+from essdispatch.aging import SegmentSet, segment_coefficients, segment_max
 from essdispatch.domain import (MODULE_CAPACITY, DispatchDecision, MarketSpec,
                                SlotExogenous, SocState)
 from essdispatch.problem import (ESS_VARS, SLOT_VARS, ZERO_KW, LinRow, LinRows,
@@ -191,7 +191,8 @@ def sample_feasible_point(inst, rng, with_markets=False):
                 x[inst.col("pfrd", i, tau)] = pfrd
                 x[inst.col("psr", i, tau)] = psr
             x[inst.col("zeta", i, tau)] = segment_max(
-                spec, x[inst.col("pc", i, tau)], x[inst.col("pd", i, tau)])
+                segment_coefficients(spec), x[inst.col("pc", i, tau)],
+                x[inst.col("pd", i, tau)])
         presc = min(inst.exog[tau].demand, 0.5 * re_left)
         x[inst.col("presc", tau)] = presc
         x[inst.col("pres", tau)] = 0.5 * (re_left - presc)
@@ -649,7 +650,8 @@ def reference_polish(instance, x):
     for tau in range(instance.horizon):
         for i, spec in enumerate(instance.specs):
             zeta = instance.col("zeta", i, tau)
-            val = aging.segment_max(spec, max(0.0, x[instance.col("pc", i, tau)]),
+            val = aging.segment_max(aging.segment_coefficients(spec),
+                                    max(0.0, x[instance.col("pc", i, tau)]),
                                     max(0.0, x[instance.col("pd", i, tau)]))
             x[zeta] = max(x[zeta], val)
     return x, float(instance.objective @ x)

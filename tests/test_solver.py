@@ -13,8 +13,10 @@ from scipy.optimize._highspy._core import (HighsBasisStatus, HighsModelStatus,
                                            HighsStatus, MatrixFormat, _Highs)
 from scipy.sparse import csc_array, csr_array
 
-from essdispatch.aging import SegmentSet, aging_cost_eval, segment_max
+from essdispatch.aging import (SegmentSet, aging_cost_eval, epigraph_excess,
+                              segment_coefficients, segment_max)
 from essdispatch.domain import SlotExogenous, SocState
+from essdispatch.iofiles import load_config
 from essdispatch.problem import (LinRow, LinRows, SolveResult,
                                  build_problem, check_solution,
                                  recover_service_split)
@@ -282,7 +284,7 @@ def mode_point(inst, rng, specs, vc):
             pc = vc * rng.uniform(0, spec.charge_rate_max)
             pd = (1 - vc) * rng.uniform(0, spec.discharge_rate_max)
             x[c["vc"][i, tau]], x[c["pc"][i, tau]], x[c["pd"][i, tau]] = vc, pc, pd
-            x[c["zeta"][i, tau]] = segment_max(spec, pc, pd)
+            x[c["zeta"][i, tau]] = segment_max(segment_coefficients(spec), pc, pd)
     return x
 
 
@@ -859,7 +861,8 @@ class TestPolish:
         assert obj == float(inst.objective @ polished)
         for i, spec in enumerate(specs):
             zeta = polished[c["zeta"][i, 0]]
-            assert zeta == segment_max(spec, polished[c["pc"][i, 0]],
+            assert zeta == segment_max(segment_coefficients(spec),
+                                       polished[c["pc"][i, 0]],
                                        polished[c["pd"][i, 0]])
         # the decoded decisions meet the mode links with no tolerance
         d = recover_service_split(SolveResult("optimal", obj, obj, polished, 1, inst))[0]
@@ -868,6 +871,21 @@ class TestPolish:
             assert d.discharge_total[i] <= ((1 - d.mode_flag[i])
                                             * spec.discharge_rate_max)
         assert d.mode_flag == (0, 1) and d.charge_total == (0.0, 50.0)
+
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_polished_point_meets_every_epigraph_row(self, week_series, horizon):
+        # Polish lifts each zeta to its segment maximum, which every epigraph
+        # row then meets with no tolerance at all, under the rows' own
+        # arithmetic; here at random points of bundled-week windows.
+        specs, market, _, _, run = load_config(BUNDLED_CONFIG)
+        soc = SocState((run.initial_soc,) * len(specs))
+        rng = np.random.default_rng(horizon)
+        for t in range(0, len(week_series) - horizon + 1, 6):
+            inst = build_problem(t, week_series[t:t + horizon], soc, specs, market)
+            tpl = inst.template
+            for _ in range(20):
+                x = solver_module._polish(inst, rng.uniform(inst.lb, inst.ub))[0]
+                assert epigraph_excess(tpl.qcoef, x[tpl.qcols]).max() <= 0.0
 
 
 def scalar_fractional(x, binary_cols, tol):
