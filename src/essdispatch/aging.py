@@ -46,8 +46,8 @@ class SegmentSet:
 # Illustrative 3-segment default.  NOT fitted to any physical cell; it exists so
 # the repo runs end to end without external coefficient data.  Magnitudes are
 # chosen so that on the bundled fixture cycling is clearly profitable at low
-# capital cost and stops being worthwhile somewhere around 300 currency/kWh,
-# with the quadratic segment binding at high rates.
+# capital cost and stops being worthwhile between 200 and 250 currency/kWh
+# (the README's alpha sweep), with the quadratic segment binding at high rates.
 DEFAULT_SEGMENTS = SegmentSet(((1e-5, 4e-6), (4e-6, 8e-6), (0.0, 1.2e-5)))
 
 

@@ -8,15 +8,13 @@ summary per scenario; everything is deterministic given the configured seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .iofiles import (EXPERIMENTS, SWEEPS, DataError, RunConfig, emit_report,
-                      load_config, load_timeseries_csv, make_out_dir, _fmt,
-                      _round_sig)
+                      load_config, load_timeseries_csv, make_out_dir,
+                      write_csv, write_json)
 from .rolling import ForecastModel, run_simulation
 from .solver import SolverConfig
 
@@ -66,20 +64,14 @@ def run_experiment(series, specs, market, solver: SolverConfig,
         last = (report.ess_attributable_profit if perfect is None
                 else report.net_profit - perfect.net_profit)
         rows.append((cell, report.net_profit, last))
-    table = out / f"{run.experiment.replace('-', '_')}.csv"
-    with table.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([sweep.column, "net_profit", sweep.last])
-        for cell, profit, last in rows:
-            writer.writerow([cell, _fmt(profit), _fmt(last)])
+    write_csv(out / f"{run.experiment.replace('-', '_')}.csv",
+              [sweep.column, "net_profit", sweep.last], rows)
     if perfect is not None:
-        with (out / "forecast_summary.json").open("w") as fh:
-            diffs = [last for _, _, last in rows]
-            json.dump(_round_sig({"perfect_profit": perfect.net_profit,
-                                  "mean_difference": sum(diffs) / len(diffs),
-                                  "differences": diffs}),
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        diffs = [last for _, _, last in rows]
+        write_json(out / "forecast_summary.json",
+                   {"perfect_profit": perfect.net_profit,
+                    "mean_difference": sum(diffs) / len(diffs),
+                    "differences": diffs})
     return out
 
 

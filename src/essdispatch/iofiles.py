@@ -1,5 +1,5 @@
 """File formats: the time-series CSV schema, the sectioned config file, and
-report emission.
+report emission.  write_csv and write_json write every output file.
 
 The CSV is the single unit boundary of the repo: powers in kW, prices in
 currency per kWh, comma separators, dot decimals, mandatory header.
@@ -12,8 +12,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 from .aging import SegmentSet
 from .domain import (REVENUE_TERMS, EssSpec, MarketSpec, SlotExogenous,
@@ -21,9 +22,13 @@ from .domain import (REVENUE_TERMS, EssSpec, MarketSpec, SlotExogenous,
 from .rolling import LEDGER_TOTALS, ForecastModel, SimulationReport
 from .solver import SolverConfig
 
-CSV_COLUMNS = ("slot", "demand_kw", "pv_kw", "price_purchase", "price_sale",
-               "rmccp", "rmpcp", "perf_score", "mileage_ratio", "reg_up_flag",
-               "sr_price")
+# The series column of each SlotExogenous field, in file order after "slot".
+SERIES_COLUMNS = {"demand": "demand_kw", "renewable": "pv_kw",
+                  "price_purchase": "price_purchase", "price_sale": "price_sale",
+                  "price_rmccp": "rmccp", "price_rmpcp": "rmpcp",
+                  "perf_score": "perf_score", "mileage_ratio": "mileage_ratio",
+                  "reg_up_flag": "reg_up_flag", "price_reserve": "sr_price"}
+CSV_COLUMNS = ("slot", *SERIES_COLUMNS.values())
 OPTIONAL_COLUMNS = ("price_sale",)
 
 
@@ -33,6 +38,33 @@ class DataError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+def _round_sig(obj):
+    """Serialize floats at 9 significant digits, recursively."""
+    if isinstance(obj, float):
+        return float(_fmt(obj))
+    if isinstance(obj, dict):
+        return {k: _round_sig(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_round_sig(v) for v in obj]
+    return obj
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable) -> None:
+    """Write header, then rows, every float at 9 significant digits."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as JSON, floats at 9 significant digits, keys sorted."""
+    with Path(path).open("w") as fh:
+        json.dump(_round_sig(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -124,19 +156,15 @@ def load_timeseries_csv(path: str | Path,
                     f"{path}: non-numeric value {rec.get(col)!r} "
                     f"in column {col}, row {rownum}") from None
 
-        flag = num("reg_up_flag")
-        if flag not in (0.0, 1.0):
+        values = {name: num(col) for name, col in SERIES_COLUMNS.items()
+                  if col in header}
+        if values["reg_up_flag"] not in (0.0, 1.0):
             raise DataError(f"{path}: reg_up_flag {rec['reg_up_flag']!r} "
                             f"not binary at row {rownum}")
-        purchase = num("price_purchase")
-        sale = (num("price_sale") if "price_sale" in header
-                else sale_price_ratio * purchase)
-        series.append(SlotExogenous(
-            demand=num("demand_kw"), renewable=num("pv_kw"),
-            price_purchase=purchase, price_sale=sale,
-            price_rmccp=num("rmccp"), price_rmpcp=num("rmpcp"),
-            perf_score=num("perf_score"), mileage_ratio=num("mileage_ratio"),
-            reg_up_flag=int(flag), price_reserve=num("sr_price")))
+        values["reg_up_flag"] = int(values["reg_up_flag"])
+        values.setdefault("price_sale",
+                          sale_price_ratio * values["price_purchase"])
+        series.append(SlotExogenous(**values))
     problems = validate_inputs([], MarketSpec(), series)
     if problems:
         raise DataError(f"{path}: " + "; ".join(problems))
@@ -144,15 +172,9 @@ def load_timeseries_csv(path: str | Path,
 
 
 def write_timeseries_csv(path: str | Path, series: Sequence[SlotExogenous]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for t, s in enumerate(series):
-            writer.writerow([t, _fmt(s.demand), _fmt(s.renewable),
-                             _fmt(s.price_purchase), _fmt(s.price_sale),
-                             _fmt(s.price_rmccp), _fmt(s.price_rmpcp),
-                             _fmt(s.perf_score), _fmt(s.mileage_ratio),
-                             s.reg_up_flag, _fmt(s.price_reserve)])
+    write_csv(path, CSV_COLUMNS,
+              ([t, *(getattr(s, name) for name in SERIES_COLUMNS)]
+               for t, s in enumerate(series)))
 
 
 # soc_min and soc_max have no EssSpec default.
@@ -291,51 +313,28 @@ def emit_report(report: SimulationReport, out_dir: str | Path) -> None:
     DataError when out_dir or its plotdata/ cannot be created."""
     out = Path(out_dir)
     make_out_dir(out)
-    n = len(report.initial_soc)
-    with (out / "ledger.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["slot", *LEDGER_TOTALS, "renewable_selfuse",
-                  "renewable_export", "reg_participate", "reserve_participate"]
-        for i in range(n):
-            header += [f"charge_kw_{i}", f"discharge_kw_{i}", f"reserve_kw_{i}",
-                       f"soc_{i}"]
-        writer.writerow(header)
-        for e in report.ledger:
-            row = [e.slot, *(_fmt(getattr(e, key)) for key in LEDGER_TOTALS),
-                   _fmt(e.decision.renewable_selfuse),
-                   _fmt(e.decision.renewable_export),
-                   e.decision.reg_participate, e.decision.reserve_participate]
-            for i in range(n):
-                row += [_fmt(e.decision.charge_total[i]),
-                        _fmt(e.decision.discharge_total[i]),
-                        _fmt(e.decision.reserve_commit[i]), _fmt(e.soc[i])]
-            writer.writerow(row)
-    summary = summary_dict(report)
-    with (out / "summary.json").open("w") as fh:
-        json.dump(_round_sig(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    units = range(len(report.initial_soc))
+    header = ["slot", *LEDGER_TOTALS, "renewable_selfuse", "renewable_export",
+              "reg_participate", "reserve_participate"]
+    header += [f"{col}_{i}" for i in units
+               for col in ("charge_kw", "discharge_kw", "reserve_kw", "soc")]
+    ledger = ([e.slot, *(getattr(e, key) for key in LEDGER_TOTALS),
+               e.decision.renewable_selfuse, e.decision.renewable_export,
+               e.decision.reg_participate, e.decision.reserve_participate,
+               *chain.from_iterable(zip(e.decision.charge_total,
+                                        e.decision.discharge_total,
+                                        e.decision.reserve_commit, e.soc))]
+              for e in report.ledger)
+    write_csv(out / "ledger.csv", header, ledger)
+    write_json(out / "summary.json", summary_dict(report))
     plotdir = out / "plotdata"
     make_out_dir(plotdir)
-    with (plotdir / "soc.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot"] + [f"soc_{i}" for i in range(n)])
-        for e in report.ledger:
-            writer.writerow([e.slot] + [_fmt(s) for s in e.soc])
-    with (plotdir / "profit.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "net_profit", "cumulative_profit"])
-        total = 0.0
-        for e in report.ledger:
-            total += e.net_profit
-            writer.writerow([e.slot, _fmt(e.net_profit), _fmt(total)])
-
-
-def _round_sig(obj):
-    """Serialize floats at 9 significant digits, recursively."""
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round_sig(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_sig(v) for v in obj]
-    return obj
+    write_csv(plotdir / "soc.csv", ["slot", *(f"soc_{i}" for i in units)],
+              ([e.slot, *e.soc] for e in report.ledger))
+    profit = []
+    total = 0.0
+    for e in report.ledger:
+        total += e.net_profit
+        profit.append([e.slot, e.net_profit, total])
+    write_csv(plotdir / "profit.csv", ["slot", "net_profit", "cumulative_profit"],
+              profit)

@@ -36,9 +36,9 @@ ESS_VARS = ("pc", "prec", "pfrc", "pd", "pfrd", "psr", "z", "zeta")
 SLOT_VARS = ("presc", "pres")
 # Binary variables: one vc per ess per slot, plus vfr and vsr per slot.
 
-# Decoded powers at or below this many kW read as 0: the LP's primal
-# feasibility tolerance on rows scaled to max-abs coefficient 1.
-ZERO_KW = 1e-9
+# The LP's primal feasibility tolerance on rows scaled to max-abs coefficient
+# 1 (solver._model sets it); decoded powers at or below it, in kW, read as 0.
+FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -512,7 +512,7 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
 
     charge_future = pc - prec - pfrc and discharge_bill = pd - pfrd; both must
     come out nonnegative at any correct optimum.  Every decoded power at or
-    below ZERO_KW reads as exactly 0, so LP noise never reaches a committed
+    below FEAS_TOL reads as exactly 0, so LP noise never reaches a committed
     decision.
     """
     if result.status != "optimal":
@@ -526,14 +526,14 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
               for pc, prec, pfrc in zip(c[:m], c[m:2 * m], c[2 * m:3 * m])]
     bill = [pd - pfrd for pd, pfrd in zip(c[3 * m:4 * m], c[4 * m:5 * m])]
     for k, (fs, br) in enumerate(zip(future, bill)):
-        if fs < -1e-9 or br < -1e-9:
+        if fs < -FEAS_TOL or br < -FEAS_TOL:
             tau, i = divmod(k, n)
             raise ValueError(f"negative recovered split at ess {i}, slot {tau}: "
                              f"fs={fs}, br={br} (solver bug)")
     c += future
     c += bill
     # One n-tuple per block and slot: pc's H tuples first, then prec's, ...
-    rates = _tuples([v if v > ZERO_KW else 0.0 for v in c], n, 8 * H)
+    rates = _tuples([v if v > FEAS_TOL else 0.0 for v in c], n, 8 * H)
     flags = _tuples([round(x[col]) for col in modes], n, H)
     presc, pres, vfr, vsr = (own[k * H:(k + 1) * H] for k in range(4))
     return [DispatchDecision(
@@ -542,8 +542,8 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
         discharge_for_regulation=rates[4 * H + tau], reserve_commit=rates[5 * H + tau],
         charge_future=rates[6 * H + tau], discharge_bill=rates[7 * H + tau],
         mode_flag=flags[tau],
-        renewable_selfuse=x[presc[tau]] if x[presc[tau]] > ZERO_KW else 0.0,
-        renewable_export=x[pres[tau]] if x[pres[tau]] > ZERO_KW else 0.0,
+        renewable_selfuse=x[presc[tau]] if x[presc[tau]] > FEAS_TOL else 0.0,
+        renewable_export=x[pres[tau]] if x[pres[tau]] > FEAS_TOL else 0.0,
         reg_participate=round(x[vfr[tau]]), reserve_participate=round(x[vsr[tau]]))
         for tau in range(H)]
 

@@ -2,9 +2,10 @@
 
 At each decision time the engine builds a horizon from forecasts (the current
 slot always uses true data), solves the dispatch problem, commits only the
-first slot after repairing it against the realized renewable output, advances
-the SOC, and books realized revenues at true prices.  The no-storage baseline
-isolates the profit attributable to the ESSs.
+first slot after repairing it against the realized renewable output (which
+removes only LP-tolerance excess, since that slot was planned on true data),
+advances the SOC, and books realized revenues at true prices.  The no-storage
+baseline isolates the profit attributable to the ESSs.
 """
 
 from __future__ import annotations
@@ -128,7 +129,9 @@ def repair_dispatch(committed: DispatchDecision, true_slot: SlotExogenous,
     Only the renewable-dependent terms are touched: export is cut first, then
     each renewable-charge share proportionally (which also reduces the total
     charge), then direct self-use, until the renewable balance holds.  Market
-    commitments (regulation, reserve) are kept.
+    commitments (regulation, reserve) are kept.  run_simulation plans the
+    committed slot on true data, so the excess is LP-tolerance noise (at
+    most 6.1e-13 kW in a slot of the bundled week, none at H=1).
     """
     selfuse = min(committed.renewable_selfuse, true_slot.demand)
     export = committed.renewable_export
@@ -167,16 +170,20 @@ def realized_revenues(decision: DispatchDecision, true_slot: SlotExogenous,
 
 def no_ess_baseline(true_series: Sequence[SlotExogenous],
                     market: MarketSpec) -> float:
-    """Optimal profit without storage: self-consume, export, curtail the rest,
-    booked as R_sc.
-
-    Greedy per slot is optimal because the slots decouple without storage and
-    the purchase price is at least the sale price.
+    """Optimal profit without storage, booked as R_sc: per slot, renewable
+    output serves the dearer outlet first (self-use at the purchase price, up
+    to demand, or export at the sale price, up to export_power_max), then the
+    other, and the rest is curtailed.  This greedy split is optimal because
+    the slots decouple without storage.
     """
     total = 0.0
     for slot in true_series:
-        selfuse = min(slot.demand, slot.renewable)
-        export = min(market.export_power_max, slot.renewable - selfuse)
+        if slot.price_purchase >= slot.price_sale:
+            selfuse = min(slot.demand, slot.renewable)
+            export = min(market.export_power_max, slot.renewable - selfuse)
+        else:
+            export = min(market.export_power_max, slot.renewable)
+            selfuse = min(slot.demand, slot.renewable - export)
         total += slot_revenues(slot, {"presc": selfuse, "pres": export},
                                market.slot_hours)["r_sc"]
     return total

@@ -20,9 +20,9 @@ subtree the dual simplex tends to reach another of them and branch on
 another column: the bundled week at H=8 then took three times the nodes.
 Presolve is off: a window's LP is a few dozen to a few hundred rows that
 presolve cannot shrink, and warm runs skip it anyway.  The primal
-feasibility tolerance is 1e-9, since the rows are scaled to max-abs
-coefficient 1.  This CutPool is the only LP path: solve, solve_relaxation
-and brute_force_oracle all run their LPs in one.
+feasibility tolerance is problem.FEAS_TOL, since the rows are scaled to
+max-abs coefficient 1.  This CutPool is the only LP path: solve,
+solve_relaxation and brute_force_oracle all run their LPs in one.
 
 A rolling run also keeps a ModelSet: the CutPool of its last window.  Every
 row coefficient of a template is fixed, so the next window of that template
@@ -59,8 +59,8 @@ import numpy as np
 import scipy
 
 from . import aging
-from .problem import (LinRows, ProblemInstance, SolveResult, WindowTemplate,
-                      recover_service_split)
+from .problem import (FEAS_TOL, LinRows, ProblemInstance, SolveResult,
+                      WindowTemplate, recover_service_split)
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
@@ -116,7 +116,7 @@ def __getattr__(name):
 # A binary column is integral within INT_TOL.
 INT_TOL = 1e-6
 # A quad row is violated beyond CUT_TOL times the scale of its tangent cut:
-# 100 times the LP's primal feasibility tolerance (set in _model).
+# 100 times FEAS_TOL, written out because 100 * FEAS_TOL is not bitwise 1e-7.
 CUT_TOL = 1e-7
 # Cut rounds one relaxation may take before it raises SolverError.
 CUT_ROUND_LIMIT = 300
@@ -226,7 +226,7 @@ def _model() -> _Highs:
     highs.setOptionValue("presolve", "off")
     # Rows are scaled to max-abs 1, so the default 1e-7 would let
     # fr_min (coefficient 100) fall 1e-5 kW short of the market minimum.
-    highs.setOptionValue("primal_feasibility_tolerance", 1e-9)
+    highs.setOptionValue("primal_feasibility_tolerance", FEAS_TOL)
     return highs
 
 
@@ -327,8 +327,8 @@ class CutPool:
         tangent; False if none is.
 
         The LP enforces normalized rows only to its primal feasibility
-        tolerance, 1e-9, so the epigraph violation is only resolvable down to
-        that times the cut scale; a threshold below it would never converge.
+        tolerance, FEAS_TOL, so the epigraph violation is only resolvable down
+        to that times the cut scale; a threshold below it would never converge.
         A tangent under-approximates a convex function, so every cut is valid
         for every feasible point.
         """

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import re
 
@@ -8,8 +9,8 @@ from essdispatch.aging import SegmentSet
 from essdispatch.fixture import generate_series
 from essdispatch.iofiles import (CSV_COLUMNS, DataError, RunConfig, emit_report,
                                  load_config, load_timeseries_csv,
-                                 parse_segments, summary_dict,
-                                 write_timeseries_csv)
+                                 parse_segments, summary_dict, write_csv,
+                                 write_json, write_timeseries_csv)
 from essdispatch.domain import MarketSpec
 from essdispatch.rolling import ForecastModel, run_simulation
 from essdispatch.solver import SolverConfig
@@ -93,6 +94,28 @@ class TestTimeseriesCsv:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="slot 1: price_rmccp nan is not finite"):
             load_timeseries_csv(p)
+
+    def test_float_flag_written_as_integer(self, tmp_path, week_series):
+        p = tmp_path / "series.csv"
+        slot = dataclasses.replace(week_series[0], reg_up_flag=1.0)
+        write_timeseries_csv(p, [slot])
+        row = p.read_text().splitlines()[1].split(",")
+        assert row[CSV_COLUMNS.index("reg_up_flag")] == "1"
+        assert load_timeseries_csv(p)[0].reg_up_flag == 1
+
+
+class TestWriters:
+    def test_csv_formats_floats_only(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["n", "x", "s"], [[3, 0.1 + 0.2, "x"]])
+        assert p.read_text().splitlines() == ["n,x,s", "3,0.3,x"]
+
+    def test_json_rounds_sorts_and_ends_in_newline(self, tmp_path):
+        p = tmp_path / "t.json"
+        write_json(p, {"b": 1 / 3, "a": [2 / 3]})
+        assert p.read_text() == json.dumps(
+            {"a": [0.666666667], "b": 0.333333333}, indent=2,
+            sort_keys=True) + "\n"
 
 
 class TestParseSegments:

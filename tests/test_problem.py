@@ -10,7 +10,7 @@ from essdispatch import solver as solver_module
 from essdispatch.aging import SegmentSet, segment_coefficients, segment_max
 from essdispatch.domain import (MODULE_CAPACITY, DispatchDecision, MarketSpec,
                                SlotExogenous, SocState)
-from essdispatch.problem import (ESS_VARS, SLOT_VARS, ZERO_KW, LinRow, LinRows,
+from essdispatch.problem import (ESS_VARS, FEAS_TOL, SLOT_VARS, LinRow, LinRows,
                                  build_problem, check_solution,
                                  decompose_at_point,
                                  mccormick_rows, recover_service_split)
@@ -319,7 +319,7 @@ class TestRecoverServiceSplit:
 
     @pytest.mark.parametrize("horizon", [1, 4, 6])
     def test_solved_windows_match_reference(self, horizon, week_series):
-        # optima of the bundled week, whose LP noise sits around ZERO_KW
+        # optima of the bundled week, whose LP noise sits around FEAS_TOL
         specs, market, config, _, _ = load_config(BUNDLED_CONFIG)
         rng = np.random.default_rng(horizon)
         for t in range(0, len(week_series) - horizon, 12):
@@ -681,10 +681,10 @@ def random_window(rng, n_ess, horizon):
     return slots, soc, specs, market
 
 
-# Powers at and just past the zero bound and ZERO_KW, and binaries at 0.5 and
+# Powers at and just past the zero bound and FEAS_TOL, and binaries at 0.5 and
 # 1.5, where round-half-even applies, or LP noise around 0 and 1.
-EDGE_KW = [0.0, -0.0, ZERO_KW, -ZERO_KW, np.nextafter(ZERO_KW, 1.0),
-           np.nextafter(ZERO_KW, 0.0), np.nextafter(-ZERO_KW, -1.0)]
+EDGE_KW = [0.0, -0.0, FEAS_TOL, -FEAS_TOL, np.nextafter(FEAS_TOL, 1.0),
+           np.nextafter(FEAS_TOL, 0.0), np.nextafter(-FEAS_TOL, -1.0)]
 EDGE_BINARY = [0.5, 1.5, np.nextafter(0.5, 1.0), 0.0, 1.0, -1e-12, 1.0 + 1e-12]
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from essdispatch import rolling
 from essdispatch.domain import SlotExogenous, SocState, idle_decision, soc_update
+from essdispatch.fixture import generate_series
 from essdispatch.iofiles import load_config
 from essdispatch.problem import build_problem, check_solution, decompose_at_point
 from essdispatch.rolling import (ForecastModel, no_ess_baseline, perturb_forecast,
@@ -237,6 +238,16 @@ class TestNoEssBaseline:
         series = [base_slot(demand=100.0, renewable=150.0)]
         assert no_ess_baseline(series, capped) == pytest.approx(
             0.2 * 100 + 0.12 * 20, rel=1e-12)
+
+    @pytest.mark.parametrize("export_max", [1e9, 50.0])
+    @pytest.mark.parametrize("ratio", [0.6, 1.0, 1.5])
+    def test_zero_units_attribute_nothing(self, market, ratio, export_max):
+        # A sale price above the purchase price makes export the dearer
+        # outlet; the baseline must then export first, as the optimizer does.
+        series = generate_series(24, sale_price_ratio=ratio)
+        capped = dataclasses.replace(market, export_power_max=export_max)
+        report = run_simulation(series, [], capped, 1)
+        assert abs(report.ess_attributable_profit) <= 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_zero_ess_optimization(self, market, seed):
