@@ -94,10 +94,18 @@ def aging_cost_eval(spec: "EssSpec", p_charge: float, p_discharge: float,
     """Aging cost of one slot at the given charge/discharge rates.
 
     The minimum of zeta subject to zeta >= f_k for all k is the pointwise
-    maximum of the f_k, so no LP solve is needed here.
+    maximum of the f_k, so no LP solve is needed here.  An idle unit costs
+    0.0, returned without that evaluation.  For every spec and slot length
+    that validate_inputs accepts it is the evaluation's value, bit for bit:
+    at zero rates each f_k sums signed zeros, which give 0.0 once one term
+    is 0.0, and 0.0 times a finite scale >= 0 is 0.0.  The one exception is
+    a first segment with a = -0.0 and b negative or -0.0, whose terms can
+    all be -0.0: there the evaluation gives -0.0, which equals 0.0.
     """
     if p_charge < 0 or p_discharge < 0:
         raise ValueError("rates must be nonnegative")
+    if not (p_charge or p_discharge):
+        return 0.0
     return cost_scale(spec, slot_hours) * segment_max(
         segment_coefficients(spec), p_charge, p_discharge)
 

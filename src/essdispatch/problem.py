@@ -21,6 +21,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -486,14 +487,13 @@ def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
         w += [-ts * (prices[price] * m) for price, m in _OBJ_TERMS.values()]
         for spec in specs:
             w += (u * spec.discharge_rate_max, (1 - u) * spec.charge_rate_max)
-    w = np.array(w, dtype=float)
-    if not np.isfinite(w).all():
+    if not all(map(math.isfinite, w)):
         raise ValueError(f"non-finite input in the window at t={t}: " + "; ".join(
             validate_inputs(specs, market, horizon)
             or ("a product of slot values overflows",)))
 
     numbers = template.numbers.copy()
-    numbers[template.fill_dst] = w[template.fill_src]
+    numbers[template.fill_dst] = np.array(w, dtype=float)[template.fill_src]
     lb, ub, objective, rhs = template.split(numbers)
     # Each objective entry is one term summed onto 0.0, so -0.0 reads 0.0.
     objective += 0.0
@@ -525,26 +525,31 @@ def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
     future = [pc - prec - pfrc
               for pc, prec, pfrc in zip(c[:m], c[m:2 * m], c[2 * m:3 * m])]
     bill = [pd - pfrd for pd, pfrd in zip(c[3 * m:4 * m], c[4 * m:5 * m])]
-    for k, (fs, br) in enumerate(zip(future, bill)):
-        if fs < -FEAS_TOL or br < -FEAS_TOL:
-            tau, i = divmod(k, n)
-            raise ValueError(f"negative recovered split at ess {i}, slot {tau}: "
-                             f"fs={fs}, br={br} (solver bug)")
+    # Clipping maps NaN to 0.0 and the flows are bounded, so no split is
+    # NaN and one min finds any negative one.
+    if min(future + bill, default=0.0) < -FEAS_TOL:
+        for k, (fs, br) in enumerate(zip(future, bill)):
+            if fs < -FEAS_TOL or br < -FEAS_TOL:
+                tau, i = divmod(k, n)
+                raise ValueError(f"negative recovered split at ess {i}, slot {tau}: "
+                                 f"fs={fs}, br={br} (solver bug)")
     c += future
     c += bill
     # One n-tuple per block and slot: pc's H tuples first, then prec's, ...
     rates = _tuples([v if v > FEAS_TOL else 0.0 for v in c], n, 8 * H)
     flags = _tuples([round(x[col]) for col in modes], n, H)
-    presc, pres, vfr, vsr = (own[k * H:(k + 1) * H] for k in range(4))
+    # own holds the H columns of presc, then of pres, vfr and vsr.
+    slot_x = [x[col] for col in own]
     return [DispatchDecision(
         charge_total=rates[tau], discharge_total=rates[3 * H + tau],
         charge_from_renewable=rates[H + tau], charge_for_regulation=rates[2 * H + tau],
         discharge_for_regulation=rates[4 * H + tau], reserve_commit=rates[5 * H + tau],
         charge_future=rates[6 * H + tau], discharge_bill=rates[7 * H + tau],
         mode_flag=flags[tau],
-        renewable_selfuse=x[presc[tau]] if x[presc[tau]] > FEAS_TOL else 0.0,
-        renewable_export=x[pres[tau]] if x[pres[tau]] > FEAS_TOL else 0.0,
-        reg_participate=round(x[vfr[tau]]), reserve_participate=round(x[vsr[tau]]))
+        renewable_selfuse=slot_x[tau] if slot_x[tau] > FEAS_TOL else 0.0,
+        renewable_export=slot_x[H + tau] if slot_x[H + tau] > FEAS_TOL else 0.0,
+        reg_participate=round(slot_x[2 * H + tau]),
+        reserve_participate=round(slot_x[3 * H + tau]))
         for tau in range(H)]
 
 

@@ -131,13 +131,17 @@ def repair_dispatch(committed: DispatchDecision, true_slot: SlotExogenous,
     charge), then direct self-use, until the renewable balance holds.  Market
     commitments (regulation, reserve) are kept.  run_simulation plans the
     committed slot on true data, so the excess is LP-tolerance noise (at
-    most 6.1e-13 kW in a slot of the bundled week, none at H=1).
+    most 6.1e-13 kW in a slot of the bundled week, none at H=1).  A
+    decision that needs no change is returned as it is.
     """
     selfuse = min(committed.renewable_selfuse, true_slot.demand)
     export = committed.renewable_export
+    excess = (selfuse + export + sum(committed.charge_from_renewable)
+              - true_slot.renewable)
+    if not excess > 0 and selfuse == committed.renewable_selfuse:
+        return committed
     prec = list(committed.charge_from_renewable)
     pc = list(committed.charge_total)
-    excess = selfuse + export + sum(prec) - true_slot.renewable
     if excess > 0:
         cut = min(export, excess)
         export -= cut

@@ -56,7 +56,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import aging
 from .problem import (FEAS_TOL, LinRows, ProblemInstance, SolveResult,
@@ -66,25 +65,31 @@ _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
 def _load_highs_core():
-    """scipy's compiled HiGHS extension, without importing scipy.optimize.
+    """scipy's compiled HiGHS extension, without importing scipy.
 
-    Importing the submodule the usual way runs scipy.optimize's __init__,
-    which pulls in scipy.linalg, scipy.sparse, scipy.special and more: about
-    0.5 of the 0.7 s that importing essdispatch took, and 43 of its 77 MB
-    peak memory (2-vCPU VM, Python 3.11, scipy 1.17.1).  So the extension
-    file is loaded on its own, and not put into sys.modules: a later import
-    of scipy.optimize then loads it itself and gets this same module object.
+    Importing the submodule the usual way runs scipy's and scipy.optimize's
+    __init__, which pull in scipy.linalg, scipy.sparse, scipy.special and
+    more: about 0.5 of the 0.7 s that importing essdispatch took, and 43 of
+    its 77 MB peak memory (2-vCPU VM, Python 3.11, scipy 1.17.1); scipy's own
+    __init__ alone added about 17 ms and 1.3 MB.  So scipy's directory is
+    found with find_spec, which imports nothing, and the extension file is
+    loaded on its own and not put into sys.modules: a later import of
+    scipy.optimize then loads it itself and gets this same module object.
     A module already imported is used as it is, and a scipy that keeps its
     extensions elsewhere (an editable build, say) goes through the regular
     import.
     """
     if _HIGHS_CORE in sys.modules:
         return sys.modules[_HIGHS_CORE]
-    finder = importlib.machinery.FileFinder(
-        os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"),
-        (importlib.machinery.ExtensionFileLoader,
-         importlib.machinery.EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_HIGHS_CORE)
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy_spec.submodule_search_locations[0], "optimize",
+                         "_highspy"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_HIGHS_CORE)
     if spec is None:
         return importlib.import_module(_HIGHS_CORE)
     core = importlib.util.module_from_spec(spec)
@@ -120,6 +125,8 @@ INT_TOL = 1e-6
 CUT_TOL = 1e-7
 # Cut rounds one relaxation may take before it raises SolverError.
 CUT_ROUND_LIMIT = 300
+# The quad rows a point violates when it violates none.
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -314,12 +321,15 @@ class CutPool:
                             len(index), starts, index, value)
 
     def _violations(self, x: np.ndarray):
-        """Violated quad rows at x, with every row's tangent terms there."""
+        """Violated quad rows at x, and every row's tangent terms there;
+        no terms (None) if no row's excess is above CUT_TOL (see cut)."""
         tpl = self._tpl
         at = x[tpl.qcols]
-        grad, scale, f2 = _tangent_terms(tpl.qcoef, at[:2])
         excess = aging.epigraph_excess(tpl.qcoef, at)
-        return (excess > CUT_TOL * scale).nonzero()[0], grad, scale, f2
+        if max(excess.tolist(), default=0.0) <= CUT_TOL:
+            return _NO_ROWS, None
+        terms = _tangent_terms(tpl.qcoef, at[:2])
+        return (excess > CUT_TOL * terms[1]).nonzero()[0], terms
 
     def cut(self, x: np.ndarray) -> bool:
         """Add, as one batch, the tangent at x of every quad row that x
@@ -331,14 +341,23 @@ class CutPool:
         to that times the cut scale; a threshold below it would never converge.
         A tangent under-approximates a convex function, so every cut is valid
         for every feasible point.
+
+        Every cut scale is at least 1 and rounding is monotone, so CUT_TOL
+        times a scale is never below CUT_TOL: if no row's excess is above
+        CUT_TOL, no row is violated, and the tangent terms are not computed.
+        The exit is exact: it skips no cut the full test would add.  A NaN
+        excess cuts in neither: the full test's comparison is False for it,
+        and a max that returns it fails the exit test.
         """
-        hit, grad, scale, f2 = self._violations(x)
-        if hit.size:
-            self._add_rows(*_tangent_rows(
-                np.take(self._tpl.qcols, hit, axis=1), np.take(grad, hit, axis=1),
-                np.take(scale, hit), np.take(f2[0] + f2[1], hit)))
-            self.rows = range(len(self.rows) + hit.size)
-        return bool(hit.size)
+        hit, terms = self._violations(x)
+        if not hit.size:
+            return False
+        grad, scale, f2 = terms
+        self._add_rows(*_tangent_rows(
+            np.take(self._tpl.qcols, hit, axis=1), np.take(grad, hit, axis=1),
+            np.take(scale, hit), np.take(f2[0] + f2[1], hit)))
+        self.rows = range(len(self.rows) + hit.size)
+        return True
 
     def _run(self):
         self._highs.run()
@@ -393,9 +412,13 @@ class CutPool:
 
 def _fixed_bounds(instance: ProblemInstance,
                   fixed: dict[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Column bounds with the fixed binaries pinned: the instance's own
+    arrays, which CutPool.solve only reads, if no binary is fixed."""
+    if not fixed:
+        return instance.lb, instance.ub
     lb = instance.lb.copy()
     ub = instance.ub.copy()
-    for col, val in (fixed or {}).items():
+    for col, val in fixed.items():
         lb[col] = ub[col] = float(val)
     return lb, ub
 
@@ -446,17 +469,11 @@ def _polish(instance: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, float
 
 
 def _fractional(x: np.ndarray, binary_cols: np.ndarray, tol: float) -> int | None:
-    """Most fractional binary column, ties to the lowest index; None if integral.
-
-    Only columns past the first threshold, tol + 1e-15, can ever be picked,
-    so the scalar scan runs over those alone.
-    """
-    v = x[binary_cols]
-    values = v.tolist()
+    """Most fractional binary column, ties to the lowest index; None if integral."""
     best = None
     best_frac = tol
-    for k in (np.abs(v - np.rint(v)) > tol + 1e-15).nonzero()[0].tolist():
-        frac = abs(values[k] - round(values[k]))
+    for k, v in enumerate(x[binary_cols].tolist()):
+        frac = abs(v - round(v))
         if frac > best_frac + 1e-15:
             best, best_frac = k, frac
     return None if best is None else binary_cols[best]

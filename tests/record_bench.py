@@ -9,14 +9,19 @@ at H=4, 6, 8 and 12 with a perfect forecast.  Writes BENCH_<LABEL>.json into
 DIR (the repository root by default): per week the wall time, the node total,
 p50, p90 and max over its windows, the windows that branch, the LP runs,
 the simplex iterations and the repr of the week's net profit; and the Python,
-numpy and scipy versions, the core count and the git commit.  The counts and
-the profit are deterministic, so two of these files show a solver change
-exactly; the wall times are single runs.  A commit that ends in "-dirty"
-had uncommitted changes to tracked files.
+numpy and scipy versions, the core count and the git commit.  It also runs
+sweep-h1's mix: the config's alpha_grid points at H=1 on the bundled week
+with a perfect forecast, as the alpha-sweep experiment runs them, and
+records their node, LP-run and iteration totals, their wall time and each
+point's net-profit repr.  The counts and the profits are deterministic, so
+two of these files show a solver change exactly; the wall times are single
+runs.  A commit that ends in "-dirty" had uncommitted changes to tracked
+files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -40,9 +45,10 @@ WEEKS = (("rolling-h4", 4, True), ("perfect-h4", 4, False), ("perfect-h6", 6, Fa
          ("perfect-h8", 8, False), ("perfect-h12", 12, False))
 
 
-def record_week(horizon: int, with_forecast: bool) -> dict:
-    specs, market, config, forecast, run = load_config(BUNDLED_CONFIG)
-    week = generate_series(sale_price_ratio=market.sale_price_ratio)
+def counted_runs(run) -> tuple[np.ndarray, float]:
+    """The (nodes, LP runs, iterations) of each window that run() solves
+    through rolling.run_simulation, one row per window, and run()'s wall
+    time."""
     solves = []
     solve = rolling.solve
 
@@ -54,13 +60,21 @@ def record_week(horizon: int, with_forecast: bool) -> dict:
     rolling.solve = counted
     try:
         start = time.perf_counter()
-        report = rolling.run_simulation(week, specs, market, horizon,
-                                        forecast if with_forecast else None,
-                                        config, run.initial_soc)
+        run()
         wall = time.perf_counter() - start
     finally:
         rolling.solve = solve
-    nodes, lp_runs, iters = np.array(solves).T
+    return np.array(solves), wall
+
+
+def record_week(horizon: int, with_forecast: bool) -> dict:
+    specs, market, config, forecast, run = load_config(BUNDLED_CONFIG)
+    week = generate_series(sale_price_ratio=market.sale_price_ratio)
+    reports = []
+    counts, wall = counted_runs(lambda: reports.append(rolling.run_simulation(
+        week, specs, market, horizon, forecast if with_forecast else None,
+        config, run.initial_soc)))
+    nodes, lp_runs, iters = counts.T
     return {"horizon": horizon, "forecast": "config" if with_forecast else "perfect",
             "wall_s": round(wall, 3), "windows": len(nodes),
             "nodes": {"total": int(nodes.sum()),
@@ -69,7 +83,31 @@ def record_week(horizon: int, with_forecast: bool) -> dict:
                       "max": int(nodes.max())},
             "branching_windows": int((nodes > 1).sum()),
             "lp_runs": int(lp_runs.sum()), "simplex_iterations": int(iters.sum()),
-            "net_profit": repr(report.totals["net_profit"])}
+            "net_profit": repr(reports[0].totals["net_profit"])}
+
+
+def record_sweep_h1() -> dict:
+    """The alpha_grid points at H=1, each a run over the bundled week with
+    a perfect forecast and every unit's capital cost set to the point."""
+    specs, market, config, _, run = load_config(BUNDLED_CONFIG)
+    week = generate_series(sale_price_ratio=market.sale_price_ratio)
+    profits = {}
+
+    def sweep():
+        for alpha in run.alpha_grid:
+            point_specs = [dataclasses.replace(s, unit_capital_cost=alpha)
+                           for s in specs]
+            report = rolling.run_simulation(week, point_specs, market, 1, None,
+                                            config, run.initial_soc)
+            profits[f"{alpha:g}"] = repr(report.totals["net_profit"])
+
+    counts, wall = counted_runs(sweep)
+    nodes, lp_runs, iters = counts.T
+    return {"horizon": 1, "forecast": "perfect", "alpha_grid": list(run.alpha_grid),
+            "wall_s": round(wall, 3), "windows": len(nodes),
+            "nodes": int(nodes.sum()), "branching_windows": int((nodes > 1).sum()),
+            "lp_runs": int(lp_runs.sum()), "simplex_iterations": int(iters.sum()),
+            "net_profit": profits}
 
 
 def main(label: str, out_dir: Path = ROOT) -> int:
@@ -83,6 +121,9 @@ def main(label: str, out_dir: Path = ROOT) -> int:
         record["weeks"][name] = week = record_week(horizon, with_forecast)
         print(f"{name}: {week['nodes']['total']} nodes, {week['lp_runs']} LP runs, "
               f"{week['simplex_iterations']} iterations, {week['wall_s']} s")
+    record["sweep-h1"] = sweep = record_sweep_h1()
+    print(f"sweep-h1: {sweep['nodes']} nodes, {sweep['lp_runs']} LP runs, "
+          f"{sweep['simplex_iterations']} iterations, {sweep['wall_s']} s")
     path = Path(out_dir) / f"BENCH_{label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")

@@ -34,6 +34,24 @@ class TestAgingCostEval:
     def test_zero_rates_zero_cost(self, spec1):
         assert aging_cost_eval(spec1, 0.0, 0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("segments", [
+        None, TWO_SEGMENTS, SegmentSet(((0.0, -0.02), (1e-6, 0.0))),
+        SegmentSet(((0.0, 0.0),))])
+    @pytest.mark.parametrize("capital_cost", [0.0, 100.0])
+    def test_idle_unit_costs_exactly_zero(self, segments, capital_cost):
+        # an idle unit's cost is returned without evaluating the segments;
+        # it must be the evaluation's value, 0.0 with a positive sign, for
+        # either sign of zero rate and negative, zero or positive slopes
+        overrides = {} if segments is None else {"aging_segments": segments}
+        for ess_type in (1, 2):
+            spec = make_spec(ess_type, unit_capital_cost=capital_cost, **overrides)
+            for slot_hours in (1.0, 0.5):
+                for pc, pd in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+                    evaluated = cost_scale(spec, slot_hours) * segment_max(
+                        segment_coefficients(spec), pc, pd)
+                    got = aging_cost_eval(spec, pc, pd, slot_hours)
+                    assert repr(got) == repr(evaluated) == "0.0"
+
     def test_single_linear_segment_closed_form(self):
         spec = make_spec(1, aging_segments=SegmentSet(((0.0, 0.02),)))
         gamma, ec, ed = 0.5, spec.eff_charge, spec.eff_discharge

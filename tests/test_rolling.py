@@ -168,6 +168,69 @@ class TestRepairDispatch:
         assert out.reserve_commit == (40.0,)
 
 
+def reference_repair_dispatch(committed, true_slot, state, specs, market):
+    """repair_dispatch without its early return: every decision goes
+    through the cuts and dataclasses.replace."""
+    selfuse = min(committed.renewable_selfuse, true_slot.demand)
+    export = committed.renewable_export
+    prec = list(committed.charge_from_renewable)
+    pc = list(committed.charge_total)
+    excess = selfuse + export + sum(prec) - true_slot.renewable
+    if excess > 0:
+        cut = min(export, excess)
+        export -= cut
+        excess -= cut
+    if excess > 0 and sum(prec) > 0:
+        shrink = max(0.0, 1.0 - excess / sum(prec))
+        for i in range(len(prec)):
+            cut = prec[i] * (1.0 - shrink)
+            prec[i] -= cut
+            pc[i] = max(0.0, pc[i] - cut)
+        excess = selfuse + export + sum(prec) - true_slot.renewable
+    if excess > 0:
+        selfuse = max(0.0, selfuse - excess)
+    return dataclasses.replace(
+        committed, renewable_selfuse=selfuse, renewable_export=export,
+        charge_from_renewable=tuple(prec), charge_total=tuple(pc))
+
+
+class TestRepairMatchesReference:
+    def test_input_returned_only_when_unchanged(self, specs, market):
+        # a decision that needs no repair comes back as the same object;
+        # any other gets the reference's result, signed zeros included
+        rng = np.random.default_rng(120)
+        kept = repaired = capped = 0
+        for _ in range(400):
+            prec = tuple(rng.choice([0.0, -0.0, 1e-13, float(rng.uniform(0, 80))])
+                         for _ in specs)
+            pc = tuple(p + float(rng.choice([0.0, rng.uniform(0, 20)])) for p in prec)
+            d = dataclasses.replace(
+                idle_decision(len(specs)), charge_from_renewable=prec,
+                charge_total=pc,
+                renewable_selfuse=float(rng.choice([0.0, -0.0, rng.uniform(0, 150)])),
+                renewable_export=float(rng.choice([0.0, rng.uniform(0, 60)])))
+            used = d.renewable_selfuse + d.renewable_export + sum(prec)
+            # realized renewable above, at or just below what d uses, or far
+            # below; demand above or below its self-use
+            renewable = float(rng.choice([used + rng.uniform(0, 50), used,
+                                          used - 1e-13, rng.uniform(0, used + 1)]))
+            demand = float(rng.choice([d.renewable_selfuse + rng.uniform(0, 50),
+                                       d.renewable_selfuse,
+                                       rng.uniform(0, d.renewable_selfuse + 1)]))
+            slot = base_slot(demand=demand, renewable=max(renewable, 0.0))
+            state = SocState((0.5,) * len(specs))
+            want = reference_repair_dispatch(d, slot, state, specs, market)
+            got = repair_dispatch(d, slot, state, specs, market)
+            assert got == want and repr(got) == repr(want)
+            if got is d:
+                kept += 1
+                assert repr(want) == repr(d)
+            else:
+                repaired += 1
+                capped += slot.demand < d.renewable_selfuse
+        assert kept and repaired and capped
+
+
 class TestRealizedRevenues:
     def test_hand_computed_example(self, spec1, market):
         # r_sc = 0.2*(50+10) + 0.12*5 = 12.6

@@ -433,6 +433,62 @@ class TestRowCount:
         assert len(pool.rows) == seeds + sum(rounds)
 
 
+def full_violation_rule(template, x):
+    """The violation test with no early exit: every row's cut scale first,
+    then excess > CUT_TOL * scale."""
+    at = x[template.qcols]
+    scale = solver_module._tangent_terms(template.qcoef, at[:2])[1]
+    return (epigraph_excess(template.qcoef, at) > CUT_TOL * scale).nonzero()[0]
+
+
+class TestCutEarlyExit:
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_matches_full_rule(self, week_series, horizon):
+        # cut skips the tangent terms when no excess is above CUT_TOL; on
+        # random points of bundled-week windows, and on points whose zetas
+        # put excesses below CUT_TOL, between CUT_TOL and CUT_TOL * scale
+        # and above that, it must find the rows the full rule finds
+        specs, market, _, _, run = load_config(BUNDLED_CONFIG)
+        soc = SocState((run.initial_soc,) * len(specs))
+        rng = np.random.default_rng(40 + horizon)
+        exits = between = cuts = 0
+        for t in range(0, len(week_series) - horizon + 1, 6):
+            inst = build_problem(t, week_series[t:t + horizon], soc, specs, market)
+            tpl = inst.template
+            zeta = tpl.qcols[2]
+            pool = CutPool(inst)
+            for trial in range(30):
+                x = rng.uniform(inst.lb, inst.ub)
+                if trial % 3:
+                    # each unit and slot's zeta puts the excess of its
+                    # largest row at CUT_TOL times a draw from [0.5, 2 * scale)
+                    # or, every third point, [0.5, scale)
+                    x[zeta] = 0.0
+                    at = x[tpl.qcols]
+                    f = epigraph_excess(tpl.qcoef, at)
+                    scale = solver_module._tangent_terms(tpl.qcoef, at[:2])[1]
+                    top = 2.0 if trial % 3 == 1 else 1.0
+                    for col in np.unique(zeta):
+                        k = np.flatnonzero(zeta == col)
+                        k = k[f[k].argmax()]
+                        x[col] = f[k] - CUT_TOL * rng.uniform(0.5, top * scale[k])
+                want = full_violation_rule(tpl, x)
+                assert pool._violations(x)[0].tolist() == want.tolist()
+                before = len(pool.rows)
+                assert pool.cut(x) == bool(want.size)
+                assert len(pool.rows) - before == want.size
+                at = x[tpl.qcols]
+                excess = epigraph_excess(tpl.qcoef, at)
+                scale = solver_module._tangent_terms(tpl.qcoef, at[:2])[1]
+                exits += excess.max() <= CUT_TOL
+                between += int(((excess > CUT_TOL) & (excess <= CUT_TOL * scale)).any()
+                               and not want.size)
+                cuts += bool(want.size)
+        # every branch ran: the early exit, the full test finding no cut
+        # although an excess is above CUT_TOL, and cuts
+        assert exits and between and cuts
+
+
 class _Undecided:
     """HiGHS model proxy whose first `runs` statuses read as undecided."""
 
@@ -580,7 +636,7 @@ class TestPersistentLp:
 
     def test_solve_leaves_scipy_optimize_unimported(self):
         # the HiGHS extension loads on its own: the CLI and a solve of a
-        # bundled-week window never import scipy.optimize
+        # bundled-week window never import scipy.optimize, nor scipy itself
         code = ("import sys\n"
                 "import essdispatch.cli\n"
                 "from essdispatch import (SocState, build_problem, load_config,\n"
@@ -593,7 +649,8 @@ class TestPersistentLp:
                 "res = solve(build_problem(0, series[:4], state, specs, market),\n"
                 "            config)\n"
                 "assert res.status == 'optimal', res.status\n"
-                "assert 'scipy.optimize' not in sys.modules\n")
+                "assert 'scipy.optimize' not in sys.modules\n"
+                "assert 'scipy' not in sys.modules\n")
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
 
@@ -889,7 +946,7 @@ class TestPolish:
 
 
 def scalar_fractional(x, binary_cols, tol):
-    """The scan that _fractional's prefilter shortens."""
+    """The scalar scan over numpy values that _fractional must match."""
     best = None
     best_frac = tol
     for col in binary_cols:
