@@ -7,6 +7,7 @@ workers can evaluate them concurrently without coordination.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -104,14 +105,27 @@ class DispatchDecision:
         return len(self.charge_total)
 
     def quantities(self) -> dict[str, float]:
-        """The quantities of REVENUE_TERMS, summed over the ESSs."""
-        return {"pc": sum(self.charge_total), "prec": sum(self.charge_from_renewable),
-                "pfrc": sum(self.charge_for_regulation), "pd": sum(self.discharge_total),
-                "pfrd": sum(self.discharge_for_regulation),
-                "psr": sum(self.reserve_commit), "presc": self.renewable_selfuse,
-                "pres": self.renewable_export, "future": sum(self.charge_future),
-                "bill": sum(self.discharge_bill)}
+        """The powers, each summed over the ESSs, by quantity: all that
+        REVENUE_TERMS reads, directly or through SPLIT."""
+        return {q: sum(v) if isinstance(v, tuple) else v
+                for q, v in zip(_POWERS.values(), _power_fields(self))}
 
+
+# The window quantity of each DispatchDecision field, in field order: a
+# column of the window problem or a SPLIT quantity.  Per-ESS fields come
+# first: flows, SPLIT's quantities, the mode flag; then the shared renewable
+# split and participation flags.  recover_service_split decodes in this
+# order and reads each SPLIT quantity as its first flow less the others.
+DECISION_VARS = {
+    "charge_total": "pc", "discharge_total": "pd", "charge_from_renewable": "prec",
+    "charge_for_regulation": "pfrc", "discharge_for_regulation": "pfrd",
+    "reserve_commit": "psr", "charge_future": "future", "discharge_bill": "bill",
+    "mode_flag": "vc", "renewable_selfuse": "presc", "renewable_export": "pres",
+    "reg_participate": "vfr", "reserve_participate": "vsr"}
+# The power fields, all but the flags, and their quantities.
+_POWERS = {f.name: DECISION_VARS[f.name] for f in fields(DispatchDecision)
+           if "float" in f.type}
+_power_fields = operator.attrgetter(*_POWERS)
 
 # The four revenue streams, each booked per slot as slot_hours times a sum of
 # sign * price * quantity terms.  Quantities are powers summed over the ESSs:
@@ -139,23 +153,27 @@ def slot_prices(slot: SlotExogenous) -> dict[str, float]:
             "reg_c": reg * (1 - u), "reg_d": reg * u, "reserve": slot.price_reserve}
 
 
+def stream_revenue(stream: str, prices: dict[str, float],
+                   quantities: dict[str, float], slot_hours: float) -> float:
+    """One of a slot's revenue streams; a quantity left out counts 0."""
+    return slot_hours * sum(sign * prices[price] * quantities.get(q, 0.0)
+                            for price, q, sign in REVENUE_TERMS[stream])
+
+
 def slot_revenues(slot: SlotExogenous, quantities: dict[str, float],
                   slot_hours: float) -> dict[str, float]:
     """The four revenue streams of one slot; a quantity left out counts 0."""
     prices = slot_prices(slot)
-    return {stream: slot_hours * sum(sign * prices[price] * quantities.get(q, 0.0)
-                                     for price, q, sign in terms)
-            for stream, terms in REVENUE_TERMS.items()}
+    return {stream: stream_revenue(stream, prices, quantities, slot_hours)
+            for stream in REVENUE_TERMS}
 
 
 def idle_decision(n_ess: int) -> DispatchDecision:
-    zeros = (0.0,) * n_ess
-    return DispatchDecision(
-        charge_total=zeros, discharge_total=zeros, charge_from_renewable=zeros,
-        charge_for_regulation=zeros, discharge_for_regulation=zeros,
-        reserve_commit=zeros, charge_future=zeros, discharge_bill=zeros,
-        mode_flag=(0,) * n_ess, renewable_selfuse=0.0, renewable_export=0.0,
-        reg_participate=0, reserve_participate=0)
+    """Every DECISION_VARS quantity 0: 0.0 for a power, 0 for a flag, one
+    per ESS where the field is a tuple."""
+    zero = {"float": 0.0, "int": 0, "tuple[float, ...]": (0.0,) * n_ess,
+            "tuple[int, ...]": (0,) * n_ess}
+    return DispatchDecision(*(zero[f.type] for f in fields(DispatchDecision)))
 
 
 def soc_update(state: SocState, decision: DispatchDecision,

@@ -22,14 +22,15 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import aging
-from .domain import (REVENUE_TERMS, SPLIT, DispatchDecision, EssSpec,
-                     MarketSpec, SlotExogenous, SocState, slot_prices,
+from .domain import (DECISION_VARS, REVENUE_TERMS, SPLIT, DispatchDecision,
+                     EssSpec, MarketSpec, SlotExogenous, SocState, slot_prices,
                      slot_revenues, validate_inputs)
 
 # Continuous variables per (ess, slot) and per slot, in index order.
@@ -119,11 +120,12 @@ class WindowTemplate:
     columns and one tuple per ESS and slot, ESS-major: the column of its
     mode flag vc, the flows charge mode closes (pd, pfrd) and those
     discharge mode closes (pc, prec, pfrc), its pc, pd and zeta columns and
-    its aging.segment_coefficients.  decode is the columns of pc, prec,
-    pfrc, pd, pfrd and psr, one block per variable, each slot-major over
-    (slot, ESS); the vc columns in the same order; the columns of presc,
-    pres, vfr and vsr, one block each over the slots; the ESS count and the
-    horizon.
+    its aging.segment_coefficients.  decode holds DECISION_VARS' columns,
+    one block per quantity in table order, per-ESS blocks slot-major over
+    (slot, ESS): the per-ESS continuous ones; per SPLIT quantity, the
+    offsets in those of its first flow and of the flows it subtracts; the
+    per-ESS flags; the per-slot continuous ones; the per-slot flags; then
+    the ESS count and the horizon.
     """
 
     specs: tuple[EssSpec, ...]
@@ -144,7 +146,8 @@ class WindowTemplate:
     rate_max: np.ndarray
     quad_names: tuple[str, ...]
     polish: tuple[list[int], list[tuple]]
-    decode: tuple[list[int], list[int], list[int], int, int]
+    decode: tuple[list[int], list[tuple], list[int], list[int], list[int],
+                  int, int]
 
     def split(self, numbers: np.ndarray) -> tuple[np.ndarray, ...]:
         """Views of lb, ub, objective and rhs in numbers."""
@@ -159,9 +162,9 @@ class ProblemInstance:
 
     lb, ub, objective and the rows' right-hand sides rhs are this window's
     own arrays.  template is shared read-only with every window of the same
-    specs, market and horizon length: names, cols, binary_cols, specs,
-    market, n_ess, horizon, the rows' coefficients and the epigraph rows'
-    arrays are read from it.
+    specs, market and horizon length, and holds everything else: names,
+    cols, binary_cols, specs, market, horizon, the rows' coefficients and
+    the epigraph rows' arrays.
     """
 
     lb: np.ndarray
@@ -171,44 +174,13 @@ class ProblemInstance:
     exog: tuple[SlotExogenous, ...]
     template: WindowTemplate
 
+    # perfbench's tracer reads a built window's rows.
     @property
     def rows(self) -> LinRows:
         """The template's rows with this window's right-hand sides."""
         rows = self.template.rows
         return LinRows(rows.ptr, rows.row_of, rows.index, rows.value, self.rhs,
                        rows.names)
-
-    @property
-    def n_ess(self) -> int:
-        return len(self.template.specs)
-
-    @property
-    def horizon(self) -> int:
-        return self.template.horizon
-
-    @property
-    def specs(self) -> tuple[EssSpec, ...]:
-        return self.template.specs
-
-    @property
-    def market(self) -> MarketSpec:
-        return self.template.market
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.template.names
-
-    @property
-    def cols(self) -> dict[str, np.ndarray]:
-        return self.template.cols
-
-    @property
-    def binary_cols(self) -> np.ndarray:
-        return self.template.binary_cols
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.template.names)
 
     def col(self, var: str, *index: int) -> int:
         return int(self.template.cols[var][index])
@@ -445,8 +417,16 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
     coef = by_row(qcoef, 4, float)
     quad, lin = coef[0::2], coef[1::2]
     binary = np.array(binary_cols, dtype=int)
-    flows = np.concatenate([cols[var].T.ravel() for var in ESS_VARS[:6]])
-    own = np.concatenate([cols[var] for var in ("presc", "pres", "vfr", "vsr")])
+    # decode's columns by kind of quantity: (continuous, per ESS).
+    kinds = collections.defaultdict(list)
+    for q in DECISION_VARS.values():
+        if q in cols:
+            kind = (q in ESS_VARS + SLOT_VARS, cols[q].ndim == 2)
+            kinds[kind] += cols[q].T.ravel().tolist()
+    flows = [q for q in DECISION_VARS.values() if q in ESS_VARS]
+    splits = [(flows.index(base) * n * H, [flows.index(v) * n * H for v in parts])
+              for base, *parts in (SPLIT[q] for q in DECISION_VARS.values()
+                                   if q in SPLIT)]
     for a in (*cols.values(), csr.ptr, csr.row_of, csr.index,
               csr.value, csr.rhs):
         _read_only(a)
@@ -460,7 +440,8 @@ def window_template(specs: tuple[EssSpec, ...], market: MarketSpec,
         qcoef=_read_only(np.stack([2.0 * quad, lin, quad])),
         rate_max=_read_only(by_row(rate_max, 2, float)), quad_names=tuple(quad_names),
         polish=(binary.tolist(), [unit for per_ess in units for unit in per_ess]),
-        decode=(flows.tolist(), cols["vc"].T.ravel().tolist(), own.tolist(), n, H))
+        decode=(kinds[True, True], splits, kinds[False, True], kinds[True, False],
+                kinds[False, False], n, H))
 
 
 def build_problem(t: int, horizon: Sequence[SlotExogenous], state: SocState,
@@ -510,47 +491,43 @@ def _tuples(values: list, n: int, count: int) -> list[tuple]:
 def recover_service_split(result: SolveResult) -> list[DispatchDecision]:
     """Decode per-slot decisions, recovering the eliminated bill/future split.
 
-    charge_future = pc - prec - pfrc and discharge_bill = pd - pfrd; both must
-    come out nonnegative at any correct optimum.  Every decoded power at or
-    below FEAS_TOL reads as exactly 0, so LP noise never reaches a committed
-    decision.
+    SPLIT's quantities, charge_future = pc - prec - pfrc and discharge_bill
+    = pd - pfrd, must come out nonnegative at any correct optimum.  Every
+    decoded power at or below FEAS_TOL reads as exactly 0, so LP noise never
+    reaches a committed decision.
     """
     if result.status != "optimal":
         raise ValueError(f"cannot decode decisions from status {result.status}")
-    flows, modes, own, n, H = result.instance.template.decode
+    flows, splits, modes, own, flags, n, H = result.instance.template.decode
     x = result.x.tolist()
     m = n * H
     # LP noise below the zero bound clipped, in blocks of m as flows lists them.
     c = [v if v > 0.0 else 0.0 for v in map(x.__getitem__, flows)]
-    future = [pc - prec - pfrc
-              for pc, prec, pfrc in zip(c[:m], c[m:2 * m], c[2 * m:3 * m])]
-    bill = [pd - pfrd for pd, pfrd in zip(c[3 * m:4 * m], c[4 * m:5 * m])]
+    split = []
+    for start, parts in splits:
+        values = c[start:start + m]
+        for part in parts:
+            values = list(map(operator.sub, values, c[part:part + m]))
+        split += values
     # Clipping maps NaN to 0.0 and the flows are bounded, so no split is
     # NaN and one min finds any negative one.
-    if min(future + bill, default=0.0) < -FEAS_TOL:
-        for k, (fs, br) in enumerate(zip(future, bill)):
+    if min(split, default=0.0) < -FEAS_TOL:
+        for k in range(m):
+            fs, br = split[k::m]
             if fs < -FEAS_TOL or br < -FEAS_TOL:
                 tau, i = divmod(k, n)
                 raise ValueError(f"negative recovered split at ess {i}, slot {tau}: "
                                  f"fs={fs}, br={br} (solver bug)")
-    c += future
-    c += bill
-    # One n-tuple per block and slot: pc's H tuples first, then prec's, ...
-    rates = _tuples([v if v > FEAS_TOL else 0.0 for v in c], n, 8 * H)
-    flags = _tuples([round(x[col]) for col in modes], n, H)
-    # own holds the H columns of presc, then of pres, vfr and vsr.
-    slot_x = [x[col] for col in own]
-    return [DispatchDecision(
-        charge_total=rates[tau], discharge_total=rates[3 * H + tau],
-        charge_from_renewable=rates[H + tau], charge_for_regulation=rates[2 * H + tau],
-        discharge_for_regulation=rates[4 * H + tau], reserve_commit=rates[5 * H + tau],
-        charge_future=rates[6 * H + tau], discharge_bill=rates[7 * H + tau],
-        mode_flag=flags[tau],
-        renewable_selfuse=slot_x[tau] if slot_x[tau] > FEAS_TOL else 0.0,
-        renewable_export=slot_x[H + tau] if slot_x[H + tau] > FEAS_TOL else 0.0,
-        reg_participate=round(slot_x[2 * H + tau]),
-        reserve_participate=round(slot_x[3 * H + tau]))
-        for tau in range(H)]
+    c += split
+    # The values of DECISION_VARS' per-slot quantities, then its per-ESS
+    # ones in n-tuples, each in blocks of H slots in table order, so that
+    # slot tau's are every H-th from tau.
+    shared = [v if v > FEAS_TOL else 0.0 for v in map(x.__getitem__, own)]
+    shared += [round(x[col]) for col in flags]
+    per_ess = _tuples([v if v > FEAS_TOL else 0.0 for v in c]
+                      + [round(x[col]) for col in modes],
+                      n, len(DECISION_VARS) * H - len(shared))
+    return [DispatchDecision(*per_ess[tau::H], *shared[tau::H]) for tau in range(H)]
 
 
 def decompose_at_point(instance: ProblemInstance, x: np.ndarray) -> dict[str, float]:
@@ -562,7 +539,7 @@ def decompose_at_point(instance: ProblemInstance, x: np.ndarray) -> dict[str, fl
     variables sit at their minima.
     """
     template = instance.template
-    ts = instance.market.slot_hours
+    ts = template.market.slot_hours
     ess = x[template.ess_cols[:len(ESS_VARS)]].sum(axis=1).T.tolist()
     own = x[template.slot_cols[:len(SLOT_VARS)]].T.tolist()
     totals = dict.fromkeys(REVENUE_TERMS, 0.0)
@@ -575,7 +552,7 @@ def decompose_at_point(instance: ProblemInstance, x: np.ndarray) -> dict[str, fl
     pc, pd = x[template.cols["pc"]].tolist(), x[template.cols["pd"]].tolist()
     totals["aging_cost"] = sum(
         aging.aging_cost_eval(spec, c, d, ts)
-        for spec, pc_i, pd_i in zip(instance.specs, pc, pd)
+        for spec, pc_i, pd_i in zip(template.specs, pc, pd)
         for c, d in zip(pc_i, pd_i))
     totals["tnp"] = sum(totals[stream] for stream in REVENUE_TERMS) - totals["aging_cost"]
     return totals
@@ -587,7 +564,7 @@ def check_solution(instance: ProblemInstance, x: np.ndarray,
     bounds, linear rows and epigraph rows, each in index order.  A linear
     row's tolerance is lin_tol times its max-abs coefficient, at least 1."""
     lb, ub = instance.lb, instance.ub
-    out = [f"bound on {instance.names[j]}: {x[j]} outside [{lb[j]}, {ub[j]}]"
+    out = [f"bound on {instance.template.names[j]}: {x[j]} outside [{lb[j]}, {ub[j]}]"
            for j in np.flatnonzero((x < lb - lin_tol) | (x > ub + lin_tol)).tolist()]
     rows = instance.rows
     # bincount adds each row's products in entry order, as a scalar sum does.

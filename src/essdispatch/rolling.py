@@ -17,8 +17,8 @@ import numpy as np
 
 from .aging import aging_cost_eval
 from .domain import (REVENUE_TERMS, DispatchDecision, EssSpec, MarketSpec,
-                     SlotExogenous, SocState, slot_revenues, soc_update,
-                     validate_inputs)
+                     SlotExogenous, SocState, slot_prices, slot_revenues,
+                     soc_update, stream_revenue, validate_inputs)
 from .problem import build_problem
 from .solver import ModelSet, SolverConfig, solve
 
@@ -188,8 +188,8 @@ def no_ess_baseline(true_series: Sequence[SlotExogenous],
         else:
             export = min(market.export_power_max, slot.renewable)
             selfuse = min(slot.demand, slot.renewable - export)
-        total += slot_revenues(slot, {"presc": selfuse, "pres": export},
-                               market.slot_hours)["r_sc"]
+        total += stream_revenue("r_sc", slot_prices(slot),
+                                {"presc": selfuse, "pres": export}, market.slot_hours)
     return total
 
 

@@ -279,7 +279,7 @@ class CutPool:
 
     def __init__(self, instance: ProblemInstance, models: ModelSet | None = None):
         self.lp_calls = self.lp_iters = self.lp_restarts = 0
-        n = instance.n_cols
+        n = len(instance.lb)
         self._tpl = instance.template
         models = ModelSet() if models is None else models
         # The set holds no pool until this one is ready, so a load or an
@@ -524,14 +524,14 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
     # Open nodes: bound, tie-breaker, fixings and the parent's saved basis.
     heap: list[tuple[float, int, dict[int, int], list]] = []
     root_basis = None
-    if _fractional(root.x, instance.binary_cols, INT_TOL) is None:
+    if _fractional(root.x, instance.template.binary_cols, INT_TOL) is None:
         register(root.x)
         relaxation_floor = root.objective
     else:
         root_basis = cut_pool.basis()
         # Dive heuristic: fix all binaries to their rounded relaxation values;
         # a feasible result seeds the incumbent and enables early pruning.
-        rounded = {col: int(round(root.x[col])) for col in instance.binary_cols}
+        rounded = {col: int(round(root.x[col])) for col in instance.template.binary_cols}
         dive = solve_relaxation(instance, rounded, cut_pool)
         if dive.status == "optimal":
             register(dive.x)
@@ -553,13 +553,13 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
             continue  # infeasible node
         if incumbent_x is not None and gap_ok(sol.objective):
             continue
-        branch_col = _fractional(sol.x, instance.binary_cols, INT_TOL)
+        branch_col = _fractional(sol.x, instance.template.binary_cols, INT_TOL)
         if branch_col is None:
             # Converge the epigraph cuts before trusting the point.
             sol = solve_relaxation(instance, fixed, cut_pool)
             if sol.status != "optimal":
                 continue
-            branch_col = _fractional(sol.x, instance.binary_cols, INT_TOL)
+            branch_col = _fractional(sol.x, instance.template.binary_cols, INT_TOL)
             if branch_col is None:
                 register(sol.x)
                 relaxation_floor = min(relaxation_floor, sol.objective)
@@ -590,14 +590,14 @@ def solve(instance: ProblemInstance, config: SolverConfig = SolverConfig(),
 def brute_force_oracle(instance: ProblemInstance,
                        max_binaries: int = 20) -> SolveResult:
     """Exhaustive 0/1 enumeration over the binaries; exact up to LP tolerance."""
-    k = len(instance.binary_cols)
+    k = len(instance.template.binary_cols)
     if k > max_binaries:
         raise ValueError(f"{k} binaries exceed the enumeration cap {max_binaries}")
     best_x = None
     best_obj = np.inf
     cut_pool = CutPool(instance)
     for bits in itertools.product((0, 1), repeat=k):
-        fixed = dict(zip(instance.binary_cols, bits))
+        fixed = dict(zip(instance.template.binary_cols, bits))
         sol = solve_relaxation(instance, fixed, cut_pool)
         if sol.status != "optimal":
             continue

@@ -114,8 +114,8 @@ class TestCriterion3:
     def test_mccormick_exactness(self, oracle_results):
         worst = 0.0
         for inst, res, _ in oracle_results:
-            for tau in range(inst.horizon):
-                for i in range(inst.n_ess):
+            for tau in range(inst.template.horizon):
+                for i in range(len(inst.template.specs)):
                     v = round(res.x[inst.col("vc", i, tau)])
                     z = res.x[inst.col("z", i, tau)]
                     psr = res.x[inst.col("psr", i, tau)]

@@ -1,12 +1,15 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from essdispatch.aging import SegmentSet
-from essdispatch.domain import (MODULE_CAPACITY, MarketSpec, SlotExogenous,
+from essdispatch.domain import (DECISION_VARS, MODULE_CAPACITY, SPLIT,
+                                DispatchDecision, MarketSpec, SlotExogenous,
                                 SocState, idle_decision, soc_update,
                                 validate_inputs)
+from essdispatch.problem import window_template
 from essdispatch.rolling import run_simulation
 
 from conftest import make_spec
@@ -139,3 +142,67 @@ class TestValidateInputs:
         assert validate_inputs([spec], market, short_series) == ()
         report = run_simulation(short_series[:3], [spec], market, 2)
         assert len(report.ledger) == 3
+
+
+def reference_quantities(self):
+    """DispatchDecision.quantities as it was spelled out field by field."""
+    return {"pc": sum(self.charge_total), "prec": sum(self.charge_from_renewable),
+            "pfrc": sum(self.charge_for_regulation), "pd": sum(self.discharge_total),
+            "pfrd": sum(self.discharge_for_regulation),
+            "psr": sum(self.reserve_commit), "presc": self.renewable_selfuse,
+            "pres": self.renewable_export, "future": sum(self.charge_future),
+            "bill": sum(self.discharge_bill)}
+
+
+def reference_idle_decision(n_ess):
+    """idle_decision as it was spelled out field by field."""
+    zeros = (0.0,) * n_ess
+    return DispatchDecision(
+        charge_total=zeros, discharge_total=zeros, charge_from_renewable=zeros,
+        charge_for_regulation=zeros, discharge_for_regulation=zeros,
+        reserve_commit=zeros, charge_future=zeros, discharge_bill=zeros,
+        mode_flag=(0,) * n_ess, renewable_selfuse=0.0, renewable_export=0.0,
+        reg_participate=0, reserve_participate=0)
+
+
+def random_decision(rng, n_ess):
+    """Powers drawn over several magnitudes, some exactly 0.0 or -0.0."""
+    def power():
+        return float(rng.choice([0.0, -0.0, rng.uniform(0, 1e-9),
+                                 rng.uniform(0, 500), rng.lognormal(0, 8)]))
+
+    def flag():
+        return int(rng.integers(2))
+
+    return DispatchDecision(
+        *(tuple(power() for _ in range(n_ess)) for _ in range(8)),
+        tuple(flag() for _ in range(n_ess)), power(), power(), flag(), flag())
+
+
+class TestDecisionVars:
+    def test_keys_are_the_fields_in_order(self):
+        assert list(DECISION_VARS) == [f.name for f in dataclasses.fields(DispatchDecision)]
+
+    @pytest.mark.parametrize("n_ess", [0, 1, 2])
+    def test_values_are_columns_or_split(self, spec1, n_ess):
+        tpl = window_template((spec1,) * n_ess, MarketSpec(), 2)
+        for q in DECISION_VARS.values():
+            assert q in tpl.cols or q in SPLIT, q
+        assert len(set(DECISION_VARS.values())) == len(DECISION_VARS)
+
+    @pytest.mark.parametrize("n_ess", [0, 1, 2, 3])
+    def test_quantities_match_reference(self, n_ess):
+        # The keys now come in DECISION_VARS order; every value is the same
+        # float, so each value's repr is compared.
+        rng = np.random.default_rng(40 + n_ess)
+        for _ in range(300):
+            d = random_decision(rng, n_ess)
+            got, want = d.quantities(), reference_quantities(d)
+            assert got == want
+            assert {q: repr(v) for q, v in got.items()} == \
+                {q: repr(v) for q, v in want.items()}
+
+    @pytest.mark.parametrize("n_ess", [0, 1, 2])
+    def test_idle_decision_matches_reference(self, n_ess):
+        got, want = idle_decision(n_ess), reference_idle_decision(n_ess)
+        assert got == want and repr(got) == repr(want)

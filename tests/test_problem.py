@@ -34,9 +34,9 @@ def slot(demand=500.0, renewable=200.0, purchase=0.15, sale=0.09,
 class TestBuildProblem:
     def test_variable_inventory_2ess_h4(self, specs, market):
         inst = build_problem(0, [slot()] * 4, SocState((0.5, 0.5)), specs, market)
-        n_cont = inst.n_cols - len(inst.binary_cols)
+        n_cont = len(inst.lb) - len(inst.template.binary_cols)
         assert n_cont == 72          # 18 per slot: 8 per ESS + 2 shared
-        assert len(inst.binary_cols) == 16
+        assert len(inst.template.binary_cols) == 16
         soc_rows = [r for r in inst.rows if r.name.startswith("soc_")]
         assert len(soc_rows) == 16   # 2 rows per (ess, slot)
         # every column appears in a row or carries an objective coefficient
@@ -45,7 +45,7 @@ class TestBuildProblem:
             used.update(row.coeffs)
         for q in epi_rows(inst.template):
             used.update((q.pc, q.pd, q.zeta))
-        assert used == set(range(inst.n_cols))
+        assert used == set(range(len(inst.lb)))
 
     def test_empty_horizon_rejected(self, specs, market):
         with pytest.raises(ValueError, match="nonempty"):
@@ -158,7 +158,7 @@ class TestMcCormick:
 
 def sample_feasible_point(inst, rng, with_markets=False):
     """Random feasible primal point for a 2-slot, 2-ESS instance at SOC 0.5."""
-    x = np.zeros(inst.n_cols)
+    x = np.zeros(len(inst.lb))
     for tau, s in enumerate(inst.exog):
         u = s.reg_up_flag
         re_left = s.renewable
@@ -166,7 +166,7 @@ def sample_feasible_point(inst, rng, with_markets=False):
         vsr = 1 if (with_markets and tau == 0) else 0
         x[inst.col("vfr", tau)] = vfr
         x[inst.col("vsr", tau)] = vsr
-        for i, spec in enumerate(inst.specs):
+        for i, spec in enumerate(inst.template.specs):
             # regulation commitments need the mode flag to match the direction
             vc = (1 - u) if with_markets else int(rng.uniform() < 0.5)
             x[inst.col("vc", i, tau)] = vc
@@ -280,7 +280,7 @@ class TestRecoverServiceSplit:
 
     def test_exact_split_cases(self, specs, market):
         inst = build_problem(0, [slot()], SocState((0.5, 0.5)), specs, market)
-        x = np.zeros(inst.n_cols)
+        x = np.zeros(len(inst.lb))
         x[inst.col("pc", 0, 0)] = 40.0
         x[inst.col("prec", 0, 0)] = 25.0
         x[inst.col("pfrc", 0, 0)] = 15.0
@@ -293,7 +293,7 @@ class TestRecoverServiceSplit:
 
     def test_negative_split_rejected(self, specs, market):
         inst = build_problem(0, [slot()], SocState((0.5, 0.5)), specs, market)
-        x = np.zeros(inst.n_cols)
+        x = np.zeros(len(inst.lb))
         x[inst.col("pc", 0, 0)] = 10.0
         x[inst.col("pfrc", 0, 0)] = 15.0
         with pytest.raises(ValueError, match="negative recovered split"):
@@ -304,7 +304,7 @@ class TestRecoverServiceSplit:
         # week's ledger booked (discharge 3.2e-13 kW): every decoded power at
         # or below 1e-9 kW, and a split left over by noise, is exactly 0
         inst = build_problem(0, [slot()], SocState((0.5, 0.5)), specs, market)
-        x = np.zeros(inst.n_cols)
+        x = np.zeros(len(inst.lb))
         x[inst.col("pd", 0, 0)] = 3.2e-13
         x[inst.col("pc", 1, 0)] = 40.0
         x[inst.col("prec", 1, 0)] = 40.0 - 5e-10
@@ -357,9 +357,9 @@ def scalar_check_solution(instance, x, lin_tol=1e-7, quad_tol=1e-6):
     """The column-by-column, row-by-row loop that check_solution's array code
     replaces."""
     out = []
-    for j in range(instance.n_cols):
+    for j in range(len(instance.lb)):
         if x[j] < instance.lb[j] - lin_tol or x[j] > instance.ub[j] + lin_tol:
-            out.append(f"bound on {instance.names[j]}: {x[j]} outside "
+            out.append(f"bound on {instance.template.names[j]}: {x[j]} outside "
                        f"[{instance.lb[j]}, {instance.ub[j]}]")
     for row in instance.rows:
         scale = max(abs(c) for c in row.coeffs.values())
@@ -386,7 +386,7 @@ class TestCheckSolution:
             points = [solve(inst).x]
             for _ in range(40):
                 x = random_point(inst, rng)
-                nudge = rng.uniform(size=inst.n_cols) < rng.uniform(0.0, 0.3)
+                nudge = rng.uniform(size=len(inst.lb)) < rng.uniform(0.0, 0.3)
                 x[nudge] += (rng.choice([-1.0, 1.0], int(nudge.sum()))
                              * rng.choice([1e-9, 1e-7, 2e-7, 1e-6, 1.0, 50.0],
                                           int(nudge.sum())))
@@ -593,11 +593,11 @@ def reference_recover_service_split(result):
         return v if v > 1e-9 else 0.0
 
     decisions = []
-    for tau in range(inst.horizon):
+    for tau in range(inst.template.horizon):
         def ess_vals(var):
             # Clip LP-tolerance noise below the zero bound.
             return tuple(max(0.0, float(x[inst.col(var, i, tau)]))
-                         for i in range(inst.n_ess))
+                         for i in range(len(inst.template.specs)))
 
         def ess_kw(var):
             return tuple(map(kw, ess_vals(var)))
@@ -609,7 +609,7 @@ def reference_recover_service_split(result):
         pfrd = ess_vals("pfrd")
         future = []
         bill = []
-        for i in range(inst.n_ess):
+        for i in range(len(inst.template.specs)):
             fs = pc[i] - prec[i] - pfrc[i]
             br = pd[i] - pfrd[i]
             if fs < -1e-9 or br < -1e-9:
@@ -626,7 +626,7 @@ def reference_recover_service_split(result):
             reserve_commit=ess_kw("psr"), charge_future=tuple(future),
             discharge_bill=tuple(bill),
             mode_flag=tuple(int(round(x[inst.col("vc", i, tau)]))
-                            for i in range(inst.n_ess)),
+                            for i in range(len(inst.template.specs))),
             renewable_selfuse=kw(float(x[inst.col("presc", tau)])),
             renewable_export=kw(float(x[inst.col("pres", tau)])),
             reg_participate=int(round(x[inst.col("vfr", tau)])),
@@ -639,16 +639,16 @@ def reference_polish(instance, x):
     """Round the binaries, zero the flows of the side each mode flag closes,
     lift epigraph variables to their pointwise maxima and re-price."""
     x = x.copy()
-    for col in instance.binary_cols:
+    for col in instance.template.binary_cols:
         x[col] = round(x[col])
-    for tau in range(instance.horizon):
-        for i in range(instance.n_ess):
+    for tau in range(instance.template.horizon):
+        for i in range(len(instance.template.specs)):
             closed = (("pd", "pfrd") if x[instance.col("vc", i, tau)] == 1.0
                       else ("pc", "prec", "pfrc"))
             for var in closed:
                 x[instance.col(var, i, tau)] = 0.0
-    for tau in range(instance.horizon):
-        for i, spec in enumerate(instance.specs):
+    for tau in range(instance.template.horizon):
+        for i, spec in enumerate(instance.template.specs):
             zeta = instance.col("zeta", i, tau)
             val = aging.segment_max(aging.segment_coefficients(spec),
                                     max(0.0, x[instance.col("pc", i, tau)]),
@@ -692,19 +692,20 @@ def edge_points(inst, rng):
     """Points with powers at EDGE_KW and binaries at EDGE_BINARY: one whose
     splits all decode (prec, pfrc and pfrd 0), one with every flow at those
     values, and one whose charge split is negative."""
-    c = inst.cols
+    c = inst.template.cols
     flows = ("pc", "prec", "pfrc", "pd", "pfrd", "psr", "presc", "pres")
     points = []
     for edged in (("pc", "pd", "psr", "presc", "pres"), flows):
         x = random_point(inst, rng)
-        x[inst.binary_cols] = rng.choice(EDGE_BINARY, len(inst.binary_cols))
+        binary = inst.template.binary_cols
+        x[binary] = rng.choice(EDGE_BINARY, len(binary))
         for var in ("prec", "pfrc", "pfrd"):
             x[c[var]] = 0.0
         for var in edged:
             x[c[var]] = rng.choice(EDGE_KW, c[var].shape)
         points.append(x)
     x = random_point(inst, rng)
-    i, tau = rng.integers(inst.n_ess), rng.integers(inst.horizon)
+    i, tau = rng.integers(len(inst.template.specs)), rng.integers(inst.template.horizon)
     x[c["pfrc"][i, tau]] = x[c["pc"][i, tau]] + 1.0
     return points + [x]
 
@@ -732,7 +733,7 @@ def random_point(inst, rng):
     """A point inside the bounds whose bill/future split decodes, with some
     LP-tolerance noise below zero."""
     x = rng.uniform(inst.lb, inst.ub)
-    c = inst.cols
+    c = inst.template.cols
     x[c["pc"]] = x[c["prec"]] + x[c["pfrc"]] + rng.uniform(0, 1, c["pc"].shape)
     x[c["pd"]] = x[c["pfrd"]] + rng.uniform(0, 1, c["pd"].shape)
     x[c["psr"]] = -rng.uniform(0, 1e-12, c["psr"].shape)
@@ -747,12 +748,12 @@ class TestWindowTemplate:
         window = random_window(rng, n_ess, horizon)
         inst = build_problem(7, *window)
         ref = reference_build_problem(7, *window)
-        assert list(inst.names) == ref.names
-        assert list(inst.cols) == list(ref.cols)
-        for var, a in inst.cols.items():
+        assert list(inst.template.names) == ref.names
+        assert list(inst.template.cols) == list(ref.cols)
+        for var, a in inst.template.cols.items():
             assert a.shape == ref.cols[var].shape
             assert a.tolist() == ref.cols[var].tolist()
-        assert inst.binary_cols.tolist() == [int(c) for c in ref.binary_cols]
+        assert inst.template.binary_cols.tolist() == [int(c) for c in ref.binary_cols]
         for a, b in ((inst.lb, ref.lb), (inst.ub, ref.ub),
                      (inst.objective, ref.objective)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -827,7 +828,8 @@ class TestWindowTemplate:
                 (tpl.ptr, tpl.row_of, tpl.index, tpl.value)))
         # the shared arrays refuse writes
         for shared in (a.template.numbers, tpl.index, tpl.ptr, tpl.rhs,
-                       a.rows.value, a.binary_cols, a.cols["pc"], a.template.qcoef):
+                       a.rows.value, a.template.binary_cols,
+                       a.template.cols["pc"], a.template.qcoef):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
 

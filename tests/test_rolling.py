@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from essdispatch import rolling
-from essdispatch.domain import SlotExogenous, SocState, idle_decision, soc_update
+from essdispatch.domain import (REVENUE_TERMS, SlotExogenous, SocState,
+                                idle_decision, slot_prices, slot_revenues,
+                                soc_update, stream_revenue)
 from essdispatch.fixture import generate_series
 from essdispatch.iofiles import load_config
 from essdispatch.problem import build_problem, check_solution, decompose_at_point
@@ -290,7 +292,33 @@ class TestLedgerMatchesOptimizer:
             assert abs(booked - expected[key]) <= 1e-9 * max(1.0, abs(expected[key])), key
 
 
+def reference_slot_revenues(slot, quantities, slot_hours):
+    """slot_revenues as it was, every stream in one comprehension."""
+    prices = slot_prices(slot)
+    return {stream: slot_hours * sum(sign * prices[price] * quantities.get(q, 0.0)
+                                     for price, q, sign in terms)
+            for stream, terms in REVENUE_TERMS.items()}
+
+
 class TestNoEssBaseline:
+    @pytest.mark.parametrize("slot_hours", [1.0, 0.25])
+    def test_self_use_stream_matches_slot_revenues(self, slot_hours):
+        # The baseline books stream_revenue("r_sc", ...) per slot; it must
+        # be the same float that slot_revenues(...)["r_sc"] gives, and the
+        # same as before slot_revenues was built on it.
+        rng = np.random.default_rng(55)
+        dearer_sale = 0
+        for _ in range(400):
+            slot = dataclasses.replace(rand_slot(rng), price_sale=float(
+                rng.uniform(0.01, 0.4)))
+            dearer_sale += slot.price_sale > slot.price_purchase
+            q = {"presc": float(rng.uniform(0, 800)), "pres": float(rng.uniform(0, 400))}
+            got = stream_revenue("r_sc", slot_prices(slot), q, slot_hours)
+            assert repr(got) == repr(slot_revenues(slot, q, slot_hours)["r_sc"])
+            want = reference_slot_revenues(slot, q, slot_hours)
+            assert repr(slot_revenues(slot, q, slot_hours)) == repr(want)
+        assert 0 < dearer_sale < 400
+
     def test_hand_example(self, market):
         series = [base_slot(demand=100.0, renewable=150.0)]
         # 100 self-used at 0.2, 50 exported at 0.12
@@ -426,7 +454,7 @@ class TestWarmRoots:
             branched += warm.node_count > 1
             # the set's last pool is the window's, of its template
             assert kept is instance.template
-            lengths.add(instance.horizon)
+            lengths.add(instance.template.horizon)
         assert branched > 0 and len(lengths) == horizon
 
     @pytest.mark.parametrize("horizon", [1, 4, 6])

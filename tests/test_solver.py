@@ -214,7 +214,7 @@ class TestSolve:
         inst = rand_instance(rng, n_ess=2, market=market)
         res = solve(inst)
         assert check_solution(inst, res.x) == []
-        for col in inst.binary_cols:
+        for col in inst.template.binary_cols:
             assert abs(res.x[col] - round(res.x[col])) < 1e-6
 
     def test_deterministic(self, market):
@@ -277,10 +277,10 @@ class TestSolve:
 def mode_point(inst, rng, specs, vc):
     """A random point of one mode in every slot: charging (vc = 1, pd = 0) or
     discharging (vc = 0, pc = 0), each zeta at the segment maximum."""
-    c = inst.cols
-    x = np.zeros(inst.n_cols)
+    c = inst.template.cols
+    x = np.zeros(len(inst.lb))
     for i, spec in enumerate(specs):
-        for tau in range(inst.horizon):
+        for tau in range(inst.template.horizon):
             pc = vc * rng.uniform(0, spec.charge_rate_max)
             pd = (1 - vc) * rng.uniform(0, spec.discharge_rate_max)
             x[c["vc"][i, tau]], x[c["pc"][i, tau]], x[c["pd"][i, tau]] = vc, pc, pd
@@ -293,7 +293,7 @@ def unscaled_seeds(inst):
     multiplied back by its cut scale (zeta's coefficient was -1/scale)."""
     starts, index, value, rhs = solver_module._seed_tangents(inst.template)
     a = csr_array((value, index, np.append(starts, len(index))),
-                  shape=(len(rhs), inst.n_cols)).toarray()
+                  shape=(len(rhs), len(inst.lb))).toarray()
     scale = -1.0 / a[np.arange(len(rhs)), np.repeat(inst.template.qcols[2], 9)]
     return a * scale[:, None], rhs * scale
 
@@ -307,7 +307,7 @@ class TestSeedTangents:
         inst = build_problem(0, [rand_slot(rng) for _ in range(2)],
                              SocState((0.5, 0.5)), specs, market)
         a, rhs = unscaled_seeds(inst)
-        assert (a[:, inst.cols["vc"].ravel()] != 0.0).any()
+        assert (a[:, inst.template.cols["vc"].ravel()] != 0.0).any()
         slack = []
         for lam in (0.0, 1.0, *rng.uniform(size=200)):
             x = (lam * mode_point(inst, rng, specs, 1)
@@ -388,8 +388,8 @@ class TestCuts:
     def test_relaxation_enforces_epigraph_to_tolerance(self, spec1, market):
         inst = build_problem(0, [rand_slot(np.random.default_rng(9))],
                              SocState((0.5,)), [spec1], market)
-        sol = solve_relaxation(inst, {c: 0 for c in inst.binary_cols
-                                      if "vc" not in inst.names[c]})
+        sol = solve_relaxation(inst, {c: 0 for c in inst.template.binary_cols
+                                      if "vc" not in inst.template.names[c]})
         assert sol.status == "optimal"
         for q in epi_rows(inst.template):
             assert q.violation(sol.x) <= 1e-6
@@ -406,7 +406,7 @@ class TestCuts:
                           price_reserve=0.0)
         inst = build_problem(0, [s], SocState((0.5,)), [spec], market)
         with pytest.raises(SolverError, match="cut rounds"):
-            solve_relaxation(inst, {c: 0 for c in inst.binary_cols})
+            solve_relaxation(inst, {c: 0 for c in inst.template.binary_cols})
 
 
 class TestRowCount:
@@ -535,7 +535,7 @@ class TestPersistentLp:
         statuses = set()
         for _ in range(15):
             lb, ub = inst.lb.copy(), inst.ub.copy()
-            for col in inst.binary_cols:
+            for col in inst.template.binary_cols:
                 if rng.uniform() < 0.5:
                     lb[col] = ub[col] = float(rng.integers(2))
             warm = pool.solve(lb, ub)
@@ -550,7 +550,7 @@ class TestPersistentLp:
             rows = epi_rows(inst.template)
             k = rng.integers(len(rows))
             q = rows[k]
-            x = np.zeros(inst.n_cols)
+            x = np.zeros(len(inst.lb))
             x[q.pc] = rng.uniform(0, inst.ub[q.pc])
             x[q.pd] = rng.uniform(0, inst.ub[q.pd])
             x[q.zeta] = q.f(x[q.pc], x[q.pd]) - 1.0
@@ -585,7 +585,8 @@ class TestPersistentLp:
         plain, proxied = CutPool(inst), CutPool(inst)
         proxied._highs = _WarningInfo(proxied._highs, 1)
         fixed_lb, fixed_ub = inst.lb.copy(), inst.ub.copy()
-        fixed_lb[inst.binary_cols[0]] = fixed_ub[inst.binary_cols[0]] = 1.0
+        first = inst.template.binary_cols[0]
+        fixed_lb[first] = fixed_ub[first] = 1.0
         for pool in (plain, proxied):
             pool.solve(inst.lb, inst.ub)
         first = plain.lp_iters
@@ -696,8 +697,8 @@ class TestModelSet:
         first = CutPool(a, models)
         assert models.pool is first
         seeds = len(first.rows)
-        hot = np.zeros(a.n_cols)
-        hot[a.cols["pc"]] = 100.0
+        hot = np.zeros(len(a.lb))
+        hot[a.template.cols["pc"]] = 100.0
         assert first.cut(hot) and len(first.rows) > seeds
         second = CutPool(b, models)
         assert models.pool is second
@@ -836,7 +837,7 @@ class TestParentBasis:
         pool.restore(saved)
         assert log.calls == [("run",), ("getBasis",)]
         ub = inst.ub.copy()
-        ub[inst.binary_cols[0]] = 0.0
+        ub[inst.template.binary_cols[0]] = 0.0
         pool.solve(inst.lb, ub)
         pool.restore(saved)
         assert [c[0] for c in log.calls[2:]] == ["run", "setBasis"]
@@ -851,8 +852,8 @@ class TestParentBasis:
         pool.solve(inst.lb, inst.ub)
         saved = pool.basis()
         before = list(saved[0].row_status)
-        hot = np.zeros(inst.n_cols)
-        hot[inst.cols["pc"]] = 100.0
+        hot = np.zeros(len(inst.lb))
+        hot[inst.template.cols["pc"]] = 100.0
         assert pool.cut(hot)
         pool.solve(inst.lb, inst.ub)
         pool.restore(saved)
@@ -902,15 +903,16 @@ class TestPolish:
         rng = np.random.default_rng(9)
         inst = build_problem(0, [rand_slot(rng) for _ in range(2)],
                              SocState((0.5, 0.5)), specs, market)
-        c = inst.cols
-        x = np.zeros(inst.n_cols)
+        c = inst.template.cols
+        x = np.zeros(len(inst.lb))
         x[c["vc"][0, 0]], x[c["pc"][0, 0]], x[c["pd"][0, 0]] = 0.0, 1e-7, 30.0
         x[c["prec"][0, 0]] = x[c["pfrc"][0, 0]] = 4e-8
         x[c["vc"][1, 0]], x[c["pc"][1, 0]], x[c["pd"][1, 0]] = 1.0 - 1e-9, 50.0, 1e-7
         x[c["pfrd"][1, 0]] = 1e-7
         x[c["vc"][0, 1]], x[c["vfr"][1]] = 1e-9, 1.0 - 1e-9
         polished, obj = solver_module._polish(inst, x)
-        assert polished[inst.binary_cols].tolist() == np.round(x[inst.binary_cols]).tolist()
+        binary = inst.template.binary_cols
+        assert polished[binary].tolist() == np.round(x[binary]).tolist()
         for var, i, want in (("pc", 0, 0.0), ("prec", 0, 0.0), ("pfrc", 0, 0.0),
                              ("pd", 0, 30.0), ("pc", 1, 50.0), ("pd", 1, 0.0),
                              ("pfrd", 1, 0.0)):
@@ -1054,7 +1056,7 @@ class ScalarPool:
     CutPool and solve_relaxation make."""
 
     def __init__(self, inst):
-        n = inst.n_cols
+        n = len(inst.lb)
         self.cols = np.arange(n, dtype=np.int32)
         self.highs = RecordingHighs()
         self.highs.setOptionValue("output_flag", False)
@@ -1068,8 +1070,8 @@ class ScalarPool:
         self.epi_rows = epi_rows(inst.template)
         for q in self.epi_rows:
             # the unit and slot whose pc column the row holds
-            i, tau = np.argwhere(inst.cols["pc"] == q.pc)[0]
-            spec, vc = inst.specs[i], inst.cols["vc"][i, tau]
+            i, tau = np.argwhere(inst.template.cols["pc"] == q.pc)[0]
+            spec, vc = inst.template.specs[i], inst.template.cols["vc"][i, tau]
             for t in np.linspace(0.0, 1.0, 9):
                 seeds.append(scalar_seed_cut(q, vc, t * spec.charge_rate_max,
                                              t * spec.discharge_rate_max))
@@ -1149,7 +1151,7 @@ class TestArrayPool:
         starts, index, value, scale = solver_module._scaled_rows(rows)
         rhs = rows.rhs / scale
         want = csr_array((value, index, np.append(starts, len(index))),
-                         shape=(len(rhs), own.n_cols)).toarray()
+                         shape=(len(rhs), len(own.lb))).toarray()
 
         def base_rows(pool):
             a, b = held_rows(pool._highs)
@@ -1181,7 +1183,7 @@ class TestArrayPool:
         assert pool._highs.added == ref.highs.added
         assert lp_bytes(pool._highs) == lp_bytes(ref.highs)
         for _ in range(4):
-            fixed = {col: int(rng.integers(2)) for col in inst.binary_cols
+            fixed = {col: int(rng.integers(2)) for col in inst.template.binary_cols
                      if rng.uniform() < 0.5}
             sol = solve_relaxation(inst, fixed, pool)
             x = ref.relax(inst, *solver_module._fixed_bounds(inst, fixed),
@@ -1204,7 +1206,7 @@ class TestArrayPool:
         rows = epi_rows(inst.template)
         everyone = list(range(len(rows)))
         for zeta, want in ((-tol, []), (np.nextafter(-tol, -1.0), everyone)):
-            x = np.zeros(inst.n_cols)
+            x = np.zeros(len(inst.lb))
             x[[q.zeta for q in rows]] = zeta
             assert all(scalar_cut_scale(q, x) == 1.0 for q in rows)
             assert [k for k, q in enumerate(rows)
